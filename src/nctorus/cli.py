@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import re
 import sys
 import time
@@ -19,7 +20,7 @@ from .algebra import TorusParams
 from .connections import Connection, curvature_form, is_flat, transport
 from .coverings import CoveringSpec, check_path_independence, classify_path, wilson
 from .errors import NCTorusError, RankMismatch
-from .infinitecover import wilson_relation_report
+from .infinitecover import wilson_relation
 from .scenarios import BUILTIN_SCENARIOS, builtin
 
 COMMANDS = (
@@ -54,22 +55,33 @@ def _round_tree(obj):
     return obj
 
 
-def _complex15(z: complex) -> list[float]:
-    return [_round15(z.real), _round15(z.imag)]
-
-
 def _need(scenario: dict, key: str):
     if key not in scenario:
         raise ScenarioError(f"scenario is missing required field {key!r}")
     return scenario[key]
 
 
+def _finite_json_number(text: str) -> float:
+    """json.load hook for float literals and NaN/Infinity: only finite doubles pass."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ScenarioError(f"scenario number {text} is not a finite double")
+    return x
+
+
+def _number(value, what: str) -> float:
+    """A finite int or float of the scenario (not a bool), as a float."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also rejects NaN and ints beyond the double range
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise ScenarioError(f"{what} must be a finite number")
+    return float(value)
+
+
 def _params(scenario: dict) -> TorusParams:
-    theta = _need(scenario, "theta")
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise ScenarioError("theta must be a number")
+    theta = _number(_need(scenario, "theta"), "theta")
     try:
-        return TorusParams(float(theta))
+        return TorusParams(theta)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -108,10 +120,12 @@ def _paths(scenario: dict) -> list[tuple]:
 
 
 def _int_pair(pair, what: str) -> tuple[int, int]:
-    a, b = pair
-    if a != int(a) or b != int(b):
-        raise ScenarioError(f"{what} must be an integer pair, got {list(pair)!r}")
-    return int(a), int(b)
+    # x % 1 is NaN for an infinite or NaN x, so only finite integers pass
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and x % 1 == 0 for x in pair
+    ):
+        raise ScenarioError(f"{what} must be an integer pair, got {pair!r}")
+    return int(pair[0]), int(pair[1])
 
 
 def _cli_params(scenario: dict) -> dict:
@@ -119,21 +133,13 @@ def _cli_params(scenario: dict) -> dict:
 
 
 def _deck_pair(scenario: dict) -> tuple[int, int]:
-    deck = _cli_params(scenario).get("deck")
-    if not isinstance(deck, (list, tuple)) or len(deck) != 2:
-        raise ScenarioError("params.deck must be a pair [a, b]")
-    return _int_pair(deck, "params.deck")
+    return _int_pair(_cli_params(scenario).get("deck"), "params.deck")
 
 
-def _transport_result(op) -> dict:
-    result = {
-        "matrix": [[_complex15(complex(z)) for z in row] for row in op.matrix.tolist()],
-        "weight": list(op.weight),
-        "tau": op.tau,
-    }
-    if op.rank == 1:
-        result["value"] = _complex15(complex(op.matrix[0, 0]))
-    return result
+def wilson_relation_report(p: int, q: int, c_u: float, c_v: float) -> dict:
+    """The infinite-wilson result: the deck pair and W(p, q) as [re, im]."""
+    value = wilson_relation(p, q, c_u, c_v)
+    return {"deck": [p, q], "value": [value.real, value.imag]}
 
 
 def run(scenario: dict) -> dict:
@@ -145,6 +151,8 @@ def run(scenario: dict) -> dict:
     command = _need(scenario, "command")
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r} (choose from: {', '.join(COMMANDS)})")
+    if not isinstance(_cli_params(scenario), dict):
+        raise ScenarioError("params must be an object")
 
     if command == "curvature":
         conn = _connection(scenario, _params(scenario))
@@ -156,10 +164,8 @@ def run(scenario: dict) -> dict:
         params = _params(scenario)
         conn = _connection(scenario, params)
         weight = _paths(scenario)[0]
-        tau = _cli_params(scenario).get("tau", 1.0)
-        if not isinstance(tau, (int, float)) or isinstance(tau, bool):
-            raise ScenarioError("params.tau must be a number")
-        result = _transport_result(transport(conn, weight, float(tau)))
+        tau = _number(_cli_params(scenario).get("tau", 1.0), "params.tau")
+        result = transport(conn, weight, tau).to_dict()
     elif command == "classify":
         spec = _covering(scenario, _params(scenario))
         reports = []
@@ -171,8 +177,7 @@ def run(scenario: dict) -> dict:
         spec = _covering(scenario, params)
         conn = _connection(scenario, params)
         a, b = _deck_pair(scenario)
-        op = wilson(spec, spec.deck(a, b), conn)
-        result = _transport_result(op)
+        result = wilson(spec, spec.deck(a, b), conn).to_dict()
         result["deck"] = [a, b]
     elif command == "independence":
         params = _params(scenario)
@@ -182,12 +187,11 @@ def run(scenario: dict) -> dict:
         weights = [_int_pair(w, "independence weight") for w in _paths(scenario)]
         result = check_path_independence(spec, spec.deck(a, b), conn, weights).to_dict()
     else:  # infinite-wilson
+        _params(scenario)  # theta does not enter the relation but is still validated
         cp = _cli_params(scenario)
-        for key in ("c_u", "c_v"):
-            if not isinstance(cp.get(key), (int, float)) or isinstance(cp.get(key), bool):
-                raise ScenarioError(f"params.{key} must be a number")
+        c_u, c_v = (_number(cp.get(key), f"params.{key}") for key in ("c_u", "c_v"))
         p, q = _deck_pair(scenario)
-        result = wilson_relation_report(p, q, float(cp["c_u"]), float(cp["c_v"]))
+        result = wilson_relation_report(p, q, c_u, c_v)
 
     return {
         "v": 1,
@@ -219,11 +223,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pretty", action="store_true", help="indent the report")
     args = parser.parse_args(argv)
 
-    def emit(payload: dict):
-        if args.pretty:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    def render(payload: dict) -> str:
+        """Strict RFC 8259 JSON: a non-finite float raises ValueError."""
+        layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **layout) + "\n"
+
+    def emit(text: str):
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -236,16 +241,19 @@ def main(argv=None) -> int:
             scenario = builtin(args.builtin)
         else:
             with open(args.scenario, encoding="utf-8") as fh:
-                scenario = json.load(fh)
+                scenario = json.load(
+                    fh, parse_float=_finite_json_number, parse_constant=_finite_json_number
+                )
         report = run(scenario)
+        text = render(report)
     except NCTorusError as exc:
-        emit({"error": _error_code(exc), "message": str(exc)})
+        emit(render({"error": _error_code(exc), "message": str(exc)}))
         return 3
     except (ScenarioError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
-        emit({"error": "validation", "message": str(exc)})
+        emit(render({"error": "validation", "message": str(exc)}))
         return 2
 
-    emit(report)
+    emit(text)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(

@@ -124,20 +124,6 @@ class Connection:
         )
         return alpha * tu + beta * tv
 
-    def to_dict(self) -> dict:
-        def entry_dict(e: TorusElement):
-            if e.is_scalar() and set(e.terms) <= {(0, 0, 0)}:
-                s = e.terms.get((0, 0, 0), 0j)
-                return [s.real, s.imag]
-            return e.to_dict()
-
-        return {
-            "rank": self.rank,
-            "theta_u": [[entry_dict(e) for e in row] for row in self.theta_u],
-            "theta_v": [[entry_dict(e) for e in row] for row in self.theta_v],
-            "constant": self.constant_coefficients,
-        }
-
     @classmethod
     def from_dict(cls, data: dict, params: TorusParams) -> "Connection":
         def parse_entry(raw):
@@ -251,11 +237,15 @@ class TransportOperator:
         return out
 
     def to_dict(self) -> dict:
-        return {
+        """Matrix entries as [re, im] pairs; rank 1 adds the scalar as "value"."""
+        out = {
             "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix.tolist()],
             "weight": [self.weight[0], self.weight[1]],
             "tau": self.tau,
         }
+        if self.rank == 1:
+            out["value"] = list(out["matrix"][0][0])
+        return out
 
 
 def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:
@@ -281,15 +271,6 @@ class TransportAxiomReport:
     @property
     def max_residual(self) -> float:
         return max(self.module_residual, self.identity_residual, self.group_residual)
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "module_residual": self.module_residual,
-            "identity_residual": self.identity_residual,
-            "group_residual": self.group_residual,
-            "max_residual": self.max_residual,
-        }
 
 
 def check_transport_axioms(

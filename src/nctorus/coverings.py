@@ -88,14 +88,6 @@ class CoveringSpec:
         k1, k2 = self.degrees
         return [DeckElement(a, b, self.degrees) for a in range(k1) for b in range(k2)]
 
-    def to_dict(self) -> dict:
-        return {"theta": self.base.theta, "degrees": [self.degrees[0], self.degrees[1]]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoveringSpec":
-        k1, k2 = data["degrees"]
-        return cls(TorusParams(float(data["theta"])), (int(k1), int(k2)))
-
 
 def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:
     """*-homomorphism into the cover: u^m v^n -> x^{k1 m} y^{k2 n}.

@@ -47,13 +47,6 @@ class OneForm:
         alpha, beta = weight
         return alpha * self.du + beta * self.dv
 
-    def to_dict(self) -> dict:
-        return {"du": self.du.to_dict(), "dv": self.dv.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OneForm":
-        return cls(TorusElement.from_dict(data["du"]), TorusElement.from_dict(data["dv"]))
-
 
 @dataclass(frozen=True)
 class TwoForm:
@@ -76,10 +69,6 @@ class TwoForm:
 
     def to_dict(self) -> dict:
         return {"dudv": self.dudv.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TwoForm":
-        return cls(TorusElement.from_dict(data["dudv"]))
 
 
 def d0(a: TorusElement) -> OneForm:

@@ -2,8 +2,9 @@
 
 Elements are normal-ordered character monomials c * pi_u(e^{iax}) *
 pi_v(e^{ibx}).  The deck group Z^2 acts by argument shifts x -> x + 2 pi on
-one leg at a time, which scales a frequency-a character by exp(2 pi i a);
-the base algebra acts by bumping a leg frequency by one.  Only products
+one leg at a time, which scales a frequency-a character by exp(2 pi i a).
+That phase is reduced mod 1 in exact integer arithmetic, so a deck element
+of any size costs one rounding per leg.  Only products
 that stay inside the normal-ordered model are defined: the commutation rule
 between the two legs is deliberately not modeled, and anything requiring it
 raises UnsupportedProduct.  Every computation the model supports cancels
@@ -17,6 +18,7 @@ Character sums (for cos/sin combinations) extend the model entrywise to the
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +48,21 @@ class Character:
         """d/dx multiplies the character by i * frequency."""
         return 1j * self.frequency
 
-    def shift(self) -> tuple[complex, "Character"]:
-        """Substitute x + 2 pi: the character picks up exp(2 pi i frequency)."""
-        return cmath.exp(TWO_PI * 1j * self.frequency), self
 
+def shift_up(ch: Character, count: int = 1) -> tuple[complex, Character]:
+    """f(x) -> f(x + 2 pi count) on a character: scalar exp(2 pi i count a), same frequency.
 
-def shift_up(ch: Character) -> tuple[complex, Character]:
-    """f(x) -> f(x + 2 pi) on a character: scalar exp(2 pi i a), same frequency."""
-    return ch.shift()
+    count * a is reduced mod 1 exactly on the integer ratio of the double a,
+    so the scalar is exactly 1 when the phase is an integer and otherwise
+    carries one rounding whatever the size of count.
+    """
+    if not math.isfinite(ch.frequency):
+        raise ValueError(f"character frequency {ch.frequency} is not finite")
+    num, den = ch.frequency.as_integer_ratio()
+    r = (count * num) % den
+    if r == 0:
+        return 1 + 0j, ch
+    return cmath.exp(TWO_PI * 1j * (r / den)), ch
 
 
 @dataclass(frozen=True)
@@ -68,9 +77,6 @@ class CharacterMonomial:
     def is_constant(self) -> bool:
         return self.uleg.is_trivial and self.vleg.is_trivial
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return abs(abs(self.scalar) - 1.0) <= tol
-
     def star(self) -> "CharacterMonomial":
         if not (self.uleg.is_trivial or self.vleg.is_trivial):
             raise UnsupportedProduct(
@@ -78,21 +84,6 @@ class CharacterMonomial:
             )
         return CharacterMonomial(
             self.scalar.conjugate(), self.uleg.conjugate(), self.vleg.conjugate()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "c": [self.scalar.real, self.scalar.imag],
-            "a": self.uleg.frequency,
-            "b": self.vleg.frequency,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CharacterMonomial":
-        return cls(
-            complex(data["c"][0], data["c"][1]),
-            Character(float(data["a"])),
-            Character(float(data["b"])),
         )
 
 
@@ -137,29 +128,14 @@ def mul_by_inverse(m1: CharacterMonomial, m2: CharacterMonomial) -> CharacterMon
     )
 
 
-def _shift_leg(scalar: complex, ch: Character, count: int) -> complex:
-    step, _ = ch.shift()
-    if count < 0:
-        step = step.conjugate()  # inverse of a unit-modulus scalar
-    for _ in range(abs(count)):
-        scalar = scalar * step
-    return scalar
-
-
 def deck_act(p: int, q: int, m: CharacterMonomial) -> CharacterMonomial:
     """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg."""
-    scalar = _shift_leg(m.scalar, m.uleg, p)
-    scalar = _shift_leg(scalar, m.vleg, q)
+    scalar = m.scalar
+    for leg, count in ((m.uleg, p), (m.vleg, q)):
+        phase, _ = shift_up(leg, count)
+        if phase != 1:
+            scalar *= phase
     return CharacterMonomial(scalar, m.uleg, m.vleg)
-
-
-def base_act(gen: str, m: CharacterMonomial) -> CharacterMonomial:
-    """Left action of the base generator u or v: bump the leg frequency by one."""
-    if gen == "u":
-        return CharacterMonomial(m.scalar, Character(m.uleg.frequency + 1), m.vleg)
-    if gen == "v":
-        return CharacterMonomial(m.scalar, m.uleg, Character(m.vleg.frequency + 1))
-    raise ValueError(f"unknown base generator {gen!r}")
 
 
 def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
@@ -195,11 +171,6 @@ def gauge_equation_residual(c_u: float, c_v: float, weight: Weight) -> float:
     omega = OneForm(mono(0, 0, 1j * c_u, params), mono(0, 0, 1j * c_v, params))
     connection_side = TWO_PI * omega.contract(weight).scalar_value()
     return abs(lifted_side - connection_side)
-
-
-def wilson_relation_report(p: int, q: int, c_u: float, c_v: float) -> dict:
-    value = wilson_relation(p, q, c_u, c_v)
-    return {"deck": [p, q], "value": [value.real, value.imag]}
 
 
 # -- character sums and the 4x4 block gauge field -----------------------------

@@ -235,6 +235,60 @@ def test_non_integer_deck_is_validation_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("paper-infinite", '"c_u": 0.25', '"c_u": NaN'),
+        ("paper-scalar", '"params": {"deck": [1, 0]}', '"params": [1]'),
+        ("paper-scalar", '"theta_u": [[[0.0, 0.25]]]', '"theta_u": [[[0.0, Infinity]]]'),
+        ("paper-infinite", '"theta": 0.3819660113', '"theta": NaN'),
+        ("paper-infinite", '"deck": [1, 0]', '"deck": [Infinity, 0]'),
+        ("paper-infinite", '"c_v": 0.1', '"c_v": 1e400'),
+    ],
+    ids=["nan-coupling", "params-list", "infinite-entry", "nan-theta", "infinite-deck", "overflow-literal"],
+)
+def test_scenario_text_contract_violation_exits_2(tmp_path, capsys, name, old, new):
+    text = json.dumps(builtin(name))
+    assert old in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace(old, new))
+    code, body = run_cli(tmp_path, "--scenario", str(path))
+    assert code == 2
+    assert json.loads(body)["error"] == "validation"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "name, keys, value",
+    [
+        ("paper-infinite", ("params", "c_u"), math.nan),
+        ("paper-infinite", ("theta",), math.nan),
+        ("paper-infinite", ("theta",), 10**400),
+        ("paper-infinite", ("params", "deck"), [math.inf, 0]),
+        ("paper-scalar", ("params", "deck"), [math.nan, 0]),
+        ("paper-scalar", ("params",), [1]),
+    ],
+    ids=["nan-coupling", "nan-theta", "huge-int-theta", "infinite-deck", "nan-deck", "params-list"],
+)
+def test_run_rejects_non_finite_and_malformed_values(name, keys, value):
+    scenario = builtin(name)
+    target = scenario
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ScenarioError):
+        run(scenario)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_is_not_printed(tmp_path):
+    scenario = builtin("paper-scalar")
+    scenario.update(command="transport", paths=[[1, 0]], params={"tau": 1e308})
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nctorus.cli", "--builtin", "paper-scalar"],

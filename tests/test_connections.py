@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import assert_close
+from conftest import THETA, assert_close
 from nctorus.algebra import TorusParams, one, u, v, vector_distance, zero
 from nctorus.connections import (
     Connection,
@@ -272,24 +272,40 @@ def test_entry_params_must_match(params):
         Connection(params, [[u(TorusParams(0.5))]], [[0]])
 
 
-def test_connection_json_round_trip(params, scalar_conn, block_conn):
-    for conn in (scalar_conn, block_conn):
-        d = conn.to_dict()
-        assert d["constant"] is True
-        back = Connection.from_dict(d, params)
-        assert back.rank == conn.rank
+def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
+    scalar = {"rank": 1, "theta_u": [[[0.0, C_U]]], "theta_v": [[[0.0, C_V]]], "constant": True}
+    z = [0.0, 0.0]
+    block = {
+        "rank": 4,
+        "theta_u": [[z, [-C_U, 0.0], z, z], [[C_U, 0.0], z, z, z], [z, z, z, z], [z, z, z, z]],
+        "theta_v": [[z, z, z, z], [z, z, z, z], [z, z, z, [-C_V, 0.0]], [z, z, [C_V, 0.0], z]],
+        "constant": True,
+    }
+    for payload, conn in ((scalar, scalar_conn), (block, block_conn)):
+        back = Connection.from_dict(payload, params)
+        assert back.rank == conn.rank and back.constant_coefficients
         for mat_a, mat_b in ((back.theta_u, conn.theta_u), (back.theta_v, conn.theta_v)):
             for row_a, row_b in zip(mat_a, mat_b):
                 for a, b in zip(row_a, row_b):
                     assert_close(a, b)
-    symbolic = Connection(params, [[u(params)]], [[v(params)]])
-    back = Connection.from_dict(symbolic.to_dict(), params)
+    symbolic = {
+        "rank": 1,
+        "theta_u": [[{"theta": THETA, "terms": [{"m": 1, "n": 0, "re": 1.0, "im": 0.0, "lk": 0}]}]],
+        "theta_v": [[0.5]],
+    }
+    back = Connection.from_dict(symbolic, params)
     assert back.theta_u[0][0].terms == {(1, 0, 0): 1}
+    assert back.theta_v[0][0].terms == {(0, 0, 0): 0.5}
+    assert not back.constant_coefficients
+    with pytest.raises(RankMismatch):
+        Connection.from_dict({**scalar, "rank": 2}, params)
 
 
-def test_transport_operator_json(scalar_conn):
+def test_transport_operator_json(scalar_conn, block_conn):
     op = transport(scalar_conn, (1, 0), 1.0)
     d = op.to_dict()
     assert d["weight"] == [1, 0] and d["tau"] == 1.0
     z = complex(d["matrix"][0][0][0], d["matrix"][0][0][1])
     assert abs(z - np.exp(TWO_PI_I * C_U)) < 1e-13
+    assert d["value"] == d["matrix"][0][0]
+    assert "value" not in transport(block_conn, (1, 0), 1.0).to_dict()

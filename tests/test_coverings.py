@@ -381,9 +381,3 @@ def test_path_independence_rejects_wrong_deck_element(spec, params):
     with pytest.raises(PathNotAssociated):
         check_path_independence(spec, spec.g_u, conn, [(2, 0)])
 
-
-def test_covering_spec_json_round_trip(spec):
-    d = spec.to_dict()
-    assert d == {"theta": THETA, "degrees": [2, 2]}
-    back = CoveringSpec.from_dict(d)
-    assert back == spec

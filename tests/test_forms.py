@@ -105,18 +105,11 @@ def test_matrix_d1_entrywise(params):
     assert got[0, 0].dudv.terms == {(1, 0, 0): TWO_PI_I}
 
 
-def test_one_form_json_round_trip(params):
-    w = OneForm(u(params), 2 * v(params))
-    back = OneForm.from_dict(w.to_dict())
-    assert back.du.terms == w.du.terms and back.dv.terms == w.dv.terms
-    t = TwoForm(u(params))
-    assert TwoForm.from_dict(t.to_dict()).dudv.terms == t.dudv.terms
-
-
 def test_matrix_form_to_dict_row_major(params):
     z = zero(params)
-    mf = MatrixForm([[OneForm(u(params), z), OneForm(z, z)], [OneForm(z, z), OneForm(z, v(params))]])
+    mf = MatrixForm([[TwoForm(u(params)), TwoForm(z)], [TwoForm(z), TwoForm(v(params))]])
     d = mf.to_dict()
     assert d["rank"] == 2
-    assert d["entries"][0][0]["du"]["terms"][0]["m"] == 1
-    assert d["entries"][1][1]["dv"]["terms"][0]["n"] == 1
+    assert d["entries"][0][0]["dudv"]["terms"][0]["m"] == 1
+    assert d["entries"][0][1]["dudv"]["terms"] == []
+    assert d["entries"][1][1]["dudv"]["terms"][0]["n"] == 1

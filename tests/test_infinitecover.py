@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ import pytest
 from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
     Character,
-    CharacterMonomial,
-    base_act,
     cosine_sum,
     deck_act,
     gauge_equation_residual,
@@ -25,10 +24,14 @@ from nctorus.infinitecover import (
     shift_up,
     sine_sum,
     wilson_relation,
-    wilson_relation_report,
 )
 
 C_U, C_V = 0.25, 0.1
+
+
+def exact_turn(x: Fraction) -> complex:
+    """exp(2 pi i x), with x reduced mod 1 exactly before rounding."""
+    return cmath.exp(2j * math.pi * float(x % 1))
 
 
 # -- characters and shifts ----------------------------------------------------
@@ -59,6 +62,21 @@ def test_shift_preserves_frequency_and_modulus():
         assert abs(abs(scalar) - 1.0) < 1e-12
 
 
+def test_shift_up_count_matches_exact_phase():
+    rng = random.Random(23)
+    for _ in range(50):
+        f, count = rng.uniform(-5, 5), rng.randint(-(10**9), 10**9)
+        scalar, ch = shift_up(Character(f), count)
+        assert ch.frequency == f
+        assert abs(scalar - exact_turn(count * Fraction(f))) < 1e-12
+
+
+@pytest.mark.parametrize("freq", [math.inf, -math.inf, math.nan])
+def test_shift_up_rejects_non_finite_frequency(freq):
+    with pytest.raises(ValueError):
+        shift_up(Character(freq))
+
+
 # -- monomials ------------------------------------------------------------------
 
 
@@ -83,17 +101,6 @@ def test_deck_action_is_z2_action():
         both = deck_act(p + r, q + s, m)
         assert abs(one_step.scalar - both.scalar) < 1e-12
         assert one_step.uleg == both.uleg and one_step.vleg == both.vleg
-
-
-def test_base_action_bumps_frequencies():
-    m = monomial(1, 0.3, 0.7)
-    assert base_act("u", m).uleg.frequency == pytest.approx(1.3)
-    assert base_act("u", m).vleg.frequency == pytest.approx(0.7)
-    assert base_act("v", m).vleg.frequency == pytest.approx(1.7)
-    # the two base generators touch disjoint legs, so they commute here
-    assert base_act("u", base_act("v", m)) == base_act("v", base_act("u", m))
-    with pytest.raises(ValueError):
-        base_act("w", m)
 
 
 def test_mul_requires_trivial_inner_leg():
@@ -139,6 +146,21 @@ def test_wilson_relation_closed_form_on_grid():
             assert abs(got - expect) < 1e-12
 
 
+def test_wilson_relation_integer_phase_is_exact():
+    assert wilson_relation(10**7, 0, 0.5, C_V) == 1
+
+
+def test_wilson_relation_matches_exact_phase_at_large_deck():
+    rng = random.Random(29)
+    big = 10**9
+    decks = [(big, 0), (0, -big), (big, big), (-big, big - 1)]
+    decks += [(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(100)]
+    for p, q in decks:
+        c_u, c_v = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        expect = exact_turn(p * Fraction(c_u) + q * Fraction(c_v))
+        assert abs(wilson_relation(p, q, c_u, c_v) - expect) < 1e-12
+
+
 def test_wilson_relation_is_group_homomorphism():
     rng = random.Random(13)
     for _ in range(40):
@@ -170,6 +192,8 @@ def test_wilson_relation_consistent_with_finite_cover():
 
 
 def test_wilson_relation_report_shape():
+    from nctorus.cli import wilson_relation_report
+
     report = wilson_relation_report(1, 0, 0.25, 0.1)
     assert report["deck"] == [1, 0]
     assert report["value"][0] == pytest.approx(0.0, abs=1e-12)
@@ -220,6 +244,24 @@ def test_matrix_wilson_images_of_deck_generators():
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
+def exact_rotation(x: Fraction) -> np.ndarray:
+    z = exact_turn(x)
+    return np.array([[z.real, -z.imag], [z.imag, z.real]])
+
+
+def test_matrix_wilson_matches_exact_phase_at_large_deck():
+    rng = random.Random(31)
+    big = 10**6
+    decks = [(big, 0), (0, -big), (-big, big)]
+    decks += [(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(10)]
+    for p, q in decks:
+        c_u, c_v = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        expect = np.zeros((4, 4), dtype=complex)
+        expect[:2, :2] = exact_rotation(p * Fraction(c_u))
+        expect[2:, 2:] = exact_rotation(q * Fraction(c_v))
+        assert np.max(np.abs(matrix_wilson_relation(p, q, c_u, c_v) - expect)) < 1e-12
+
+
 def test_matrix_wilson_matches_finite_cover_blocks():
     from conftest import THETA
     from nctorus.algebra import TorusParams
@@ -240,11 +282,3 @@ def test_matrix_wilson_is_homomorphic_on_z2():
     assert np.max(np.abs(a @ b - ab)) < 1e-12
     sq = matrix_wilson_relation(2, 0, C_U, C_V)
     assert np.max(np.abs(a @ a - sq)) < 1e-12
-
-
-def test_monomial_json_round_trip():
-    m = monomial(0.6 - 0.8j, 1.5, -2.5)
-    back = CharacterMonomial.from_dict(m.to_dict())
-    assert back == m
-    assert m.to_dict() == {"c": [0.6, -0.8], "a": 1.5, "b": -2.5}
-    assert m.is_unitary()
