@@ -35,6 +35,14 @@ EQ_TOL = 1e-12
 Weight = tuple[float, float]
 
 
+def integral(x, what: str) -> int:
+    """A finite integral int or float (not a bool) as an int; ValueError otherwise."""
+    # x % 1 is NaN for an infinite or NaN x, so only finite integers pass
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1 != 0:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class TorusParams:
     """Deformation parameter theta of one torus algebra, 0 < theta < 1."""
@@ -214,7 +222,7 @@ class TorusElement:
         params = TorusParams(float(data["theta"]))
         terms: dict[tuple[int, int, int], complex] = {}
         for t in data["terms"]:
-            key = (int(t["m"]), int(t["n"]), int(t.get("lk", 0)))
+            key = (integral(t["m"], "m"), integral(t["n"], "n"), integral(t.get("lk", 0), "lk"))
             terms[key] = terms.get(key, 0j) + complex(float(t["re"]), float(t["im"]))
         return cls(params, terms)
 

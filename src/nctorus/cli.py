@@ -1,6 +1,7 @@
 """One-shot command line: JSON scenario in, deterministic JSON report out.
 
-Exit codes: 0 success, 2 scenario validation error, 3 math-domain error
+Exit codes: 0 success, 2 scenario validation error (including numbers too
+large for a double in the computation or the report), 3 math-domain error
 (not flat, non-constant connection, ...).  Reports carry no timestamps;
 run metadata goes to stderr so identical scenarios produce byte-identical
 reports.
@@ -16,7 +17,7 @@ import re
 import sys
 import time
 
-from .algebra import TorusParams
+from .algebra import TorusParams, integral
 from .connections import Connection, curvature_form, is_flat, transport
 from .coverings import CoveringSpec, check_path_independence, classify_path, wilson
 from .errors import NCTorusError, RankMismatch
@@ -97,8 +98,7 @@ def _connection(scenario: dict, params: TorusParams) -> Connection:
 def _covering(scenario: dict, params: TorusParams) -> CoveringSpec:
     raw = _need(scenario, "covering")
     try:
-        k1, k2 = raw["degrees"]
-        return CoveringSpec(params, (int(k1), int(k2)))
+        return CoveringSpec(params, _int_pair(raw["degrees"], "covering.degrees"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad covering: {exc}") from exc
 
@@ -120,12 +120,12 @@ def _paths(scenario: dict) -> list[tuple]:
 
 
 def _int_pair(pair, what: str) -> tuple[int, int]:
-    # x % 1 is NaN for an infinite or NaN x, so only finite integers pass
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x % 1 == 0 for x in pair
-    ):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ScenarioError(f"{what} must be an integer pair, got {pair!r}")
-    return int(pair[0]), int(pair[1])
+    try:
+        return integral(pair[0], what), integral(pair[1], what)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _cli_params(scenario: dict) -> dict:
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     except NCTorusError as exc:
         emit(render({"error": _error_code(exc), "message": str(exc)}))
         return 3
-    except (ScenarioError, ValueError, TypeError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ScenarioError, ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError, OSError) as exc:
         emit(render({"error": "validation", "message": str(exc)}))
         return 2
 

@@ -32,6 +32,7 @@ from .algebra import (
     apply_auto,
     apply_derivation,
     distance,
+    integral,
     mono,
     one,
     random_element,
@@ -39,7 +40,7 @@ from .algebra import (
     zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
-from .forms import MatrixForm, OneForm, matrix_d1, matrix_wedge
+from .forms import curvature_form
 
 
 def _coerce_entry(entry, params: TorusParams) -> TorusElement:
@@ -63,6 +64,8 @@ class Connection:
         tu = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_u)
         tv = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_v)
         n = len(tu)
+        if n == 0:
+            raise RankMismatch("a connection needs rank at least 1")
         for mat in (tu, tv):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise RankMismatch("Theta_u, Theta_v must be square of equal rank")
@@ -100,15 +103,6 @@ class Connection:
             for i in range(self.rank)
         )
 
-    def one_form(self) -> MatrixForm:
-        """Theta as a matrix-valued 1-form."""
-        return MatrixForm(
-            [
-                [OneForm(self.theta_u[i][j], self.theta_v[i][j]) for j in range(self.rank)]
-                for i in range(self.rank)
-            ]
-        )
-
     def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
         """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
         if not self.constant_coefficients:
@@ -136,7 +130,7 @@ class Connection:
         theta_u = [[parse_entry(e) for e in row] for row in data["theta_u"]]
         theta_v = [[parse_entry(e) for e in row] for row in data["theta_v"]]
         conn = cls(params, theta_u, theta_v)
-        if conn.rank != int(data["rank"]):
+        if conn.rank != integral(data["rank"], "rank"):
             raise RankMismatch(f"declared rank {data['rank']} != matrix rank {conn.rank}")
         return conn
 
@@ -179,12 +173,6 @@ def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
             acc = acc + theta[i][j] * xi[j]
         out.append(acc)
     return out
-
-
-def curvature_form(conn: Connection) -> MatrixForm:
-    """d Theta + Theta ^ Theta as a matrix of 2-forms (free module: e = 1)."""
-    theta = conn.one_form()
-    return matrix_d1(theta) + matrix_wedge(theta, theta)
 
 
 def curvature_commutator(conn: Connection, X: Weight, Y: Weight):

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TWO_PI, TorusParams, Weight, mono
+from .algebra import TWO_PI
 from .errors import UnsupportedProduct
-from .forms import OneForm
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,6 @@ class Character:
 
     def conjugate(self) -> "Character":
         return Character(-self.frequency)
-
-    def derivative_scalar(self) -> complex:
-        """d/dx multiplies the character by i * frequency."""
-        return 1j * self.frequency
 
 
 def shift_up(ch: Character, count: int = 1) -> tuple[complex, Character]:
@@ -150,27 +145,6 @@ def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
     if not residue.is_constant:
         raise UnsupportedProduct("legs did not cancel to a multiplier-algebra scalar")
     return residue.scalar
-
-
-def gauge_equation_residual(c_u: float, c_v: float, weight: Weight) -> float:
-    """|lifted-generator action - connection action| on the gauge unitary.
-
-    The lifted generator of the weight flow differentiates each leg
-    (times 2 pi per unit weight); the connection side pairs the
-    antihermitian form i(c_u du + c_v dv) against the weight with the same
-    2 pi transport normalization.  Within this model both sides are the
-    scalar 2 pi i (alpha c_u + beta c_v), and the residual is exactly zero.
-    """
-    alpha, beta = weight
-    gauge = gauge_unitary(c_u, c_v)
-    lifted_side = TWO_PI * (
-        alpha * gauge.uleg.derivative_scalar() + beta * gauge.vleg.derivative_scalar()
-    )
-    # theta never enters the pairing of a constant-coefficient form
-    params = TorusParams(0.5)
-    omega = OneForm(mono(0, 0, 1j * c_u, params), mono(0, 0, 1j * c_v, params))
-    connection_side = TWO_PI * omega.contract(weight).scalar_value()
-    return abs(lifted_side - connection_side)
 
 
 # -- character sums and the 4x4 block gauge field -----------------------------

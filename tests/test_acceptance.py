@@ -22,7 +22,7 @@ from nctorus.connections import (
     scalar_connection,
 )
 from nctorus.coverings import CoveringSpec, check_path_independence, classify_path, deck_act, project, wilson
-from nctorus.infinitecover import gauge_equation_residual, wilson_relation
+from nctorus.infinitecover import matrix_wilson_relation, wilson_relation
 from test_coverings import oracle_classify
 
 
@@ -174,10 +174,21 @@ def test_criterion_8_path_dependence_demonstration():
     _report(8, "transports differ by |e^{1.2 pi i} - 1| at c_v=0.3 and agree at c_v=0.5")
 
 
-def test_criterion_9_gauge_equation_residual_zero():
+def test_criterion_9_pure_gauge_matches_finite_cover_wilson():
+    # Two independent routes to the same Wilson line: expm transport on a
+    # finite cover, and exact deck phases of the global pure gauge upstairs.
+    params = TorusParams(THETA)
     rng = random.Random(99)
     for _ in range(20):
         c_u, c_v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        for weight in [(1, 0), (0, 1), (1, 1)]:
-            assert gauge_equation_residual(c_u, c_v, weight) == 0.0
-    _report(9, "pure-gauge equation residual is exactly zero at 20 random (c_u, c_v)")
+        scalar = scalar_connection(params, c_u, c_v)
+        block = rotation_block_connection(params, c_u, c_v)
+        for degrees in [(2, 2), (3, 5)]:
+            spec = CoveringSpec(params, degrees)
+            for g in spec.deck_elements():
+                finite = wilson(spec, g, scalar).matrix[0, 0]
+                assert abs(finite - wilson_relation(g.a, g.b, c_u, c_v)) < 1e-12, (c_u, c_v, g)
+                finite = wilson(spec, g, block).matrix
+                gap = np.max(np.abs(finite - matrix_wilson_relation(g.a, g.b, c_u, c_v)))
+                assert gap < 1e-12, (c_u, c_v, g)
+    _report(9, "finite-cover Wilson lines equal the pure-gauge deck relation on (2,2) and (3,5)")

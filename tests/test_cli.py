@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nctorus.cli import main, run, ScenarioError
+from nctorus.cli import COMMANDS, main, run, ScenarioError
 from nctorus.scenarios import BUILTIN_SCENARIOS, builtin
 
 
@@ -235,6 +241,54 @@ def test_non_integer_deck_is_validation_error(tmp_path):
     assert code == 2
 
 
+def test_rank_zero_connection_is_validation_error(tmp_path):
+    scenario = builtin("paper-scalar")
+    scenario["connection"] = {"rank": 0, "theta_u": [], "theta_v": []}
+    scenario["paths"] = [[1, 0]]
+    for command in ("curvature", "flat", "transport", "wilson", "independence"):
+        scenario["command"] = command
+        code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+        assert code == 2, command
+        assert json.loads(text)["error"] == "validation"
+
+
+def test_non_integer_degrees_are_validation_error(tmp_path):
+    scenario = builtin("paper-cover")
+    scenario["covering"]["degrees"] = [2.5, 2]
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", 1.5), ("n", True), ("lk", -0.9), ("rank", 1.5)], ids=["m", "n", "lk", "rank"]
+)
+def test_non_integer_element_exponent_is_validation_error(tmp_path, field, value):
+    scenario = builtin("paper-scalar")
+    term = {"m": 0, "n": 0, "re": 0.0, "im": 0.25, "lk": 0}
+    scenario["command"] = "curvature"
+    scenario["connection"]["theta_u"] = [[{"theta": scenario["theta"], "terms": [term]}]]
+    if field == "rank":
+        scenario["connection"]["rank"] = value
+    else:
+        term[field] = value
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
+def test_exponent_overflow_is_validation_error(tmp_path):
+    # u^m v^n products of huge exponents give a lambda power k with k theta beyond a double
+    scenario = builtin("paper-scalar")
+    scenario["command"] = "curvature"
+    for key, m, n in (("theta_u", 0, 10**308), ("theta_v", 10**308, 0)):
+        term = {"m": m, "n": n, "re": 1.0, "im": 0.0, "lk": 0}
+        scenario["connection"][key] = [[{"theta": scenario["theta"], "terms": [term]}]]
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
 @pytest.mark.parametrize(
     "name, old, new",
     [
@@ -304,3 +358,76 @@ def test_every_builtin_runs_clean(tmp_path):
         code, text = run_cli(tmp_path, "--builtin", name)
         assert code == 0, name
         assert json.loads(text)["v"] == 1
+
+
+# -- fuzz over scenario JSON ------------------------------------------------------
+
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-2, 2),
+    st.sampled_from([0.5, -0.9, 1e308, -1e308, 10**30, math.nan, math.inf, True, None, "1", []]),
+)
+_lists = st.one_of(st.tuples(_values, _values).map(list), st.lists(_values, max_size=3))
+_exponents = st.one_of(st.integers(-2, 2), _values)
+_terms = st.fixed_dictionaries(
+    {"m": _exponents, "n": _exponents, "re": _values, "im": _values, "lk": _exponents}
+)
+_entries = st.one_of(
+    st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(list),
+    _values,
+    _lists,
+    st.fixed_dictionaries(
+        {"theta": st.sampled_from([0.3819660113, 0.5, 1.5]), "terms": st.lists(_terms, max_size=2)}
+    ),
+)
+
+
+@st.composite
+def _connections(draw):
+    rank = draw(st.integers(0, 3))
+    matrices = [[[draw(_entries) for _ in range(rank)] for _ in range(rank)] for _ in range(2)]
+    return {"rank": draw(st.one_of(st.just(rank), _values)), "theta_u": matrices[0], "theta_v": matrices[1]}
+
+
+@st.composite
+def _scenarios(draw):
+    scenario = builtin(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
+    scenario["command"] = draw(st.sampled_from(COMMANDS))
+    params = scenario.setdefault("params", {})
+    if draw(st.booleans()):  # give every command the fields it needs
+        for key, value in builtin("paper-4x4").items():
+            scenario.setdefault(key, value)
+        scenario.setdefault("paths", [[1, 0]])
+        params.update({"c_u": 0.25, "c_v": 0.1, **params})
+    mutations = {
+        "theta": (scenario, "theta", st.one_of(st.floats(0.01, 0.99), _values)),
+        "degrees": (scenario, "covering", st.builds(lambda d: {"degrees": d}, _lists)),
+        "connection": (scenario, "connection", _connections()),
+        "paths": (scenario, "paths", st.lists(_lists, max_size=3)),
+        "deck": (params, "deck", _lists),
+        "tau": (params, "tau", _values),
+        "c_u": (params, "c_u", _values),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(mutations)), max_size=2, unique=True)):
+        target, key, values = mutations[name]
+        target[key] = draw(values)
+    return scenario
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scenario=_scenarios())
+def test_fuzzed_scenarios_keep_the_cli_contract(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--scenario", str(path)])
+    assert code in (0, 2, 3)
+    json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+    assert "Traceback" not in stderr.getvalue()

@@ -99,7 +99,7 @@ def test_nabla_rank_mismatch(scalar_conn, params):
 
 def test_scalar_connection_curvature_symbolically_empty(scalar_conn):
     curv = curvature_form(scalar_conn)
-    assert curv[0, 0].dudv.terms == {}
+    assert curv.entries[0][0].dudv.terms == {}
     assert is_flat(scalar_conn)
 
 
@@ -112,10 +112,10 @@ def test_block_connection_curvature_symbolically_empty(block_conn):
 def test_symbolic_curvature_frozen_values(params):
     # Theta_u = u: d-term vanishes since delta_v(u) = 0
     conn = Connection(params, [[u(params)]], [[0]])
-    assert curvature_form(conn)[0, 0].dudv.terms == {}
+    assert curvature_form(conn).entries[0][0].dudv.terms == {}
     # Theta_u = v: -delta_v(v) = -2 pi i v survives
     conn = Connection(params, [[v(params)]], [[0]])
-    assert curvature_form(conn)[0, 0].dudv.terms == {(0, 1, 0): -TWO_PI_I}
+    assert curvature_form(conn).entries[0][0].dudv.terms == {(0, 1, 0): -TWO_PI_I}
     assert not is_flat(conn)
 
 
@@ -160,7 +160,7 @@ def test_two_curvature_routes_agree_constant(params):
         form = curvature_form(conn)
         for i in range(n):
             for j in range(n):
-                assert_close(comm[i][j], form[i, j].dudv, tol=1e-10)
+                assert_close(comm[i][j], form.entries[i][j].dudv, tol=1e-10)
 
 
 def test_two_curvature_routes_agree_symbolic(rng, params):
@@ -175,7 +175,7 @@ def test_two_curvature_routes_agree_symbolic(rng, params):
         form = curvature_form(conn)
         for i in range(n):
             for j in range(n):
-                assert_close(comm[i][j], form[i, j].dudv, tol=1e-9)
+                assert_close(comm[i][j], form.entries[i][j].dudv, tol=1e-9)
 
 
 # -- transport ----------------------------------------------------------------

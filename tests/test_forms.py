@@ -1,108 +1,99 @@
-"""Exterior derivative and wedge product over the torus algebra."""
+"""Curvature form F = d Theta + Theta ^ Theta, term by term."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import THETA, assert_close
-from nctorus.algebra import TorusParams, mono, one, u, v, zero
-from nctorus.forms import MatrixForm, OneForm, TwoForm, d0, d1, matrix_d1, matrix_wedge, wedge
+from nctorus.algebra import TorusParams, apply_derivation, mono, u, v, zero
+from nctorus.connections import Connection
+from nctorus.forms import MatrixForm, TwoForm, curvature_form
 from test_algebra import elements
 
 TWO_PI_I = 2j * math.pi
 
 
-def test_d0_kills_identity(params):
-    w = d0(one(params))
-    assert w.du.terms == {} and w.dv.terms == {}
+def curvature(params, theta_u, theta_v):
+    return curvature_form(Connection(params, theta_u, theta_v))
 
 
 def test_d0_on_generators(params):
-    w = d0(u(params))
-    assert w.du.terms == {(1, 0, 0): TWO_PI_I}
-    assert w.dv.terms == {}
-    w = d0(u(params) * v(params))
-    assert w.du.terms == {(1, 1, 0): TWO_PI_I}
-    assert w.dv.terms == {(1, 1, 0): TWO_PI_I}
+    # d Theta = (delta_u Theta_v - delta_v Theta_u) du^dv: both signs on u v
+    uv = u(params) * v(params)
+    assert curvature(params, [[uv]], [[0]]).entries[0][0].dudv.terms == {(1, 1, 0): -TWO_PI_I}
+    assert curvature(params, [[0]], [[uv]]).entries[0][0].dudv.terms == {(1, 1, 0): TWO_PI_I}
 
 
 def test_d1_constant_coefficients_vanishes(params):
-    w = OneForm(mono(0, 0, 0.25j, params), mono(0, 0, 0.1j, params))
-    assert d1(w).dudv.terms == {}
+    # constant coefficients: d Theta = 0 and F is the numeric matrix commutator
+    rng = np.random.default_rng(7)
+    tu, tv = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    curv = curvature(params, tu.tolist(), tv.tolist())
+    expect = tu @ tv - tv @ tu
+    for i in range(3):
+        for j in range(3):
+            folded = curv.entries[i][j].dudv.folded()
+            assert set(folded) <= {(0, 0)}
+            assert abs(folded.get((0, 0), 0j) - expect[i, j]) < 1e-12
 
 
 def test_d1_frozen_value(params):
-    assert d1(OneForm(zero(params), u(params))).dudv.terms == {(1, 0, 0): TWO_PI_I}
+    # Theta_v = u alone: F = delta_u(u) = 2 pi i u
+    assert curvature(params, [[0]], [[u(params)]]).entries[0][0].dudv.terms == {(1, 0, 0): TWO_PI_I}
 
 
 @given(a=elements())
 def test_d1_after_d0_is_zero(a):
-    assert d1(d0(a)).dudv.is_zero(1e-12)
-
-
-@given(a=elements(), b=elements())
-def test_d0_leibniz(a, b):
-    lhs = d0(a * b)
-    rhs_du = d0(a).du * b + a * d0(b).du
-    rhs_dv = d0(a).dv * b + a * d0(b).dv
-    assert_close(lhs.du, rhs_du, tol=1e-11)
-    assert_close(lhs.dv, rhs_dv, tol=1e-11)
+    # Theta = d a: d d a = 0 leaves only the product term [delta_u a, delta_v a]
+    du, dv = apply_derivation((1, 0), a), apply_derivation((0, 1), a)
+    got = curvature(a.params, [[du]], [[dv]]).entries[0][0].dudv
+    assert_close(got, du * dv - dv * du, tol=1e-9)
 
 
 def test_wedge_scalar_coefficients_vanishes(params):
-    w = OneForm(mono(0, 0, 0.25j, params), mono(0, 0, 0.1j, params))
-    assert wedge(w, w).dudv.terms == {}
+    curv = curvature(params, [[0.25j]], [[0.1j]])
+    assert curv.entries[0][0].dudv.terms == {}
 
 
 def test_wedge_frozen_values(params):
-    # only the a_u b_v term survives
-    got = wedge(OneForm(u(params), zero(params)), OneForm(zero(params), v(params)))
-    assert got.dudv.terms == {(1, 1, 0): 1}
-    # -a_v b_u = -v u = -lambda^{-1} u v
-    got = wedge(OneForm(zero(params), v(params)), OneForm(u(params), zero(params)))
-    assert got.dudv.terms == {(1, 1, -1): -1}
-
-
-@given(a=elements(), b=elements(), c=elements())
-def test_wedge_bilinear(a, b, c):
-    w1 = OneForm(a, b)
-    w2 = OneForm(b, c)
-    w3 = OneForm(c, a)
-    lhs = wedge(w1, OneForm(w2.du + w3.du, w2.dv + w3.dv))
-    rhs = wedge(w1, w2) + wedge(w1, w3)
-    assert_close(lhs.dudv, rhs.dudv, tol=1e-10)
+    # Theta_u = u, Theta_v = v: d Theta = 0 and F = u v - v u = u v - lambda^{-1} u v
+    got = curvature(params, [[u(params)]], [[v(params)]]).entries[0][0].dudv
+    assert got.terms == {(1, 1, 0): 1, (1, 1, -1): -1}
 
 
 @given(s=st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
 def test_wedge_of_scalar_form_with_itself_vanishes(s):
     params = TorusParams(THETA)
-    w = OneForm(mono(0, 0, s, params), mono(0, 0, 1j * s, params))
-    assert wedge(w, w).dudv.terms == {}
+    curv = curvature(params, [[mono(0, 0, s, params)]], [[mono(0, 0, 1j * s, params)]])
+    assert curv.entries[0][0].dudv.terms == {}
 
 
 def test_matrix_wedge_is_matrix_commutator_component(params):
-    # [[0, u],[v, 0]] wedged with itself exercises the matrix product path
+    # Theta_u = [[0, u], [v, 0]], Theta_v = [[0, v], [u, 0]] exercises the matrix product path
     z = zero(params)
-    theta = MatrixForm(
-        [
-            [OneForm(z, z), OneForm(u(params), v(params))],
-            [OneForm(v(params), u(params)), OneForm(z, z)],
-        ]
-    )
-    got = matrix_wedge(theta, theta)
-    # (0,0) entry: a_01 ^ b_10 = u*u - v*v
-    expect = u(params) * u(params) - v(params) * v(params)
-    assert_close(got[0, 0].dudv, expect)
+    curv = curvature(params, [[z, u(params)], [v(params), z]], [[z, v(params)], [u(params), z]])
+    # (0,0): Theta_u[0][1] Theta_v[1][0] - Theta_v[0][1] Theta_u[1][0] = u u - v v
+    assert_close(curv.entries[0][0].dudv, u(params) * u(params) - v(params) * v(params))
+    # (0,1) vanishes and (1,0) = delta_u(u) - delta_v(v): a transposed layout shows
+    d = curv.to_dict()
+    assert d["rank"] == 2
+    assert d["entries"][0][1]["dudv"]["terms"] == []
+    assert d["entries"][1][0]["dudv"]["terms"] == [
+        {"m": 0, "n": 1, "re": 0.0, "im": -2 * math.pi, "lk": 0},
+        {"m": 1, "n": 0, "re": 0.0, "im": 2 * math.pi, "lk": 0},
+    ]
 
 
 def test_matrix_d1_entrywise(params):
+    # Theta_v = diag(u, v): d Theta acts entry by entry, the product term is zero
     z = zero(params)
-    theta = MatrixForm([[OneForm(z, u(params))]])
-    got = matrix_d1(theta)
-    assert got[0, 0].dudv.terms == {(1, 0, 0): TWO_PI_I}
+    curv = curvature(params, [[z, z], [z, z]], [[u(params), z], [z, v(params)]])
+    assert curv.entries[0][0].dudv.terms == {(1, 0, 0): TWO_PI_I}
+    assert all(curv.entries[i][j].dudv.terms == {} for i, j in ((0, 1), (1, 0), (1, 1)))
 
 
 def test_matrix_form_to_dict_row_major(params):

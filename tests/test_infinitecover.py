@@ -1,4 +1,4 @@
-"""Infinite-cover character model: shifts, deck action, Wilson relation, gauge equation."""
+"""Infinite-cover character model: shifts, deck action, Wilson relation, block gauge field."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from nctorus.infinitecover import (
     Character,
     cosine_sum,
     deck_act,
-    gauge_equation_residual,
     gauge_unitary,
     matrix_wilson_relation,
     monomial,
@@ -198,21 +197,6 @@ def test_wilson_relation_report_shape():
     assert report["deck"] == [1, 0]
     assert report["value"][0] == pytest.approx(0.0, abs=1e-12)
     assert report["value"][1] == pytest.approx(1.0)
-
-
-# -- pure-gauge equation ------------------------------------------------------------
-
-
-def test_gauge_equation_residual_is_exactly_zero():
-    rng = random.Random(19)
-    for _ in range(20):
-        c_u, c_v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        for w in [(1, 0), (0, 1), (1, 1)]:
-            assert gauge_equation_residual(c_u, c_v, w) == 0.0
-
-
-def test_gauge_equation_zero_weight():
-    assert gauge_equation_residual(0.37, 0.91, (0, 0)) == 0.0
 
 
 # -- 4x4 block gauge field ------------------------------------------------------------
