@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,7 +27,8 @@ from .errors import ParamMismatch
 
 TWO_PI = 2.0 * math.pi
 
-#: Per-coefficient tolerance for element equality (folded coefficients).
+#: Per-coefficient tolerance for element equality and zero tests, and so for
+#: flatness (folded coefficients).
 EQ_TOL = 1e-12
 
 #: A weight (alpha, beta) selects the one-parameter automorphism group that
@@ -41,6 +43,14 @@ def integral(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1 != 0:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def real(x, what: str) -> float:
+    """A finite int or float (not a bool) as a float; ValueError otherwise."""
+    # the bound also rejects NaN and ints beyond the double range
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -219,11 +229,11 @@ class TorusElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TorusElement":
-        params = TorusParams(float(data["theta"]))
+        params = TorusParams(real(data["theta"], "theta"))
         terms: dict[tuple[int, int, int], complex] = {}
         for t in data["terms"]:
             key = (integral(t["m"], "m"), integral(t["n"], "n"), integral(t.get("lk", 0), "lk"))
-            terms[key] = terms.get(key, 0j) + complex(float(t["re"]), float(t["im"]))
+            terms[key] = terms.get(key, 0j) + complex(real(t["re"], "re"), real(t["im"], "im"))
         return cls(params, terms)
 
 

@@ -17,10 +17,10 @@ import re
 import sys
 import time
 
-from .algebra import TorusParams, integral
-from .connections import Connection, curvature_form, is_flat, transport
+from .algebra import TorusParams, integral, real
+from .connections import Connection, curvature_form, transport
 from .coverings import CoveringSpec, check_path_independence, classify_path, wilson
-from .errors import NCTorusError, RankMismatch
+from .errors import NCTorusError, ParamMismatch, RankMismatch
 from .infinitecover import wilson_relation
 from .scenarios import BUILTIN_SCENARIOS, builtin
 
@@ -72,11 +72,10 @@ def _finite_json_number(text: str) -> float:
 
 def _number(value, what: str) -> float:
     """A finite int or float of the scenario (not a bool), as a float."""
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # the bound also rejects NaN and ints beyond the double range
-    if not (numeric and abs(value) <= sys.float_info.max):
-        raise ScenarioError(f"{what} must be a finite number")
-    return float(value)
+    try:
+        return real(value, what)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _params(scenario: dict) -> TorusParams:
@@ -91,7 +90,7 @@ def _connection(scenario: dict, params: TorusParams) -> Connection:
     raw = _need(scenario, "connection")
     try:
         return Connection.from_dict(raw, params)
-    except (KeyError, TypeError, ValueError, RankMismatch) as exc:
+    except (KeyError, TypeError, ValueError, ParamMismatch, RankMismatch) as exc:
         raise ScenarioError(f"bad connection: {exc}") from exc
 
 
@@ -154,12 +153,11 @@ def run(scenario: dict) -> dict:
     if not isinstance(_cli_params(scenario), dict):
         raise ScenarioError("params must be an object")
 
-    if command == "curvature":
-        conn = _connection(scenario, _params(scenario))
-        result = {"flat": is_flat(conn), "curvature": curvature_form(conn).to_dict()}
-    elif command == "flat":
-        conn = _connection(scenario, _params(scenario))
-        result = {"flat": is_flat(conn)}
+    if command in ("curvature", "flat"):
+        form = curvature_form(_connection(scenario, _params(scenario)))
+        result = {"flat": form.is_zero()}
+        if command == "curvature":
+            result["curvature"] = form.to_dict()
     elif command == "transport":
         params = _params(scenario)
         conn = _connection(scenario, params)

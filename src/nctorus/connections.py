@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .algebra import (
+    EQ_TOL,
     TWO_PI,
     TorusElement,
     TorusParams,
@@ -36,6 +37,7 @@ from .algebra import (
     mono,
     one,
     random_element,
+    real,
     vector_distance,
     zero,
 )
@@ -55,10 +57,11 @@ class Connection:
     """Rank-n connection with coefficient matrices Theta_u, Theta_v.
 
     Entries may be TorusElement or plain complex scalars (coerced to
-    multiples of 1).
+    multiples of 1).  The numeric Theta_u, Theta_v of a constant connection
+    are folded once, on the first transport.
     """
 
-    __slots__ = ("params", "rank", "theta_u", "theta_v")
+    __slots__ = ("params", "rank", "theta_u", "theta_v", "_fold")
 
     def __init__(self, params: TorusParams, theta_u, theta_v):
         tu = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_u)
@@ -73,6 +76,7 @@ class Connection:
         self.rank = n
         self.theta_u = tu
         self.theta_v = tv
+        self._fold = None
 
     @property
     def constant_coefficients(self) -> bool:
@@ -105,27 +109,28 @@ class Connection:
 
     def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
         """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
-        if not self.constant_coefficients:
-            raise NonConstantConnection(
-                "transport needs every Theta entry to be a complex multiple of 1"
+        if self._fold is None:
+            if not self.constant_coefficients:
+                raise NonConstantConnection(
+                    "transport needs every Theta entry to be a complex multiple of 1"
+                )
+            self._fold = tuple(
+                np.array([[e.scalar_value() for e in row] for row in mat], dtype=complex)
+                for mat in (self.theta_u, self.theta_v)
             )
         alpha, beta = weight
-        tu = np.array(
-            [[e.scalar_value() for e in row] for row in self.theta_u], dtype=complex
-        )
-        tv = np.array(
-            [[e.scalar_value() for e in row] for row in self.theta_v], dtype=complex
-        )
+        tu, tv = self._fold
         return alpha * tu + beta * tv
 
     @classmethod
     def from_dict(cls, data: dict, params: TorusParams) -> "Connection":
         def parse_entry(raw):
+            """An element payload, a finite real number or an [re, im] pair of them."""
             if isinstance(raw, dict):
                 return TorusElement.from_dict(raw)
             if isinstance(raw, (list, tuple)) and len(raw) == 2:
-                return complex(float(raw[0]), float(raw[1]))
-            return complex(raw)
+                return complex(real(raw[0], "entry re"), real(raw[1], "entry im"))
+            return complex(real(raw, "connection entry"))
 
         theta_u = [[parse_entry(e) for e in row] for row in data["theta_u"]]
         theta_v = [[parse_entry(e) for e in row] for row in data["theta_v"]]
@@ -190,10 +195,9 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
 
-def is_flat(conn: Connection, tol: float = 1e-12) -> bool:
-    """True iff every curvature-form coefficient is below tol."""
-    curv = curvature_form(conn)
-    return all(e.dudv.is_zero(tol) for row in curv.entries for e in row)
+def is_flat(conn: Connection, tol: float = EQ_TOL) -> bool:
+    """True iff every curvature-form coefficient is at most tol."""
+    return curvature_form(conn).is_zero(tol)
 
 
 # -- parallel transport ------------------------------------------------------

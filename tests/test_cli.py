@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -277,6 +279,37 @@ def test_non_integer_element_exponent_is_validation_error(tmp_path, field, value
     assert json.loads(text)["error"] == "validation"
 
 
+_TERM = {"m": 0, "n": 0, "re": 0.0, "im": 0.25, "lk": 0}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        True,
+        "0.25j",
+        [True, 0],
+        {"theta": 0.3819660113, "terms": [{**_TERM, "re": "0.25"}]},
+        {"theta": "0.3819660113", "terms": [_TERM]},
+    ],
+    ids=["bool", "string", "bool-pair", "element-string-re", "element-string-theta"],
+)
+def test_non_numeric_connection_entry_is_validation_error(tmp_path, entry):
+    scenario = builtin("paper-scalar")
+    scenario["command"] = "flat"
+    scenario["connection"]["theta_u"] = [[entry]]
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
+def test_element_entry_over_another_theta_is_validation_error(tmp_path):
+    scenario = builtin("paper-scalar")
+    scenario["connection"]["theta_u"] = [[{"theta": 0.5, "terms": []}]]
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text)["error"] == "validation"
+
+
 def test_exponent_overflow_is_validation_error(tmp_path):
     # u^m v^n products of huge exponents give a lambda power k with k theta beyond a double
     scenario = builtin("paper-scalar")
@@ -358,6 +391,24 @@ def test_every_builtin_runs_clean(tmp_path):
         code, text = run_cli(tmp_path, "--builtin", name)
         assert code == 0, name
         assert json.loads(text)["v"] == 1
+
+
+def _benchmark_golden() -> dict:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GOLDEN
+
+
+def test_builtin_reports_hash_to_benchmark_golden(tmp_path):
+    # the printed report bytes, less the final newline, are the canonical ones the benchmark pins
+    golden = _benchmark_golden()
+    assert sorted(golden) == sorted(BUILTIN_SCENARIOS)
+    for name, digest in golden.items():
+        code, text = run_cli(tmp_path, "--builtin", name)
+        assert code == 0 and text.endswith("\n"), name
+        assert hashlib.sha256(text[:-1].encode("utf-8")).hexdigest() == digest, name
 
 
 # -- fuzz over scenario JSON ------------------------------------------------------

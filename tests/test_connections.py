@@ -301,6 +301,17 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
         Connection.from_dict({**scalar, "rank": 2}, params)
 
 
+def test_cached_fold_is_not_exposed(block_conn):
+    # every weight matrix is a fresh array, so writing to one leaves later transports intact
+    before = transport(block_conn, (1, 2), 0.5).matrix
+    block_conn.constant_weight_matrix((1, 2))[:] = 7.0
+    assert np.array_equal(transport(block_conn, (1, 2), 0.5).matrix, before)
+    nonconstant = Connection(block_conn.params, [[u(block_conn.params)]], [[0]])
+    for _ in range(2):
+        with pytest.raises(NonConstantConnection):
+            nonconstant.constant_weight_matrix((1, 0))
+
+
 def test_transport_operator_json(scalar_conn, block_conn):
     op = transport(scalar_conn, (1, 0), 1.0)
     d = op.to_dict()

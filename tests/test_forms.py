@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import THETA, assert_close
-from nctorus.algebra import TorusParams, apply_derivation, mono, u, v, zero
-from nctorus.connections import Connection
+from nctorus.algebra import TorusParams, apply_derivation, lam, mono, one, u, v, zero
+from nctorus.connections import Connection, rotation_block_connection
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
 from test_algebra import elements
 
@@ -104,3 +105,79 @@ def test_matrix_form_to_dict_row_major(params):
     assert d["entries"][0][0]["dudv"]["terms"][0]["m"] == 1
     assert d["entries"][0][1]["dudv"]["terms"] == []
     assert d["entries"][1][1]["dudv"]["terms"][0]["n"] == 1
+
+
+def test_matrix_form_is_zero_at_tolerance(params):
+    small = MatrixForm([[TwoForm(mono(0, 0, 1e-13, params)), TwoForm(zero(params))]])
+    large = MatrixForm([[TwoForm(mono(1, 0, 1e-11, params))]])
+    assert small.is_zero() and not large.is_zero()
+    assert large.is_zero(tol=1e-10)
+
+
+# -- constant coefficients: scalar path against the element loop -----------------
+
+
+def element_curvature(conn) -> dict:
+    """Reference copy of the generic element loop, run on every connection."""
+    tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero(conn.params)
+            for k in range(n):
+                acc = acc + (tu[i][k] * tv[k][j] - tv[i][k] * tu[k][j])
+            d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
+            row.append({"dudv": (d + acc).to_dict()})
+        entries.append(row)
+    return {"rank": n, "entries": entries}
+
+
+def haar_connection(params, gen, rank):
+    """Theta_X = i Q D_X Q* with Q Haar-random unitary: dense, antihermitian, flat."""
+    z = gen.standard_normal((rank, rank)) + 1j * gen.standard_normal((rank, rank))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    tu, tv = (1j * (q * gen.uniform(-1, 1, rank)) @ q.conj().T for _ in range(2))
+    return Connection(params, tu.tolist(), tv.tolist())
+
+
+def signed_zero_connection(params, gen, rank):
+    """Structural zeros and small-integer parts beside 0.0 or -0.0: exact products
+    that cancel to signed zeros, where a different summation order would show."""
+
+    def entry():
+        x, z = float(gen.integers(1, 3)) * gen.choice([-1.0, 1.0]), gen.choice([0.0, -0.0])
+        return [0, complex(z, x), complex(x, z), complex(x, -x)][gen.integers(4)]
+
+    return Connection(params, *([[entry() for _ in range(rank)] for _ in range(rank)] for _ in range(2)))
+
+
+def test_constant_curvature_matches_element_loop_bit_for_bit(params):
+    # JSON text, not dict equality: 0.0 == -0.0, but the two print differently
+    gen = np.random.default_rng(20260808)
+    conns = [
+        rotation_block_connection(params, 0.125, -1 / 6),
+        # F_10 = -1 + 0i, printed as -1 - 0i by a sum started at its first term, not at 0j
+        Connection(
+            params,
+            [[0, 0], [complex(-0.0, -1), complex(-1, -0.0)]],
+            [[0, complex(1, -0.0)], [0, complex(-0.0, 1)]],
+        ),
+    ]
+    for rank in range(1, 9):
+        conns += [haar_connection(params, gen, rank) for _ in range(4)]
+        conns += [signed_zero_connection(params, gen, rank) for _ in range(8)]
+    for conn in conns:
+        assert all(e.terms.keys() <= {(0, 0, 0)} for mat in (conn.theta_u, conn.theta_v) for row in mat for e in row)
+        got = json.dumps(curvature_form(conn).to_dict(), sort_keys=True)
+        assert got == json.dumps(element_curvature(conn), sort_keys=True)
+
+
+def test_lambda_power_entries_keep_exact_exponents(params):
+    # constant but not plain scalars: F_00 = lambda^2 lambda^-1 - 1 = lambda - 1, with lk = 1 exact
+    z, e = zero(params), one(params)
+    curv = curvature(params, [[z, lam(params, 2)], [e, z]], [[z, e], [lam(params, -1), z]])
+    assert curv.entries[0][0].dudv.terms == {(0, 0, 1): 1, (0, 0, 0): -1}
+    assert curv.entries[1][1].dudv.terms == {(0, 0, 0): 1, (0, 0, 1): -1}
+    assert [t["lk"] for t in curv.to_dict()["entries"][0][0]["dudv"]["terms"]] == [0, 1]
