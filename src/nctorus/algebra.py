@@ -53,6 +53,20 @@ def real(x, what: str) -> float:
     return float(x)
 
 
+def exact_phase(ratio: tuple[int, int], count: int) -> complex:
+    """exp(2 pi i count num / den) for ratio = (num, den), reduced mod 1 in integers.
+
+    On the integer ratio of a double x this is exp(2 pi i count x): exactly 1
+    when count x is an integer, otherwise one rounding whatever the size of
+    count.
+    """
+    num, den = ratio
+    r = (count * num) % den
+    if r == 0:
+        return 1 + 0j
+    return cmath.exp(TWO_PI * 1j * (r / den))
+
+
 @dataclass(frozen=True)
 class TorusParams:
     """Deformation parameter theta of one torus algebra, 0 < theta < 1."""
@@ -62,12 +76,12 @@ class TorusParams:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+        # theta = num / den exactly; read once, since lam runs in every fold
+        object.__setattr__(self, "_ratio", self.theta.as_integer_ratio())
 
     def lam(self, k: int = 1) -> complex:
-        """lambda**k, always evaluated as exp(2 pi i k theta)."""
-        if k == 0:
-            return 1.0 + 0.0j
-        return cmath.exp(TWO_PI * 1j * (k * self.theta))
+        """lambda**k = exp(2 pi i k theta), with k theta reduced mod 1 exactly."""
+        return exact_phase(self._ratio, k)
 
 
 class TorusElement:

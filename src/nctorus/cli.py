@@ -108,13 +108,11 @@ def _paths(scenario: dict) -> list[tuple]:
         raise ScenarioError("paths must be a non-empty list of [alpha, beta] weights")
     out = []
     for w in raw:
-        if (
-            not isinstance(w, (list, tuple))
-            or len(w) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in w)
-        ):
+        if not isinstance(w, (list, tuple)) or len(w) != 2:
             raise ScenarioError(f"bad weight {w!r}")
-        out.append((w[0], w[1]))
+        for x in w:
+            _number(x, "path weight")
+        out.append((w[0], w[1]))  # as given: an int weight is reported as an int
     return out
 
 

@@ -13,16 +13,17 @@ Phi_tau = exp(2 pi tau Theta_X) o phi_tau; the 2 pi normalization is fixed
 here so that holonomies of closed unit-time paths come out as
 exp(2 pi i c)-type values.  Transport requires constant coefficients (each
 Theta entry a complex multiple of 1), where the path-ordered exponential
-collapses to a dense matrix exponential.
+collapses to a dense matrix exponential, ``expm``.
+
+numpy is imported where an array is built and scipy by ``expm`` at rank
+2 and up, so curvature and flatness never load either.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import expm
+from typing import TYPE_CHECKING
 
 from .algebra import (
     EQ_TOL,
@@ -44,6 +45,9 @@ from .algebra import (
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import curvature_form
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _coerce_entry(entry, params: TorusParams) -> TorusElement:
     if isinstance(entry, TorusElement):
@@ -51,6 +55,16 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
             raise ParamMismatch("connection entry over a different theta")
         return entry
     return mono(0, 0, complex(entry), params)
+
+
+def _scalar_coefficient(e: TorusElement) -> complex:
+    """The folded coefficient of 1, from one fold; raises unless e.is_scalar()."""
+    folded = e.folded()
+    if not all((m, n) == (0, 0) or abs(c) <= EQ_TOL for (m, n), c in folded.items()):
+        raise NonConstantConnection(
+            "transport needs every Theta entry to be a complex multiple of 1"
+        )
+    return folded.get((0, 0), 0j)
 
 
 class Connection:
@@ -110,14 +124,13 @@ class Connection:
     def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
         """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
         if self._fold is None:
-            if not self.constant_coefficients:
-                raise NonConstantConnection(
-                    "transport needs every Theta entry to be a complex multiple of 1"
-                )
-            self._fold = tuple(
-                np.array([[e.scalar_value() for e in row] for row in mat], dtype=complex)
+            scalars = [
+                [[_scalar_coefficient(e) for e in row] for row in mat]
                 for mat in (self.theta_u, self.theta_v)
-            )
+            ]
+            import numpy as np
+
+            self._fold = tuple(np.array(mat, dtype=complex) for mat in scalars)
         alpha, beta = weight
         tu, tv = self._fold
         return alpha * tu + beta * tv
@@ -238,6 +251,24 @@ class TransportOperator:
         if self.rank == 1:
             out["value"] = list(out["matrix"][0][0])
         return out
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """The matrix exponential: the one entry point of every transport.
+
+    A 1 x 1 matrix gives np.exp(a), scipy.linalg.expm's own scalar case, so
+    rank 1 never loads scipy.  Larger matrices go to scipy.linalg.expm (the
+    scaling-and-squaring method of Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 2009), imported on first use.
+    """
+    import numpy as np
+
+    a = np.asarray(a)
+    if a.shape == (1, 1):
+        return np.exp(a)
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:

@@ -20,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import TWO_PI, TorusElement, TorusParams, Weight, apply_auto
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
@@ -225,6 +223,8 @@ def check_path_independence(
     spec: CoveringSpec, g: DeckElement, conn: Connection, weights
 ) -> PathIndependenceReport:
     """Transport along each weight (all must be closed paths for g) and compare."""
+    import numpy as np
+
     checked = []
     for w in weights:
         report = classify_path(spec, w)

@@ -17,14 +17,15 @@ Character sums (for cos/sin combinations) extend the model entrywise to the
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .algebra import TWO_PI
+from .algebra import exact_phase
 from .errors import UnsupportedProduct
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,17 +48,13 @@ class Character:
 def shift_up(ch: Character, count: int = 1) -> tuple[complex, Character]:
     """f(x) -> f(x + 2 pi count) on a character: scalar exp(2 pi i count a), same frequency.
 
-    count * a is reduced mod 1 exactly on the integer ratio of the double a,
-    so the scalar is exactly 1 when the phase is an integer and otherwise
-    carries one rounding whatever the size of count.
+    count * a is reduced mod 1 exactly on the integer ratio of the double a
+    (``exact_phase``), so the scalar is exactly 1 when the phase is an
+    integer and otherwise carries one rounding whatever the size of count.
     """
     if not math.isfinite(ch.frequency):
         raise ValueError(f"character frequency {ch.frequency} is not finite")
-    num, den = ch.frequency.as_integer_ratio()
-    r = (count * num) % den
-    if r == 0:
-        return 1 + 0j, ch
-    return cmath.exp(TWO_PI * 1j * (r / den)), ch
+    return exact_phase(ch.frequency.as_integer_ratio(), count), ch
 
 
 @dataclass(frozen=True)
@@ -240,6 +237,8 @@ def block_gauge_field(c_u: float, c_v: float) -> list[list[CharacterSum]]:
 
 def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
     """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix."""
+    import numpy as np
+
     gauge = block_gauge_field(c_u, c_v)
     n = len(gauge)
     shifted = [[entry.deck(p, q) for entry in row] for row in gauge]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,16 @@ def test_equality_folds_lambda_exponents(params):
     explicit = mono(0, 0, params.lam(1), params)
     assert lam(params) == explicit
     assert lam(params).terms != explicit.terms  # stored forms differ
+
+
+def test_lam_reduces_large_exponents_exactly(params):
+    # k theta is reduced mod 1 on the integer ratio of theta: one rounding at any k
+    for k in (10**9, -(10**9)):
+        exact = cmath.exp(TWO_PI_I * float((Fraction(params.theta) * k) % 1))
+        assert abs(params.lam(k) - exact) <= 1e-15
+    assert params.lam(1) == cmath.exp(2.0 * math.pi * 1j * params.theta)
+    assert params.lam(0) == 1
+    assert TorusParams(0.25).lam(-8) == 1  # an integer phase is exactly 1
 
 
 def test_scalar_views(params):

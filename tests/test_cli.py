@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -311,7 +312,7 @@ def test_element_entry_over_another_theta_is_validation_error(tmp_path):
 
 
 def test_exponent_overflow_is_validation_error(tmp_path):
-    # u^m v^n products of huge exponents give a lambda power k with k theta beyond a double
+    # u^m v^n exponents of 10^308: the derivation term 2 pi i m overflows to an infinite coefficient
     scenario = builtin("paper-scalar")
     scenario["command"] = "curvature"
     for key, m, n in (("theta_u", 0, 10**308), ("theta_v", 10**308, 0)):
@@ -320,6 +321,17 @@ def test_exponent_overflow_is_validation_error(tmp_path):
     code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
     assert code == 2
     assert json.loads(text)["error"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "component", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "-inf", "bool"]
+)
+def test_non_finite_path_weight_is_validation_error(component):
+    scenario = builtin("paper-scalar")
+    scenario["command"] = "transport"
+    scenario["paths"] = [[component, 0]]
+    with pytest.raises(ScenarioError, match="path weight"):
+        run(scenario)
 
 
 @pytest.mark.parametrize(
@@ -384,6 +396,50 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "wilson"
+
+
+_IMPORT_PROBE = """
+import json, sys
+from nctorus import cli
+from nctorus.scenarios import builtin
+
+def loaded():
+    return ["numpy" in sys.modules, "scipy" in sys.modules]
+
+seen = {"import": loaded()}
+curvature = builtin("paper-4x4")
+curvature["command"] = "curvature"
+for name, scenario in (
+    ("paper-infinite", builtin("paper-infinite")),
+    ("paper-cover", builtin("paper-cover")),
+    ("rank-4 curvature", curvature),
+    ("paper-scalar", builtin("paper-scalar")),
+    ("paper-4x4", builtin("paper-4x4")),
+):
+    cli.run(scenario)
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_numpy_and_scipy_only_where_used():
+    # one fresh interpreter, scenarios in order: [numpy loaded, scipy loaded] after each
+    import nctorus
+
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": [False, False],
+        "paper-infinite": [False, False],
+        "paper-cover": [False, False],
+        "rank-4 curvature": [False, False],
+        "paper-scalar": [True, False],  # rank-1 expm is np.exp
+        "paper-4x4": [True, True],
+    }
 
 
 def test_every_builtin_runs_clean(tmp_path):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import THETA, assert_close
-from nctorus.algebra import TorusParams, one, u, v, vector_distance, zero
+from nctorus import connections
+from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, one, u, v, vector_distance, zero
 from nctorus.connections import (
     Connection,
     check_transport_axioms,
@@ -22,6 +23,7 @@ from nctorus.connections import (
     transport,
 )
 from nctorus.errors import NonConstantConnection, ParamMismatch, RankMismatch
+from nctorus.scenarios import builtin
 
 TWO_PI_I = 2j * math.pi
 
@@ -310,6 +312,48 @@ def test_cached_fold_is_not_exposed(block_conn):
     for _ in range(2):
         with pytest.raises(NonConstantConnection):
             nonconstant.constant_weight_matrix((1, 0))
+
+
+def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
+    # the scalar test and the coefficient of 1 come from one fold per entry, bit for bit as before
+    conn = Connection(
+        params, [[0.5j, lam(params, 2)], [1, 0]], [[0, lam(params, -1)], [2j, 1 - 0.5j]]
+    )
+    expected = [
+        np.array([[e.scalar_value() for e in row] for row in mat], dtype=complex)
+        for mat in (conn.theta_u, conn.theta_v)
+    ]
+    folds = []
+    original = TorusElement.folded
+    monkeypatch.setattr(TorusElement, "folded", lambda e: folds.append(e) or original(e))
+    got = [conn.constant_weight_matrix(w) for w in ((1, 0), (0, 1))]
+    assert len(folds) == 8
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+
+def _seeded_complex(rng, rank: int, scale: float) -> np.ndarray:
+    return scale * (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8, 16])
+def test_expm_is_scipy_expm_bit_for_bit(rank):
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(20261018 + rank)
+    for scale in (1e-3, 0.3, 1.0, 7.0):
+        a = _seeded_complex(rng, rank, scale)
+        assert connections.expm(a).tobytes() == scipy_expm(a).tobytes()
+
+
+def test_expm_of_builtin_transport_exponents_is_scipy_expm():
+    # 2 pi tau Theta_X exactly as transport forms it for the builtin wilson scenarios
+    from scipy.linalg import expm as scipy_expm
+
+    for name in ("paper-scalar", "paper-4x4"):
+        scenario = builtin(name)
+        conn = Connection.from_dict(scenario["connection"], TorusParams(scenario["theta"]))
+        a = TWO_PI * 1.0 * conn.constant_weight_matrix(tuple(scenario["params"]["deck"]))
+        assert connections.expm(a).tobytes() == scipy_expm(a).tobytes(), name
 
 
 def test_transport_operator_json(scalar_conn, block_conn):
