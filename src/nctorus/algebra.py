@@ -28,8 +28,12 @@ from .errors import ParamMismatch
 TWO_PI = 2.0 * math.pi
 
 #: Per-coefficient tolerance for element equality and zero tests, and so for
-#: flatness (folded coefficients).
+#: flatness (folded coefficients), the scalar test of a transport entry and
+#: the surviving characters of the infinite cover.
 EQ_TOL = 1e-12
+
+#: Largest transport difference at which path independence is "certified".
+CERTIFY_TOL = 1e-10
 
 #: A weight (alpha, beta) selects the one-parameter automorphism group that
 #: scales u^m v^n by exp(2 pi i tau (alpha m + beta n)).  Integer weights
@@ -167,14 +171,6 @@ class TorusElement:
             return self * other
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "TorusElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        result = one(self.params)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def star(self) -> "TorusElement":
         """Antilinear involution: (c lam^k u^m v^n)* = conj(c) lam^{-k-mn} u^{-m} v^{-n}."""
         terms = {}
@@ -192,18 +188,8 @@ class TorusElement:
             out[(m, n)] = out.get((m, n), 0j) + value
         return out
 
-    def is_zero(self, tol: float = EQ_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.folded().values())
-
-    def is_scalar(self, tol: float = EQ_TOL) -> bool:
-        """True iff the element is a complex multiple of the identity."""
-        return all(
-            (m, n) == (0, 0) or abs(c) <= tol for (m, n), c in self.folded().items()
-        )
-
-    def scalar_value(self) -> complex:
-        """The coefficient of 1 (folded); meaningful when is_scalar()."""
-        return self.folded().get((0, 0), 0j)
+    def is_zero(self) -> bool:
+        return all(abs(c) <= EQ_TOL for c in self.folded().values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, float, complex)):

@@ -1,8 +1,9 @@
 """One-shot command line: JSON scenario in, deterministic JSON report out.
 
 Exit codes: 0 success, 2 scenario validation error (including numbers too
-large for a double in the computation or the report), 3 math-domain error
-(not flat, non-constant connection, ...).  Reports carry no timestamps;
+large for a double in the computation or the report, JSON nested deeper than
+the recursion limit and an --out path that cannot be written), 3 math-domain
+error (not flat, non-constant connection, ...).  Reports carry no timestamps;
 run metadata goes to stderr so identical scenarios produce byte-identical
 reports.
 """
@@ -39,16 +40,12 @@ class ScenarioError(ValueError):
     """The scenario file does not match the schema."""
 
 
-def _round15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
 def _round_tree(obj):
     """Round every float in a JSON tree to 15 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _round15(obj)
+        return float(f"{obj:.15g}")
     if isinstance(obj, list):
         return [_round_tree(x) for x in obj]
     if isinstance(obj, dict):
@@ -143,7 +140,8 @@ def run(scenario: dict) -> dict:
     """Validate and dispatch a scenario; return the full report dict."""
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
-    if scenario.get("v") != 1:
+    version = scenario.get("v")
+    if isinstance(version, bool) or version != 1:  # True == 1 in Python
         raise ScenarioError('scenario must declare schema version "v": 1')
     command = _need(scenario, "command")
     if command not in COMMANDS:
@@ -224,12 +222,18 @@ def main(argv=None) -> int:
         layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
         return json.dumps(payload, sort_keys=True, allow_nan=False, **layout) + "\n"
 
-    def emit(text: str):
+    def emit(text: str, code: int) -> int:
+        """Write text to --out or stdout and return code; an unwritable --out is exit 2."""
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                sys.stdout.write(render({"error": "validation", "message": str(exc)}))
+                return 2
         else:
             sys.stdout.write(text)
+        return code
 
     started = time.perf_counter()
     try:
@@ -243,13 +247,13 @@ def main(argv=None) -> int:
         report = run(scenario)
         text = render(report)
     except NCTorusError as exc:
-        emit(render({"error": _error_code(exc), "message": str(exc)}))
-        return 3
-    except (ScenarioError, ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError, OSError) as exc:
-        emit(render({"error": "validation", "message": str(exc)}))
-        return 2
+        return emit(render({"error": _error_code(exc), "message": str(exc)}), 3)
+    except (ScenarioError, ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError) as exc:
+        # JSONDecodeError is a ValueError; RecursionError is JSON nested too deep to load or render
+        return emit(render({"error": "validation", "message": str(exc)}), 2)
 
-    emit(text)
+    if emit(text, 0):
+        return 2  # --out could not be written
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     print(

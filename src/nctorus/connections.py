@@ -33,7 +33,6 @@ from .algebra import (
     Weight,
     apply_auto,
     apply_derivation,
-    distance,
     integral,
     mono,
     one,
@@ -58,7 +57,7 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
 
 
 def _scalar_coefficient(e: TorusElement) -> complex:
-    """The folded coefficient of 1, from one fold; raises unless e.is_scalar()."""
+    """The folded coefficient of 1, from one fold; raises unless e is a multiple of 1."""
     folded = e.folded()
     if not all((m, n) == (0, 0) or abs(c) <= EQ_TOL for (m, n), c in folded.items()):
         raise NonConstantConnection(
@@ -91,24 +90,6 @@ class Connection:
         self.theta_u = tu
         self.theta_v = tv
         self._fold = None
-
-    @property
-    def constant_coefficients(self) -> bool:
-        return all(
-            e.is_scalar()
-            for mat in (self.theta_u, self.theta_v)
-            for row in mat
-            for e in row
-        )
-
-    def is_antihermitian(self, tol: float = 1e-12) -> bool:
-        """(Theta_u)* = -Theta_u and (Theta_v)* = -Theta_v entrywise."""
-        for mat in (self.theta_u, self.theta_v):
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if distance(mat[j][i].star(), -1 * mat[i][j]) > tol:
-                        return False
-        return True
 
     def weight_matrix(self, weight: Weight) -> tuple[tuple[TorusElement, ...], ...]:
         """alpha Theta_u + beta Theta_v as a matrix of algebra elements."""
@@ -208,9 +189,9 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
 
-def is_flat(conn: Connection, tol: float = EQ_TOL) -> bool:
-    """True iff every curvature-form coefficient is at most tol."""
-    return curvature_form(conn).is_zero(tol)
+def is_flat(conn: Connection) -> bool:
+    """True iff every curvature-form coefficient is at most EQ_TOL."""
+    return curvature_form(conn).is_zero()
 
 
 # -- parallel transport ------------------------------------------------------

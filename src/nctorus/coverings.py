@@ -3,10 +3,11 @@
 A covering of degrees (k1, k2) embeds the base algebra (parameter theta)
 into a cover algebra with theta' = theta/(k1 k2) via u -> x^{k1},
 v -> y^{k2}; the deck group Z_{k1} x Z_{k2} acts by scaling x^p y^q with the
-root of unity exp(2 pi i (a p / k1 + b q / k2)).  One-parameter flows on the
-base lift uniquely to the cover, integer-weight flows reach deck elements at
-integer times, and a flow is a closed path when its lift first meets the
-deck group exactly at time 1.
+root of unity exp(2 pi i (a p / k1 + b q / k2)).  The weight-(alpha, beta)
+flow on the base lifts uniquely to the cover as apply_auto at weight
+(alpha/k1, beta/k2); integer-weight lifts reach deck elements at integer
+times, and a flow is a closed path when its lift first meets the deck group
+exactly at time 1.
 
 The generalized Wilson line transports a flat constant-coefficient
 connection along the canonical representative path of a deck element
@@ -20,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import TWO_PI, TorusElement, TorusParams, Weight, apply_auto
+from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
@@ -44,10 +45,6 @@ class DeckElement:
         k1, k2 = self.degrees
         return DeckElement((self.a + other.a) % k1, (self.b + other.b) % k2, self.degrees)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 @dataclass(frozen=True)
 class CoveringSpec:
@@ -69,10 +66,6 @@ class CoveringSpec:
     def deck(self, a: int, b: int) -> DeckElement:
         k1, k2 = self.degrees
         return DeckElement(a % k1, b % k2, self.degrees)
-
-    @property
-    def identity_deck(self) -> DeckElement:
-        return self.deck(0, 0)
 
     @property
     def g_u(self) -> DeckElement:
@@ -117,29 +110,6 @@ def deck_act(g: DeckElement, a: TorusElement) -> TorusElement:
         else:
             terms[(p, q, k)] = c * cmath.exp(TWO_PI * 1j * (r / k1 + s / k2))
     return TorusElement(a.params, terms)
-
-
-@dataclass(frozen=True)
-class LiftedFlow:
-    """Unique lift of the weight-(alpha, beta) base flow to the cover.
-
-    Acts on the cover with effective weight (alpha/k1, beta/k2), so that
-    lift(tau) o project = project o base-flow(tau).
-    """
-
-    spec: CoveringSpec
-    weight: Weight
-
-    def apply(self, tau: float, a: TorusElement) -> TorusElement:
-        if a.params != self.spec.cover:
-            raise ParamMismatch("element does not live over the cover parameter")
-        k1, k2 = self.spec.degrees
-        alpha, beta = self.weight
-        return apply_auto((alpha / k1, beta / k2), tau, a)
-
-
-def lift_group(spec: CoveringSpec, weight: Weight) -> LiftedFlow:
-    return LiftedFlow(spec, (weight[0], weight[1]))
 
 
 @dataclass(frozen=True)
@@ -208,7 +178,7 @@ class PathIndependenceReport:
     deck: DeckElement
     weights: tuple[tuple[int, int], ...]
     max_distance: float
-    certified: bool  # max_distance < 1e-10: the Wilson hypothesis holds here
+    certified: bool  # max_distance < CERTIFY_TOL: the Wilson hypothesis holds here
 
     def to_dict(self) -> dict:
         return {
@@ -243,5 +213,5 @@ def check_path_independence(
         deck=g,
         weights=tuple(weights),
         max_distance=max_distance,
-        certified=max_distance < 1e-10,
+        certified=max_distance < CERTIFY_TOL,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import EQ_TOL, TorusElement, Weight, apply_derivation, zero
+from .algebra import TorusElement, Weight, apply_derivation, zero
 
 D_U: Weight = (1, 0)
 D_V: Weight = (0, 1)
@@ -47,9 +47,9 @@ class MatrixForm:
     def rank(self) -> int:
         return len(self.entries)
 
-    def is_zero(self, tol: float = EQ_TOL) -> bool:
-        """True iff every folded coefficient of every entry is at most tol."""
-        return all(e.dudv.is_zero(tol) for row in self.entries for e in row)
+    def is_zero(self) -> bool:
+        """True iff every folded coefficient of every entry is at most EQ_TOL."""
+        return all(e.dudv.is_zero() for row in self.entries for e in row)
 
     def to_dict(self) -> dict:
         return {

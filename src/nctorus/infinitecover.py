@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .algebra import exact_phase
+from .algebra import EQ_TOL, exact_phase
 from .errors import UnsupportedProduct
 
 if TYPE_CHECKING:
@@ -45,8 +45,8 @@ class Character:
         return Character(-self.frequency)
 
 
-def shift_up(ch: Character, count: int = 1) -> tuple[complex, Character]:
-    """f(x) -> f(x + 2 pi count) on a character: scalar exp(2 pi i count a), same frequency.
+def shift_up(ch: Character, count: int = 1) -> complex:
+    """The scalar exp(2 pi i count a) by which f(x) -> f(x + 2 pi count) scales a character.
 
     count * a is reduced mod 1 exactly on the integer ratio of the double a
     (``exact_phase``), so the scalar is exactly 1 when the phase is an
@@ -54,7 +54,7 @@ def shift_up(ch: Character, count: int = 1) -> tuple[complex, Character]:
     """
     if not math.isfinite(ch.frequency):
         raise ValueError(f"character frequency {ch.frequency} is not finite")
-    return exact_phase(ch.frequency.as_integer_ratio(), count), ch
+    return exact_phase(ch.frequency.as_integer_ratio(), count)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def deck_act(p: int, q: int, m: CharacterMonomial) -> CharacterMonomial:
     """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg."""
     scalar = m.scalar
     for leg, count in ((m.uleg, p), (m.vleg, q)):
-        phase, _ = shift_up(leg, count)
+        phase = shift_up(leg, count)
         if phase != 1:
             scalar *= phase
     return CharacterMonomial(scalar, m.uleg, m.vleg)
@@ -193,13 +193,13 @@ class CharacterSum:
     def deck(self, p: int, q: int) -> "CharacterSum":
         return CharacterSum(tuple(deck_act(p, q, t) for t in self.terms))
 
-    def constant_value(self, tol: float = 1e-12) -> complex:
-        """Scalar part; raises if any oscillating term survives above tol."""
+    def constant_value(self) -> complex:
+        """Scalar part; raises if any oscillating term survives above EQ_TOL."""
         value = 0j
         for t in self.terms:
             if t.is_constant:
                 value += t.scalar
-            elif abs(t.scalar) > tol:
+            elif abs(t.scalar) > EQ_TOL:
                 raise UnsupportedProduct(
                     f"non-constant character of weight {abs(t.scalar)} survives"
                 )

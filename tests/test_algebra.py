@@ -239,11 +239,9 @@ def test_lam_reduces_large_exponents_exactly(params):
 
 
 def test_scalar_views(params):
-    a = mono(0, 0, 2.5 - 1j, params)
-    assert a.is_scalar()
-    assert a.scalar_value() == 2.5 - 1j
-    assert not u(params).is_scalar()
-    assert zero(params).is_zero()
+    assert mono(0, 0, 2.5 - 1j, params).folded() == {(0, 0): 2.5 - 1j}
+    assert lam(params, 2).folded() == {(0, 0): params.lam(2)}
+    assert zero(params).is_zero() and not u(params).is_zero()
 
 
 def test_json_round_trip(rng, params):

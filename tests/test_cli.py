@@ -198,6 +198,16 @@ def test_missing_file(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_validation_error(tmp_path, capsys):
+    # the report, and the error of a missing scenario, cannot go to --out: both exit 2 on stdout
+    out = str(tmp_path / "absent-dir" / "report.json")
+    for source in (["--builtin", "paper-cover"], ["--scenario", str(tmp_path / "absent.json")]):
+        assert main([*source, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == "validation"
+        assert captured.err == ""
+
+
 def test_math_domain_error_not_flat(tmp_path):
     scenario = builtin("paper-scalar")
     # Theta_u = v is not flat: stored as a full element payload
@@ -343,8 +353,17 @@ def test_non_finite_path_weight_is_validation_error(component):
         ("paper-infinite", '"theta": 0.3819660113', '"theta": NaN'),
         ("paper-infinite", '"deck": [1, 0]', '"deck": [Infinity, 0]'),
         ("paper-infinite", '"c_v": 0.1', '"c_v": 1e400'),
+        ("paper-infinite", '"c_v": 0.1', '"c_v": 0.1, "extra": ' + "[" * 100_000 + "]" * 100_000),
     ],
-    ids=["nan-coupling", "params-list", "infinite-entry", "nan-theta", "infinite-deck", "overflow-literal"],
+    ids=[
+        "nan-coupling",
+        "params-list",
+        "infinite-entry",
+        "nan-theta",
+        "infinite-deck",
+        "overflow-literal",
+        "deeper-than-recursion-limit",
+    ],
 )
 def test_scenario_text_contract_violation_exits_2(tmp_path, capsys, name, old, new):
     text = json.dumps(builtin(name))
@@ -366,8 +385,9 @@ def test_scenario_text_contract_violation_exits_2(tmp_path, capsys, name, old, n
         ("paper-infinite", ("params", "deck"), [math.inf, 0]),
         ("paper-scalar", ("params", "deck"), [math.nan, 0]),
         ("paper-scalar", ("params",), [1]),
+        ("paper-scalar", ("v",), True),
     ],
-    ids=["nan-coupling", "nan-theta", "huge-int-theta", "infinite-deck", "nan-deck", "params-list"],
+    ids=["nan-coupling", "nan-theta", "huge-int-theta", "infinite-deck", "nan-deck", "params-list", "bool-version"],
 )
 def test_run_rejects_non_finite_and_malformed_values(name, keys, value):
     scenario = builtin(name)
@@ -386,6 +406,14 @@ def test_non_finite_report_is_not_printed(tmp_path):
     code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
     assert code == 2
     assert json.loads(text)["error"] == "validation"
+
+
+def test_star_import_resolves_every_exported_name():
+    import nctorus
+
+    namespace = {}
+    exec("from nctorus import *", namespace)  # AttributeError on a stale __all__ entry
+    assert all(namespace[name] is getattr(nctorus, name) for name in nctorus.__all__)
 
 
 def test_console_entry_point(tmp_path):

@@ -146,7 +146,7 @@ def test_commutator_of_constant_connection_is_matrix_commutator(params):
         conn = Connection(params, a_u.tolist(), a_v.tolist())
         comm = curvature_commutator(conn, (1, 0), (0, 1))
         expect = a_u @ a_v - a_v @ a_u
-        got = np.array([[e.scalar_value() for e in row] for row in comm])
+        got = np.array([[e.folded().get((0, 0), 0j) for e in row] for row in comm])
         assert np.max(np.abs(got - expect)) < 1e-10
 
 
@@ -220,7 +220,8 @@ def test_transport_group_law(scalar_conn, block_conn):
 
 def test_transport_unitary_for_antihermitian(scalar_conn, block_conn):
     for conn in (scalar_conn, block_conn):
-        assert conn.is_antihermitian()
+        a = conn.constant_weight_matrix((1, 1))
+        assert np.array_equal(a.conj().T, -a)
         m = transport(conn, (1, 1), 0.77).matrix
         assert np.max(np.abs(m @ m.conj().T - np.eye(conn.rank))) < 1e-10
 
@@ -258,17 +259,6 @@ def test_transport_axioms_paper_connections(scalar_conn, block_conn):
 # -- structure and serialization ----------------------------------------------
 
 
-def test_antihermitian_detection(params):
-    assert scalar_connection(params, 0.3, 0.7).is_antihermitian()
-    assert not Connection(params, [[0.5]], [[0]]).is_antihermitian()
-    assert not Connection(params, [[u(params)]], [[0]]).is_antihermitian()
-
-
-def test_constant_coefficient_flag(params, scalar_conn):
-    assert scalar_conn.constant_coefficients
-    assert not Connection(params, [[u(params)]], [[0]]).constant_coefficients
-
-
 def test_entry_params_must_match(params):
     with pytest.raises(ParamMismatch):
         Connection(params, [[u(TorusParams(0.5))]], [[0]])
@@ -285,7 +275,8 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
     }
     for payload, conn in ((scalar, scalar_conn), (block, block_conn)):
         back = Connection.from_dict(payload, params)
-        assert back.rank == conn.rank and back.constant_coefficients
+        assert back.rank == conn.rank
+        assert np.array_equal(back.constant_weight_matrix((1, 1)), conn.constant_weight_matrix((1, 1)))
         for mat_a, mat_b in ((back.theta_u, conn.theta_u), (back.theta_v, conn.theta_v)):
             for row_a, row_b in zip(mat_a, mat_b):
                 for a, b in zip(row_a, row_b):
@@ -298,7 +289,8 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
     back = Connection.from_dict(symbolic, params)
     assert back.theta_u[0][0].terms == {(1, 0, 0): 1}
     assert back.theta_v[0][0].terms == {(0, 0, 0): 0.5}
-    assert not back.constant_coefficients
+    with pytest.raises(NonConstantConnection):
+        back.constant_weight_matrix((1, 0))
     with pytest.raises(RankMismatch):
         Connection.from_dict({**scalar, "rank": 2}, params)
 
@@ -320,7 +312,7 @@ def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
         params, [[0.5j, lam(params, 2)], [1, 0]], [[0, lam(params, -1)], [2j, 1 - 0.5j]]
     )
     expected = [
-        np.array([[e.scalar_value() for e in row] for row in mat], dtype=complex)
+        np.array([[e.folded().get((0, 0), 0j) for e in row] for row in mat], dtype=complex)
         for mat in (conn.theta_u, conn.theta_v)
     ]
     folds = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import ALT_THETA, THETA, assert_close
-from nctorus.algebra import TorusParams, lam, one, random_element, u, v
+from nctorus.algebra import TorusParams, apply_auto, lam, one, random_element, u, v
 from nctorus.connections import Connection, rotation_block_connection, scalar_connection
 from nctorus.coverings import (
     CoveringSpec,
@@ -17,7 +17,6 @@ from nctorus.coverings import (
     check_path_independence,
     classify_path,
     deck_act,
-    lift_group,
     project,
     wilson,
 )
@@ -105,7 +104,7 @@ def test_deck_fixes_projected_elements_exactly(spec, params, rng):
 
 
 def test_identity_deck_acts_trivially(spec, rng):
-    e = spec.identity_deck
+    e = spec.deck(0, 0)
     a = random_element(rng, spec.cover)
     assert deck_act(e, a).terms == a.terms
 
@@ -146,38 +145,38 @@ def test_deck_element_validation(spec):
 # -- lifted flows -------------------------------------------------------------
 
 
+def lift(spec, weight, tau, a):
+    """The weight flow lifted to the cover: apply_auto at weight (alpha/k1, beta/k2)."""
+    k1, k2 = spec.degrees
+    return apply_auto((weight[0] / k1, weight[1] / k2), tau, a)
+
+
 def test_lift_scales_cover_generator_at_half_speed(spec):
-    flow = lift_group(spec, (1, 0))
     tau = 0.613
-    got = flow.apply(tau, x(spec))
+    got = lift(spec, (1, 0), tau, x(spec))
     assert got.terms == {(1, 0, 0): pytest.approx(cmath.exp(1j * math.pi * tau))}
-    assert flow.apply(tau, y(spec)).terms == {(0, 1, 0): 1}
+    assert lift(spec, (1, 0), tau, y(spec)).terms == {(0, 1, 0): 1}
 
 
 def test_lift_at_time_one_is_deck_generator(spec, rng):
-    flow = lift_group(spec, (1, 0))
     for _ in range(20):
         a = random_element(rng, spec.cover)
-        assert_close(flow.apply(1.0, a), deck_act(spec.g_u, a))
-    flow_v = lift_group(spec, (0, 1))
+        assert_close(lift(spec, (1, 0), 1.0, a), deck_act(spec.g_u, a))
     a = random_element(rng, spec.cover)
-    assert_close(flow_v.apply(1.0, a), deck_act(spec.g_v, a))
+    assert_close(lift(spec, (0, 1), 1.0, a), deck_act(spec.g_v, a))
 
 
 def test_lift_compatible_with_projection(spec, params, rng):
-    from nctorus.algebra import apply_auto
-
     for _ in range(30):
         w = (rng.randint(-3, 3), rng.randint(-3, 3))
         tau = rng.uniform(-2, 2)
         a = random_element(rng, params)
-        flow = lift_group(spec, w)
-        assert_close(flow.apply(tau, project(spec, a)), project(spec, apply_auto(w, tau, a)))
+        assert_close(lift(spec, w, tau, project(spec, a)), project(spec, apply_auto(w, tau, a)))
 
 
 def test_zero_weight_lift_is_identity(spec, rng):
     a = random_element(rng, spec.cover)
-    assert lift_group(spec, (0, 0)).apply(0.8, a).terms == a.terms
+    assert lift(spec, (0, 0), 0.8, a).terms == a.terms
 
 
 # -- closed-path classification ------------------------------------------------
@@ -221,8 +220,7 @@ def test_classify_doubled_weight_not_closed(spec):
     assert rep.associated is None
     assert rep.witness == pytest.approx(0.5)
     # the lift at the witness time is already the deck element g_u
-    flow = lift_group(spec, (2, 0))
-    assert_close(flow.apply(0.5, u(spec.cover)), deck_act(spec.g_u, u(spec.cover)))
+    assert_close(lift(spec, (2, 0), 0.5, u(spec.cover)), deck_act(spec.g_u, u(spec.cover)))
 
 
 def test_classify_skew_weight(spec):
@@ -277,7 +275,7 @@ def test_scalar_wilson_values(spec, params):
     assert abs(got - cmath.exp(2j * math.pi * C_U)) < 1e-12
     got = wilson(spec, spec.g_v, conn).matrix[0, 0]
     assert abs(got - cmath.exp(2j * math.pi * C_V)) < 1e-12
-    assert np.array_equal(wilson(spec, spec.identity_deck, conn).matrix, np.eye(1))
+    assert np.array_equal(wilson(spec, spec.deck(0, 0), conn).matrix, np.eye(1))
 
 
 def test_block_wilson_matrices(spec, params):
@@ -314,7 +312,7 @@ def test_wilson_homomorphism_without_wraparound(spec, params):
     w_uv = wilson(spec, spec.deck(1, 1), conn).matrix
     assert np.max(np.abs(w_u @ w_v - w_uv)) < 1e-10
     assert np.max(np.abs(w_v @ w_u - w_uv)) < 1e-10
-    e = wilson(spec, spec.identity_deck, conn).matrix
+    e = wilson(spec, spec.deck(0, 0), conn).matrix
     assert np.max(np.abs(w_u @ e - w_u)) < 1e-12
 
 
