@@ -30,4 +30,4 @@ class PathNotAssociated(NCTorusError):
 
 
 class UnsupportedProduct(NCTorusError):
-    """Product leaves the normal-ordered character-monomial model."""
+    """Product leaves the normal-ordered character model."""

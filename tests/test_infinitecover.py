@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,14 +13,11 @@ import pytest
 
 from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
-    Character,
+    CharacterSum,
     cosine_sum,
-    deck_act,
     gauge_unitary,
     matrix_wilson_relation,
-    monomial,
-    mul,
-    mul_by_inverse,
+    mono,
     shift_up,
     sine_sum,
     wilson_relation,
@@ -37,89 +35,89 @@ def exact_turn(x: Fraction) -> complex:
 
 
 def test_shift_of_constant_character_is_trivial():
-    assert shift_up(Character(0.0)) == 1.0
+    assert shift_up(0.0) == 1.0
 
 
 def test_shift_scalar_value():
-    assert shift_up(Character(C_U)) == pytest.approx(cmath.exp(2j * math.pi * C_U))
+    assert shift_up(C_U) == pytest.approx(cmath.exp(2j * math.pi * C_U))
 
 
 def test_shift_of_integer_frequency_is_periodic():
-    assert abs(shift_up(Character(1.0)) - 1.0) < 1e-15
+    assert abs(shift_up(1.0) - 1.0) < 1e-15
 
 
 def test_shift_preserves_frequency_and_modulus():
     rng = random.Random(9)
     for _ in range(50):
         f = rng.uniform(-5, 5)
-        shifted = deck_act(1, 1, monomial(1, f, -f))
-        assert (shifted.uleg.frequency, shifted.vleg.frequency) == (f, -f)
-        assert abs(abs(shift_up(Character(f))) - 1.0) < 1e-12
+        shifted = mono(1, f, -f).deck(1, 1)
+        assert list(shifted.terms) == [(f, -f)]
+        assert abs(abs(shift_up(f)) - 1.0) < 1e-12
 
 
 def test_shift_up_count_matches_exact_phase():
     rng = random.Random(23)
     for _ in range(50):
         f, count = rng.uniform(-5, 5), rng.randint(-(10**9), 10**9)
-        assert abs(shift_up(Character(f), count) - exact_turn(count * Fraction(f))) < 1e-12
+        assert abs(shift_up(f, count) - exact_turn(count * Fraction(f))) < 1e-12
 
 
 @pytest.mark.parametrize("freq", [math.inf, -math.inf, math.nan])
 def test_shift_up_rejects_non_finite_frequency(freq):
     with pytest.raises(ValueError):
-        shift_up(Character(freq))
+        shift_up(freq)
 
 
-# -- monomials ------------------------------------------------------------------
+# -- monomials (one-term sums) ----------------------------------------------------
 
 
 def test_deck_action_on_gauge_unitary():
     gauge = gauge_unitary(C_U, C_V)
-    got = deck_act(1, 0, gauge)
-    assert got.scalar == pytest.approx(cmath.exp(2j * math.pi * C_U))
-    assert (got.uleg.frequency, got.vleg.frequency) == (C_U, C_V)
-    assert deck_act(0, 0, gauge) == gauge
-    got = deck_act(0, 2, gauge)
-    assert got.scalar == pytest.approx(cmath.exp(4j * math.pi * C_V))
+    got = gauge.deck(1, 0)
+    assert list(got.terms) == [(C_U, C_V)]
+    assert got.terms[C_U, C_V] == pytest.approx(cmath.exp(2j * math.pi * C_U))
+    assert gauge.deck(0, 0).terms == gauge.terms
+    got = gauge.deck(0, 2)
+    assert got.terms[C_U, C_V] == pytest.approx(cmath.exp(4j * math.pi * C_V))
 
 
 def test_deck_action_is_z2_action():
     rng = random.Random(11)
     for _ in range(30):
-        m = monomial(
-            cmath.exp(1j * rng.uniform(0, 6)), rng.uniform(-2, 2), rng.uniform(-2, 2)
-        )
+        m = mono(cmath.exp(1j * rng.uniform(0, 6)), rng.uniform(-2, 2), rng.uniform(-2, 2))
         p, q, r, s = (rng.randint(-3, 3) for _ in range(4))
-        one_step = deck_act(p, q, deck_act(r, s, m))
-        both = deck_act(p + r, q + s, m)
-        assert abs(one_step.scalar - both.scalar) < 1e-12
-        assert one_step.uleg == both.uleg and one_step.vleg == both.vleg
+        one_step = m.deck(r, s).deck(p, q)
+        both = m.deck(p + r, q + s)
+        ((key, c1),), ((key2, c2),) = one_step.terms.items(), both.terms.items()
+        assert abs(c1 - c2) < 1e-12
+        assert key == key2
 
 
 def test_mul_requires_trivial_inner_leg():
-    m_u = monomial(2, 0.5, 0.0)
-    m_v = monomial(3, 0.0, 0.25)
-    got = mul(m_u, m_v)
-    assert got.scalar == 6 and got.uleg.frequency == 0.5 and got.vleg.frequency == 0.25
-    got = mul(monomial(1, 0.5, 0.25), monomial(1, 0.0, 0.25))
-    assert got.vleg.frequency == 0.5
+    m_u = mono(2, 0.5, 0.0)
+    m_v = mono(3, 0.0, 0.25)
+    assert (m_u * m_v).terms == {(0.5, 0.25): 6}
+    got = mono(1, 0.5, 0.25) * mono(1, 0.0, 0.25)
+    assert list(got.terms) == [(0.5, 0.5)]
     with pytest.raises(UnsupportedProduct):
-        mul(monomial(1, 0.5, 0.25), monomial(1, 0.5, 0.25))
+        mono(1, 0.5, 0.25) * mono(1, 0.5, 0.25)
 
 
 def test_star_requires_single_leg():
-    m = monomial(1j, 0.5, 0.0)
-    assert m.star().scalar == -1j and m.star().uleg.frequency == -0.5
+    m = mono(1j, 0.5, 0.0)
+    assert m.star().terms == {(-0.5, 0.0): -1j}
     with pytest.raises(UnsupportedProduct):
-        monomial(1, 0.5, 0.25).star()
+        mono(1, 0.5, 0.25).star()
 
 
 def test_mul_by_inverse_cancels_legs():
     gauge = gauge_unitary(C_U, C_V)
-    residue = mul_by_inverse(gauge, gauge)
-    assert residue.is_constant and residue.scalar == 1.0
-    with pytest.raises(UnsupportedProduct):
-        mul_by_inverse(gauge, monomial(1, C_U, 0.99))
+    residue = gauge.mul_by_inverse(gauge)
+    assert residue.terms == {(0.0, 0.0): 1.0}
+    # v-legs that do not cancel, the zero unit and a two-term unit
+    for unit in (mono(1, C_U, 0.99), CharacterSum(), cosine_sum(C_U, "u")):
+        with pytest.raises(UnsupportedProduct):
+            gauge.mul_by_inverse(unit)
 
 
 # -- Wilson relation --------------------------------------------------------------
@@ -206,6 +204,10 @@ def test_character_sum_trig_identity():
     cu, su = cosine_sum(C_U, "u"), sine_sum(C_U, "u")
     total = cu * cu + su * su
     assert total.constant_value() == pytest.approx(1.0)
+    # at frequency 0 the two characters share a key (0.0 == -0.0) and must add
+    for leg in ("u", "v"):
+        assert cosine_sum(0.0, leg).constant_value() == 1
+        assert sine_sum(0.0, leg).terms == {}
 
 
 def test_matrix_wilson_images_of_deck_generators():
@@ -260,3 +262,24 @@ def test_matrix_wilson_is_homomorphic_on_z2():
     assert np.max(np.abs(a @ b - ab)) < 1e-12
     sq = matrix_wilson_relation(2, 0, C_U, C_V)
     assert np.max(np.abs(a @ a - sq)) < 1e-12
+
+
+def test_wilson_bytes_are_pinned():
+    """The exact bytes of both Wilson relations over a seeded grid of deep decks."""
+
+    def decks(rng, top, count):
+        out = [(0, 0), (1, -1), (top, -top)]
+        for _ in range(count):
+            out.append(tuple(rng.choice((-1, 1)) * int(top ** rng.random()) for _ in range(2)))
+        return out
+
+    rng = random.Random(47)
+    couplings = [0.0, -0.0, 0.5, 1.0] + [rng.uniform(-1, 1) for _ in range(4)]
+    digest = hashlib.sha256()
+    for c_u in couplings:
+        for c_v in couplings:
+            for p, q in decks(rng, 10**5, 3):
+                digest.update(repr(wilson_relation(p, q, c_u, c_v)).encode())
+            for p, q in decks(rng, 10**4, 1):
+                digest.update(matrix_wilson_relation(p, q, c_u, c_v).tobytes())
+    assert digest.hexdigest() == "f4c7edd520e68dac2223139d36d2062245efa11c735f850bfca2838b4999433f"
