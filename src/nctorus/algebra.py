@@ -11,8 +11,14 @@ complex coefficient only when comparing, printing or serializing.  theta is
 a double and its irrationality is not checked: no implemented formula
 depends on it.
 
+Every stored coefficient is a nonzero complex.  The public constructor
+enforces that; sums, products, negation and star are canonical by
+construction and skip the check.  Sums accumulate in place through one
+merge, which drops a key whose sum reaches zero.
+
 All values are immutable and all operations are pure functions, so they are
-safe to share across threads.
+safe to share across threads.  The per-TorusParams memo of lambda**k only
+ever stores the value exact_phase computes, so concurrent fills agree.
 """
 
 from __future__ import annotations
@@ -82,9 +88,12 @@ class TorusParams:
             raise ValueError(f"theta must lie in (0,1), got {self.theta}")
         # theta = num / den exactly; read once, since lam runs in every fold
         object.__setattr__(self, "_ratio", self.theta.as_integer_ratio())
+        object.__setattr__(self, "_powers", {})
 
     def lam(self, k: int = 1) -> complex:
-        """lambda**k = exp(2 pi i k theta), with k theta reduced mod 1 exactly."""
+        """lambda**k = exp(2 pi i k theta), k theta reduced mod 1 exactly; memoized at |k| <= 64."""
+        if -64 <= k <= 64:
+            return self._powers.get(k) or self._powers.setdefault(k, exact_phase(self._ratio, k))
         return exact_phase(self._ratio, k)
 
 
@@ -106,6 +115,14 @@ class TorusElement:
                 canonical[key] = c
         object.__setattr__(self, "terms", canonical)
 
+    @classmethod
+    def _wrap(cls, params: TorusParams, terms: dict) -> "TorusElement":
+        """An element over ``terms`` as given: every value a nonzero complex."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "params", params)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("TorusElement is immutable")
 
@@ -118,31 +135,18 @@ class TorusElement:
             return TorusElement(self.params, {(0, 0, 0): complex(other)})
         raise TypeError(f"cannot combine TorusElement with {type(other).__name__}")
 
-    def _check_params(self, other: "TorusElement"):
-        if self.params != other.params:
-            raise ParamMismatch(
-                f"theta mismatch: {self.params.theta} vs {other.params.theta}"
-            )
-
     def __add__(self, other) -> "TorusElement":
-        other = self._coerce(other)
-        self._check_params(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, 0j) + c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return TorusElement(self.params, terms)
+        return total(self, (self._coerce(other),))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(self.params, {key: -c for key, c in self.terms.items()})
+        return TorusElement._wrap(self.params, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "TorusElement":
-        return self + (-self._coerce(other))
+        terms = dict(self.terms)
+        _merge(self.params, terms, self._coerce(other), subtract=True)
+        return TorusElement._wrap(self.params, terms)
 
     def __rsub__(self, other) -> "TorusElement":
         return self._coerce(other) - self
@@ -153,18 +157,19 @@ class TorusElement:
                 self.params, {key: c * other for key, c in self.terms.items()}
             )
         other = self._coerce(other)
-        self._check_params(other)
+        _check_params(self.params, other.params)
         # (u^m v^n)(u^p v^q) = lambda^{-n p} u^{m+p} v^{n+q}, -np exact.
         terms: dict[tuple[int, int, int], complex] = {}
+        get, right = terms.get, other.terms.items()
         for (m, n, k), a in self.terms.items():
-            for (p, q, l), b in other.terms.items():
+            for (p, q, l), b in right:
                 key = (m + p, n + q, k + l - n * p)
-                s = terms.get(key, 0j) + a * b
-                if s == 0:
-                    terms.pop(key, None)
-                else:
+                s = get(key, 0j) + a * b
+                if s:
                     terms[key] = s
-        return TorusElement(self.params, terms)
+                else:  # a * b may underflow to zero on a new key
+                    terms.pop(key, None)
+        return TorusElement._wrap(self.params, terms)
 
     def __rmul__(self, other) -> "TorusElement":
         if isinstance(other, (int, float, complex)):
@@ -176,15 +181,16 @@ class TorusElement:
         terms = {}
         for (m, n, k), c in self.terms.items():
             terms[(-m, -n, -k - m * n)] = c.conjugate()
-        return TorusElement(self.params, terms)
+        return TorusElement._wrap(self.params, terms)
 
     # -- numeric views ---------------------------------------------------
 
     def folded(self) -> dict[tuple[int, int], complex]:
         """Coefficients of u^m v^n with lambda exponents folded in numerically."""
         out: dict[tuple[int, int], complex] = {}
+        lam = self.params.lam
         for (m, n, k), c in self.terms.items():
-            value = c if k == 0 else c * self.params.lam(k)
+            value = c if k == 0 else c * lam(k)
             out[(m, n)] = out.get((m, n), 0j) + value
         return out
 
@@ -235,6 +241,32 @@ class TorusElement:
             key = (integral(t["m"], "m"), integral(t["n"], "n"), integral(t.get("lk", 0), "lk"))
             terms[key] = terms.get(key, 0j) + complex(real(t["re"], "re"), real(t["im"], "im"))
         return cls(params, terms)
+
+
+def _check_params(mine: TorusParams, theirs: TorusParams):
+    if mine is not theirs and mine != theirs:
+        raise ParamMismatch(f"theta mismatch: {mine.theta} vs {theirs.theta}")
+
+
+def _merge(params: TorusParams, terms: dict, x: TorusElement, subtract: bool = False):
+    """terms += x (or -= x) in place, key by key, dropping a sum that reaches zero."""
+    _check_params(params, x.params)
+    get = terms.get
+    for key, c in x.terms.items():
+        # in IEEE 754 t - c is t + (-c) bit for bit, signed zeros included
+        s = get(key, 0j) - c if subtract else get(key, 0j) + c
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+
+
+def total(first: TorusElement, rest: Iterable[TorusElement]) -> TorusElement:
+    """first + rest[0] + rest[1] + ..., summed left to right in one dict."""
+    terms = dict(first.terms)
+    for x in rest:
+        _merge(first.params, terms, x)
+    return TorusElement._wrap(first.params, terms)
 
 
 # -- constructors ---------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import TorusElement, Weight, apply_derivation, zero
+from .algebra import TorusElement, Weight, apply_derivation, total, zero
 
 D_U: Weight = (1, 0)
 D_V: Weight = (0, 1)
@@ -78,9 +78,8 @@ def curvature_form(conn) -> MatrixForm:
     for i in range(n):
         row = []
         for j in range(n):
-            acc = zero(conn.params)
-            for k in range(n):
-                acc = acc + (tu[i][k] * tv[k][j] - tv[i][k] * tu[k][j])
+            products = (tu[i][k] * tv[k][j] - tv[i][k] * tu[k][j] for k in range(n))
+            acc = total(zero(conn.params), products)
             d = apply_derivation(D_U, tv[i][j]) - apply_derivation(D_V, tu[i][j])
             row.append(TwoForm(d + acc))
         out.append(row)

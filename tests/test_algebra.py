@@ -24,6 +24,7 @@ from nctorus.algebra import (
     v,
     zero,
 )
+from nctorus.connections import Connection, curvature_commutator, curvature_form
 from nctorus.errors import ParamMismatch
 
 TWO_PI_I = 2j * math.pi
@@ -145,6 +146,26 @@ def test_involution_involutive(a):
 def test_distributivity(a, b):
     c = mono(1, -1, 0.5j, TorusParams(THETA))
     assert_close(c * (a + b), c * a + c * b)
+
+
+def assert_canonical(x: TorusElement):
+    assert all(type(c) is complex and c != 0 for c in x.terms.values()), x.terms
+
+
+@settings(max_examples=60)
+@given(a=elements(), b=elements(), entries=st.lists(elements(), min_size=8, max_size=8))
+def test_results_are_canonical_by_construction(a, b, entries):
+    """Sums, products, negation, star and curvature hold only nonzero complex coefficients."""
+    for x in (a + b, a - b, a - a, a * b, -a, a.star()):
+        assert_canonical(x)
+    params = TorusParams(THETA)
+    conn = Connection(params, [entries[0:2], entries[2:4]], [entries[4:6], entries[6:8]])
+    for row in curvature_form(conn).entries:
+        for e in row:
+            assert_canonical(e.dudv)
+    for row in curvature_commutator(conn, (1, 0), (0, 1)):
+        for e in row:
+            assert_canonical(e)
 
 
 # -- one-parameter flows -----------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 
@@ -10,7 +12,7 @@ import pytest
 
 from conftest import THETA, assert_close
 from nctorus import connections
-from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, one, u, v, vector_distance, zero
+from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, u, v, vector_distance, zero
 from nctorus.connections import (
     Connection,
     check_transport_axioms,
@@ -262,6 +264,13 @@ def test_transport_axioms_paper_connections(scalar_conn, block_conn):
 def test_entry_params_must_match(params):
     with pytest.raises(ParamMismatch):
         Connection(params, [[u(TorusParams(0.5))]], [[0]])
+    # a vector that mixes two thetas, at the last index, fails in every accumulation
+    conn = rotation_block_connection(TorusParams(0.3), C_U, C_V)
+    xi = [u(TorusParams(0.3)), v(TorusParams(0.3)), one(TorusParams(0.3)), u(TorusParams(0.7))]
+    with pytest.raises(ParamMismatch):
+        transport(conn, (1, 0), 0.25).apply(xi)
+    with pytest.raises(ParamMismatch):
+        nabla(conn, (1, 1), xi)
 
 
 def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
@@ -356,3 +365,43 @@ def test_transport_operator_json(scalar_conn, block_conn):
     assert abs(z - np.exp(TWO_PI_I * C_U)) < 1e-13
     assert d["value"] == d["matrix"][0][0]
     assert "value" not in transport(block_conn, (1, 0), 1.0).to_dict()
+
+
+def test_symbolic_bytes_are_pinned():
+    """The exact bytes of curvature, flatness and the transport axioms over seeded connections."""
+    from nctorus.algebra import random_element
+
+    rng = random.Random(83)
+    digest = hashlib.sha256()
+
+    def update(value):
+        digest.update(json.dumps(value, sort_keys=True).encode())
+
+    for n in (2, 3, 4, 2, 3, 4):
+        params = TorusParams(rng.uniform(0.01, 0.99))
+
+        def entries():
+            return [[random_element(rng, params, max_terms=4) for _ in range(n)] for _ in range(n)]
+
+        def scalar():
+            return mono(0, 0, complex(-0.0, rng.uniform(-1, 1)), params, rng.randint(-3, 3))
+
+        theta_u = entries()
+        scalars = [[scalar() for _ in range(n)] for _ in range(n)]
+        # Theta_v = Theta_u cancels every product term; Theta_v = 2 Theta_u of lambda powers is flat
+        for conn in (
+            Connection(params, theta_u, entries()),
+            Connection(params, theta_u, theta_u),
+            Connection(params, scalars, [[2 * e for e in row] for row in scalars]),
+        ):
+            update(curvature_form(conn).to_dict())
+            update([[e.to_dict() for e in row] for row in curvature_commutator(conn, (1, 0), (0, 1))])
+            update(is_flat(conn))
+    for n in (1, 4, 1, 4):
+        params = TorusParams(rng.uniform(0.01, 0.99))
+        h = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)])
+        a = (0.5j * (h + h.conj().T)).tolist()
+        conn = Connection(params, a, (0.3 * np.array(a)).tolist())
+        weight = (rng.randint(-2, 2), rng.randint(1, 2))
+        digest.update(repr(check_transport_axioms(conn, weight, samples=5, seed=rng.getrandbits(32))).encode())
+    assert digest.hexdigest() == "a1d0103409f5d01380f829cfa311916ae7cd5fafc09e0ce93d9a94f2b46ada73"

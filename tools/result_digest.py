@@ -1,0 +1,61 @@
+"""Hash every library and ``cli.run`` result of fixed benchmark cycles.
+
+Usage: ``python3 tools/result_digest.py`` from any directory.  It runs 10
+paper-mix, 3 rank-sweep, 2 symbolic and 10 deep-deck cycles of
+``perfbench/workloads.py`` at seeds 1-6, each operation through
+``perfbench/calls.py``, and prints one ``workload count sha256`` line per
+workload.  Two checkouts that print the same lines give byte-identical
+results on all of these operations.
+
+A result is serialized as sorted-key ``to_dict()`` JSON when it has
+``to_dict``, as ``tobytes()`` for an array, elementwise for a tuple or list,
+as ``repr`` otherwise, and as its class name when the call raised.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import calls  # noqa: E402
+from workloads import Stream  # noqa: E402
+
+CYCLES = {"paper-mix": 10, "rank-sweep": 3, "symbolic": 2, "deep-deck": 10}
+SEEDS = range(1, 7)
+
+
+def serialize(value, digest) -> None:
+    if hasattr(value, "to_dict"):
+        digest.update(json.dumps(value.to_dict(), sort_keys=True).encode())
+    elif hasattr(value, "tobytes"):
+        digest.update(value.tobytes())
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            serialize(item, digest)
+    else:
+        digest.update(repr(value).encode())
+
+
+def main() -> None:
+    for workload, cycles in CYCLES.items():
+        digest, count = hashlib.sha256(), 0
+        for seed in SEEDS:
+            stream = Stream(workload, seed)
+            for _ in range(cycles):
+                for spec in stream.cycle():
+                    try:
+                        value = calls.prepare(spec)()
+                    except Exception as exc:  # every error class is part of the result
+                        value = type(exc).__name__
+                    serialize(value, digest)
+                    count += 1
+        print(workload, count, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
