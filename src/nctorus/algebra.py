@@ -346,23 +346,18 @@ def vector_distance(xs: Iterable[TorusElement], ys: Iterable[TorusElement]) -> f
     return max((distance(x, y) for x, y in zip(xs, ys)), default=0.0)
 
 
-def random_element(
-    rng,
-    params: TorusParams,
-    max_terms: int = 4,
-    max_exp: int = 3,
-    max_lam_exp: int = 2,
-) -> TorusElement:
+def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:
     """Sparse random element for diagnostics and property checks.
 
-    ``rng`` is a random.Random; coefficients have |Re|,|Im| <= 1.
+    ``rng`` is a random.Random; coefficients have |Re|,|Im| <= 1 and lambda
+    exponents |k| <= 2.
     """
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         key = (
             rng.randint(-max_exp, max_exp),
             rng.randint(-max_exp, max_exp),
-            rng.randint(-max_lam_exp, max_lam_exp),
+            rng.randint(-2, 2),
         )
         terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return TorusElement(params, terms)

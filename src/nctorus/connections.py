@@ -34,7 +34,6 @@ from .algebra import (
     apply_auto,
     apply_derivation,
     integral,
-    mono,
     one,
     random_element,
     real,
@@ -55,7 +54,15 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
             raise ParamMismatch("connection entry over a different theta")
         # over the connection's own params, so products share one lambda memo
         return TorusElement._wrap(params, entry.terms)
-    return mono(0, 0, complex(entry), params)
+    c = complex(entry)
+    return TorusElement._wrap(params, {(0, 0, 0): c} if c else {})
+
+
+def _scalars(mats):
+    """Each coefficient c of 1 as 0j + c, the value a fold gives; None unless every entry is one."""
+    if not all(e.terms.keys() <= {(0, 0, 0)} for mat in mats for row in mat for e in row):
+        return None
+    return tuple(tuple(tuple(0j + e.terms.get((0, 0, 0), 0j) for e in row) for row in mat) for mat in mats)
 
 
 def _scalar_coefficient(e: TorusElement) -> complex:
@@ -72,11 +79,12 @@ class Connection:
     """Rank-n connection with coefficient matrices Theta_u, Theta_v.
 
     Entries may be TorusElement or plain complex scalars (coerced to
-    multiples of 1).  The numeric Theta_u, Theta_v of a constant connection
-    are folded once, on the first transport.
+    multiples of 1), decided once to be exact multiples or not (``scalars``).
+    The numeric Theta_u, Theta_v of a constant connection are built once, on
+    the first transport.
     """
 
-    __slots__ = ("params", "rank", "theta_u", "theta_v", "_fold")
+    __slots__ = ("params", "rank", "theta_u", "theta_v", "_scalars", "_fold")
 
     def __init__(self, params: TorusParams, theta_u, theta_v):
         tu = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_u)
@@ -91,7 +99,13 @@ class Connection:
         self.rank = n
         self.theta_u = tu
         self.theta_v = tv
+        self._scalars = _scalars((tu, tv))
         self._fold = None
+
+    @property
+    def scalars(self):
+        """(Theta_u, Theta_v) as tuples of complex rows if every entry is an exact multiple of 1, else None."""
+        return self._scalars
 
     def weight_matrix(self, weight: Weight) -> tuple[tuple[TorusElement, ...], ...]:
         """alpha Theta_u + beta Theta_v as a matrix of algebra elements."""
@@ -104,7 +118,7 @@ class Connection:
     def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
         """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
         if self._fold is None:
-            scalars = [
+            scalars = self.scalars or [
                 [[_scalar_coefficient(e) for e in row] for row in mat]
                 for mat in (self.theta_u, self.theta_v)
             ]

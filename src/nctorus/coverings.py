@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams
+from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams, integral
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
@@ -55,8 +55,10 @@ class CoveringSpec:
 
     def __post_init__(self):
         k1, k2 = self.degrees
+        k1, k2 = integral(k1, "covering degree"), integral(k2, "covering degree")
         if k1 < 1 or k2 < 1:
             raise ValueError("covering degrees must be positive")
+        object.__setattr__(self, "degrees", (k1, k2))
 
     @property
     def cover(self) -> TorusParams:
@@ -138,9 +140,7 @@ def classify_path(spec: CoveringSpec, weight) -> ClosedPathReport:
     closedness is gcd(|alpha|, |beta|) <= 1.
     """
     alpha, beta = weight
-    if alpha != int(alpha) or beta != int(beta):
-        raise ValueError(f"loop weights must be integers, got {weight!r}")
-    alpha, beta = int(alpha), int(beta)
+    alpha, beta = integral(alpha, "loop weight"), integral(beta, "loop weight")
     if (alpha, beta) == (0, 0):
         raise ZeroWeight("weight (0,0) is the constant path")
     g = math.gcd(abs(alpha), abs(beta))

@@ -9,12 +9,13 @@ d Theta + Theta ^ Theta = F du^dv with
 the products taken as matrix products of algebra elements.  A TwoForm holds
 the single component F_ij of one entry; MatrixForm holds the square matrix.
 
-When every entry is a plain multiple of 1 (no u, v or lambda powers) the
-derivation terms vanish and F is the commutator of two complex matrices,
-accumulated over Python complex scalars in the same order as the element
-loop, so both paths give bit-identical coefficients.  numpy is not used for
-it: its vectorized complex multiply may fuse multiply-adds, which changes
-the last bit of some products and so the printed reports.
+When every entry is a plain multiple of 1 (no u, v or lambda powers), as
+the connection's ``scalars`` records, the derivation terms vanish and F is
+the commutator of two complex matrices, accumulated over Python complex
+scalars in the same order as the element loop, so both paths give
+bit-identical coefficients.  numpy is not used for it: its vectorized
+complex multiply may fuse multiply-adds, which changes the last bit of some
+products and so the printed reports.
 """
 
 from __future__ import annotations
@@ -58,22 +59,11 @@ class MatrixForm:
         }
 
 
-_ONE = {(0, 0, 0)}
-
-
-def _scalars(mat):
-    """Coefficients of 1 as nested complex lists; None unless every entry is one."""
-    if all(e.terms.keys() <= _ONE for row in mat for e in row):
-        return [[e.terms.get((0, 0, 0), 0j) for e in row] for row in mat]
-    return None
-
-
 def curvature_form(conn) -> MatrixForm:
     """d Theta + Theta ^ Theta of a connection (free module: e = 1)."""
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
-    a, b = _scalars(tu), _scalars(tv)
-    if a is not None and b is not None:
-        return _constant_curvature(conn.params, a, b, n)
+    if conn.scalars is not None:
+        return _constant_curvature(conn.params, *conn.scalars, n)
     out = []
     for i in range(n):
         row = []

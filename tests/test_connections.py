@@ -315,21 +315,40 @@ def test_cached_fold_is_not_exposed(block_conn):
             nonconstant.constant_weight_matrix((1, 0))
 
 
+def test_scalars_are_decided_once_from_exact_multiples_of_one(params):
+    # a plain zero or -0.0 entry is the zero element and any other number is kept as given;
+    # scalars holds 0j + c, so a -0.0 part reads 0.0
+    conn = Connection(params, [[0, -0.0], [complex(-0.0, 1), 2]], [[mono(0, 0, 0.5, params), 0], [0, 0]])
+    terms = [[e.terms for e in row] for row in conn.theta_u]
+    assert terms == [[{}, {}], [{(0, 0, 0): complex(-0.0, 1)}, {(0, 0, 0): 2}]]
+    assert conn.scalars == (((0j, 0j), (1j, 2 + 0j)), ((0.5 + 0j, 0j), (0j, 0j)))
+    assert math.copysign(1.0, conn.scalars[0][1][0].real) == 1.0
+    with pytest.raises(AttributeError):
+        conn.scalars = None
+    # constant but not exact: lambda powers; not constant: u
+    for entry in (lam(params, 1), u(params)):
+        assert Connection(params, [[0, 0], [0, 0]], [[0, entry], [0, 0]]).scalars is None
+
+
 def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
-    # the scalar test and the coefficient of 1 come from one fold per entry, bit for bit as before
-    conn = Connection(
-        params, [[0.5j, lam(params, 2)], [1, 0]], [[0, lam(params, -1)], [2j, 1 - 0.5j]]
-    )
-    expected = [
-        np.array([[e.folded().get((0, 0), 0j) for e in row] for row in mat], dtype=complex)
-        for mat in (conn.theta_u, conn.theta_v)
+    # lambda powers: the scalar test and the coefficient of 1 come from one fold per entry, bit
+    # for bit as before; plain numbers fold no entry and give 0j + c, the value a fold gives
+    mixed = Connection(params, [[0.5j, lam(params, 2)], [1, 0]], [[0, lam(params, -1)], [2j, 1 - 0.5j]])
+    plain = [[0.5j, complex(-0.0, 1)], [1, -0.0]], [[0, complex(2, -0.0)], [2j, 1 - 0.5j]]
+    folded = [[[e.folded().get((0, 0), 0j) for e in row] for row in mat] for mat in (mixed.theta_u, mixed.theta_v)]
+    cases = [
+        (mixed, 8, folded),
+        (Connection(params, *plain), 0, [[[0j + c for c in row] for row in mat] for mat in plain]),
     ]
-    folds = []
     original = TorusElement.folded
-    monkeypatch.setattr(TorusElement, "folded", lambda e: folds.append(e) or original(e))
-    got = [conn.constant_weight_matrix(w) for w in ((1, 0), (0, 1))]
-    assert len(folds) == 8
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    for conn, fold_count, scalars in cases:
+        expected = [np.array(mat, dtype=complex) for mat in scalars]
+        folds = []
+        monkeypatch.setattr(TorusElement, "folded", lambda e: folds.append(e) or original(e))
+        got = [conn.constant_weight_matrix(w) for w in ((1, 0), (0, 1))]
+        assert len(folds) == fold_count
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        monkeypatch.undo()
 
 
 def _seeded_complex(rng, rank: int, scale: float) -> np.ndarray:

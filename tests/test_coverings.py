@@ -45,6 +45,17 @@ def test_cover_parameter(spec, params):
     assert spec.cover.theta == pytest.approx(params.theta / 4)
 
 
+def test_covering_degrees_are_integers(params):
+    for degrees in [(2.5, 2), (2, math.inf), (True, 2), ("2", 2)]:
+        with pytest.raises(ValueError):
+            CoveringSpec(params, degrees)
+    # integral floats are stored as ints, so the cover and deck elements keep int coordinates
+    spec = CoveringSpec(params, (2.0, 3.0))
+    assert spec.degrees == (2, 3) and all(type(k) is int for k in spec.degrees)
+    assert spec.cover.theta == params.theta / 6
+    assert all(type(c) is int for g in spec.deck_elements() for c in (g.a, g.b))
+
+
 def test_project_generators(spec, params):
     assert project(spec, u(params)).terms == {(2, 0, 0): 1}
     assert project(spec, v(params)).terms == {(0, 2, 0): 1}
@@ -234,8 +245,10 @@ def test_classify_zero_weight_rejected(spec):
 
 
 def test_classify_non_integer_weight_rejected(spec):
-    with pytest.raises(ValueError):
-        classify_path(spec, (1.5, 0))
+    # an infinite or NaN weight is a ValueError too, and a bool is not an integer
+    for weight in [(1.5, 0), (math.inf, 1), (1, math.nan), (True, 0)]:
+        with pytest.raises(ValueError):
+            classify_path(spec, weight)
     # integral floats are accepted
     assert classify_path(spec, (1.0, 0.0)).associated == spec.g_u
 
