@@ -63,6 +63,11 @@ def real(x, what: str) -> float:
     return float(x)
 
 
+def r15(x):
+    """A float rounded to 15 significant digits, as every report prints it; anything else as given."""
+    return float(f"{x:.15g}") if isinstance(x, float) else x
+
+
 def exact_phase(ratio: tuple[int, int], count: int) -> complex:
     """exp(2 pi i count num / den) for ratio = (num, den), reduced mod 1 in integers.
 

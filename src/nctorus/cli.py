@@ -5,7 +5,8 @@ large for a double in the computation or the report, JSON nested deeper than
 the recursion limit and an --out path that cannot be written), 3 math-domain
 error (not flat, non-constant connection, ...).  Reports carry no timestamps;
 run metadata goes to stderr so identical scenarios produce byte-identical
-reports.
+reports.  Each float of a result is rounded to 15 significant digits once, by
+the report object that emits it (``r15``); the echoed scenario is verbatim.
 """
 
 from __future__ import annotations
@@ -18,39 +19,18 @@ import re
 import sys
 import time
 
-from .algebra import TorusParams, integral, real
+from .algebra import TorusParams, integral, r15, real
 from .connections import Connection, curvature_form, transport
 from .coverings import CoveringSpec, check_path_independence, classify_path, wilson
 from .errors import NCTorusError, ParamMismatch, RankMismatch
 from .infinitecover import wilson_relation
 from .scenarios import BUILTIN_SCENARIOS, builtin
 
-COMMANDS = (
-    "curvature",
-    "flat",
-    "transport",
-    "classify",
-    "wilson",
-    "independence",
-    "infinite-wilson",
-)
+COMMANDS = ("curvature", "flat", "transport", "classify", "wilson", "independence", "infinite-wilson")
 
 
 class ScenarioError(ValueError):
     """The scenario file does not match the schema."""
-
-
-def _round_tree(obj):
-    """Round every float in a JSON tree to 15 significant digits."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.15g}")
-    if isinstance(obj, list):
-        return [_round_tree(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    return obj
 
 
 def _need(scenario: dict, key: str):
@@ -122,18 +102,14 @@ def _int_pair(pair, what: str) -> tuple[int, int]:
         raise ScenarioError(str(exc)) from exc
 
 
-def _cli_params(scenario: dict) -> dict:
-    return scenario.get("params", {})
-
-
 def _deck_pair(scenario: dict) -> tuple[int, int]:
-    return _int_pair(_cli_params(scenario).get("deck"), "params.deck")
+    return _int_pair(scenario.get("params", {}).get("deck"), "params.deck")
 
 
 def wilson_relation_report(p: int, q: int, c_u: float, c_v: float) -> dict:
     """The infinite-wilson result: the deck pair and W(p, q) as [re, im]."""
     value = wilson_relation(p, q, c_u, c_v)
-    return {"deck": [p, q], "value": [value.real, value.imag]}
+    return {"deck": [p, q], "value": [r15(value.real), r15(value.imag)]}
 
 
 def run(scenario: dict) -> dict:
@@ -146,7 +122,7 @@ def run(scenario: dict) -> dict:
     command = _need(scenario, "command")
     if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r} (choose from: {', '.join(COMMANDS)})")
-    if not isinstance(_cli_params(scenario), dict):
+    if not isinstance(scenario.get("params", {}), dict):
         raise ScenarioError("params must be an object")
 
     if command in ("curvature", "flat"):
@@ -158,7 +134,7 @@ def run(scenario: dict) -> dict:
         params = _params(scenario)
         conn = _connection(scenario, params)
         weight = _paths(scenario)[0]
-        tau = _number(_cli_params(scenario).get("tau", 1.0), "params.tau")
+        tau = _number(scenario.get("params", {}).get("tau", 1.0), "params.tau")
         result = transport(conn, weight, tau).to_dict()
     elif command == "classify":
         spec = _covering(scenario, _params(scenario))
@@ -182,7 +158,7 @@ def run(scenario: dict) -> dict:
         result = check_path_independence(spec, spec.deck(a, b), conn, weights).to_dict()
     else:  # infinite-wilson
         _params(scenario)  # theta does not enter the relation but is still validated
-        cp = _cli_params(scenario)
+        cp = scenario.get("params", {})
         c_u, c_v = (_number(cp.get(key), f"params.{key}") for key in ("c_u", "c_v"))
         p, q = _deck_pair(scenario)
         result = wilson_relation_report(p, q, c_u, c_v)
@@ -191,7 +167,7 @@ def run(scenario: dict) -> dict:
         "v": 1,
         "command": command,
         "scenario": scenario,
-        "result": _round_tree(result),
+        "result": result,
     }
 
 

@@ -15,8 +15,9 @@ exp(2 pi i c)-type values.  Transport requires constant coefficients (each
 Theta entry a complex multiple of 1), where the path-ordered exponential
 collapses to a dense matrix exponential, ``expm``.
 
-numpy is imported where an array is built and scipy by ``expm`` at rank
-2 and up, so curvature and flatness never load either.
+A connection of plain numbers holds them as complex rows and builds its
+element matrices on first use.  numpy is imported where an array is built and
+scipy by ``expm`` at rank 2 and up, so curvature and flatness load neither.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .algebra import (
     apply_derivation,
     integral,
     one,
+    r15,
     random_element,
     real,
     total,
@@ -58,54 +60,65 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
     return TorusElement._wrap(params, {(0, 0, 0): c} if c else {})
 
 
-def _scalars(mats):
-    """Each coefficient c of 1 as 0j + c, the value a fold gives; None unless every entry is one."""
-    if not all(e.terms.keys() <= {(0, 0, 0)} for mat in mats for row in mat for e in row):
-        return None
-    return tuple(tuple(tuple(0j + e.terms.get((0, 0, 0), 0j) for e in row) for row in mat) for mat in mats)
-
-
 def _scalar_coefficient(e: TorusElement) -> complex:
     """The folded coefficient of 1, from one fold; raises unless e is a multiple of 1."""
     folded = e.folded()
     if not all((m, n) == (0, 0) or abs(c) <= EQ_TOL for (m, n), c in folded.items()):
-        raise NonConstantConnection(
-            "transport needs every Theta entry to be a complex multiple of 1"
-        )
+        raise NonConstantConnection("transport needs every Theta entry to be a complex multiple of 1")
     return folded.get((0, 0), 0j)
 
 
 class Connection:
     """Rank-n connection with coefficient matrices Theta_u, Theta_v.
 
-    Entries may be TorusElement or plain complex scalars (coerced to
-    multiples of 1), decided once to be exact multiples or not (``scalars``).
-    The numeric Theta_u, Theta_v of a constant connection are built once, on
-    the first transport.
+    Entries may be TorusElement or plain complex scalars (multiples of 1),
+    decided once to be exact multiples or not (``scalars``).  Without a
+    TorusElement entry the connection holds complex rows only, and the
+    element matrices theta_u, theta_v are built on first access.  The
+    numeric Theta_u, Theta_v of a constant connection are built once, on the
+    first transport.
     """
 
-    __slots__ = ("params", "rank", "theta_u", "theta_v", "_scalars", "_fold")
+    __slots__ = ("params", "rank", "_entries", "_theta", "_scalars", "_fold")
 
     def __init__(self, params: TorusParams, theta_u, theta_v):
-        tu = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_u)
-        tv = tuple(tuple(_coerce_entry(e, params) for e in row) for row in theta_v)
-        n = len(tu)
+        mats = [[list(row) for row in mat] for mat in (theta_u, theta_v)]
+        n = len(mats[0])
         if n == 0:
             raise RankMismatch("a connection needs rank at least 1")
-        for mat in (tu, tv):
+        for mat in mats:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise RankMismatch("Theta_u, Theta_v must be square of equal rank")
-        self.params = params
-        self.rank = n
-        self.theta_u = tu
-        self.theta_v = tv
-        self._scalars = _scalars((tu, tv))
-        self._fold = None
+        self.params, self.rank, self._entries, self._theta, self._fold = params, n, mats, None, None
+        if any(isinstance(e, TorusElement) for mat in mats for row in mat for e in row):
+            theta = self._elements()
+            exact = all(e.terms.keys() <= {(0, 0, 0)} for mat in theta for row in mat for e in row)
+            mats = [[[e.terms.get((0, 0, 0), 0j) for e in row] for row in m] for m in theta] if exact else None
+        else:  # complex rows only: the elements are built from them on first access
+            self._entries = mats = [[[complex(e) for e in row] for row in mat] for mat in mats]
+        # each coefficient as 0j + c, the value a fold gives
+        self._scalars = tuple(tuple(tuple(0j + c for c in row) for row in mat) for mat in mats) if mats else None
 
     @property
     def scalars(self):
         """(Theta_u, Theta_v) as tuples of complex rows if every entry is an exact multiple of 1, else None."""
         return self._scalars
+
+    @property
+    def theta_u(self) -> tuple[tuple[TorusElement, ...], ...]:
+        return self._elements()[0]
+
+    @property
+    def theta_v(self) -> tuple[tuple[TorusElement, ...], ...]:
+        return self._elements()[1]
+
+    def _elements(self):
+        """The element matrices, built once from the entries (a zero or -0.0 number is the zero element)."""
+        if self._theta is None:
+            self._theta = tuple(
+                tuple(tuple(_coerce_entry(e, self.params) for e in row) for row in mat) for mat in self._entries
+            )
+        return self._theta
 
     def weight_matrix(self, weight: Weight) -> tuple[tuple[TorusElement, ...], ...]:
         """alpha Theta_u + beta Theta_v as a matrix of algebra elements."""
@@ -119,8 +132,7 @@ class Connection:
         """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
         if self._fold is None:
             scalars = self.scalars or [
-                [[_scalar_coefficient(e) for e in row] for row in mat]
-                for mat in (self.theta_u, self.theta_v)
+                [list(map(_scalar_coefficient, row)) for row in mat] for mat in self._elements()
             ]
             import numpy as np
 
@@ -236,11 +248,11 @@ class TransportOperator:
         return out
 
     def to_dict(self) -> dict:
-        """Matrix entries as [re, im] pairs; rank 1 adds the scalar as "value"."""
+        """Matrix entries as [re, im] pairs; rank 1 adds the scalar as "value".  Floats pass r15."""
         out = {
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix.tolist()],
-            "weight": [self.weight[0], self.weight[1]],
-            "tau": self.tau,
+            "matrix": [[[r15(z.real), r15(z.imag)] for z in row] for row in self.matrix.tolist()],
+            "weight": [r15(self.weight[0]), r15(self.weight[1])],
+            "tau": r15(self.tau),
         }
         if self.rank == 1:
             out["value"] = list(out["matrix"][0][0])

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams, integral
+from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams, integral, r15
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
@@ -36,6 +36,8 @@ class DeckElement:
 
     def __post_init__(self):
         k1, k2 = self.degrees
+        object.__setattr__(self, "a", integral(self.a, "deck a"))
+        object.__setattr__(self, "b", integral(self.b, "deck b"))
         if not (0 <= self.a < k1 and 0 <= self.b < k2):
             raise ValueError(f"deck element {(self.a, self.b)} out of range for {self.degrees}")
 
@@ -67,7 +69,7 @@ class CoveringSpec:
 
     def deck(self, a: int, b: int) -> DeckElement:
         k1, k2 = self.degrees
-        return DeckElement(a % k1, b % k2, self.degrees)
+        return DeckElement(integral(a, "deck a") % k1, integral(b, "deck b") % k2, self.degrees)
 
     @property
     def g_u(self) -> DeckElement:
@@ -128,7 +130,7 @@ class ClosedPathReport:
             "weight": [self.weight[0], self.weight[1]],
             "closed": self.is_closed,
             "deck": None if self.associated is None else [self.associated.a, self.associated.b],
-            "witness": self.witness,
+            "witness": r15(self.witness),
         }
 
 
@@ -184,7 +186,7 @@ class PathIndependenceReport:
         return {
             "deck": [self.deck.a, self.deck.b],
             "weights": [[w[0], w[1]] for w in self.weights],
-            "max_distance": self.max_distance,
+            "max_distance": r15(self.max_distance),
             "certified": self.certified,
         }
 

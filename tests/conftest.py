@@ -27,6 +27,11 @@ def assert_close(a: TorusElement, b: TorusElement, tol: float = 1e-12):
     assert d <= tol, f"element distance {d} > {tol}\n  a={a!r}\n  b={b!r}"
 
 
+def exact_form_dict(form) -> dict:
+    """A MatrixForm in its report layout, each entry by the exact TorusElement.to_dict."""
+    return {"rank": form.rank, "entries": [[{"dudv": e.dudv.to_dict()} for e in row] for row in form.entries]}
+
+
 # -- brute-force normal-ordering oracle ------------------------------------
 #
 # The only axiom used is u v = lambda v u, applied one letter at a time:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -146,6 +147,82 @@ def test_report_embeds_round_trippable_scenario(tmp_path):
     assert report["scenario"] == scenario
     # re-running the embedded scenario reproduces the same result
     assert run(report["scenario"])["result"] == report["result"]
+
+
+def _seeded_scenarios(seed: int) -> list[dict]:
+    """One scenario per command, its floats drawn at full double precision."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def antihermitian():
+        h = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+        return [[0.5 * (h[i][j] - h[j][i].conjugate()) for j in range(n)] for i in range(n)]
+
+    def payload(a, b):
+        pairs = [[[[z.real, z.imag] for z in row] for row in m] for m in (a, b)]
+        return {"rank": n, "theta_u": pairs[0], "theta_v": pairs[1]}
+
+    a, s = antihermitian(), rng.uniform(0.5, 2)
+    flat = payload(a, [[s * z for z in row] for row in a])
+    curved = payload(a, antihermitian())
+    k = (rng.randint(2, 4), rng.randint(2, 4))
+    deck = [1, rng.randrange(k[1])]
+    closed = [[w0, w1] for w0 in (1, 1 + k[0], 1 - k[0]) for w1 in (deck[1], deck[1] + k[1]) if math.gcd(w0, w1) == 1]
+    base = {"v": 1, "theta": rng.uniform(0.01, 0.99), "covering": {"degrees": list(k)}, "params": {"deck": deck}}
+    return [
+        {**base, "command": "curvature", "connection": curved},
+        {**base, "command": "flat", "connection": curved},
+        {**base, "command": "transport", "connection": curved, "paths": [[rng.uniform(-2, 2), 1]],
+         "params": {"tau": rng.uniform(-1, 1)}},
+        {**base, "command": "classify", "paths": [[1, 0], [2 * k[0], 2], [rng.randint(-9, 9), 3 * rng.randint(1, 3)]]},
+        {**base, "command": "wilson", "connection": flat},
+        {**base, "command": "independence", "connection": flat, "paths": closed},
+        {**base, "command": "infinite-wilson", "params": {
+            "deck": [rng.randint(-50, 50), rng.randint(-50, 50)], "c_u": rng.uniform(-1, 1), "c_v": rng.uniform(-1, 1)}},
+    ]
+
+
+def _leaves(tree, key=None):
+    """(nearest dict key, value) for every scalar of a JSON tree."""
+    if isinstance(tree, dict):
+        for k, v in tree.items():
+            yield from _leaves(v, k)
+    elif isinstance(tree, list):
+        for v in tree:
+            yield from _leaves(v, key)
+    else:
+        yield key, tree
+
+
+def test_report_floats_have_15_digits_and_the_scenario_is_verbatim():
+    # every float of a result is its own 15-digit rounding, bools and ints keep their types, and
+    # the echoed scenario is the input object with its full-precision floats
+    bools, ints = {"flat", "closed", "certified"}, {"rank", "m", "n", "lk", "deck", "weights", "weight"}
+    floats = {"matrix", "value", "tau", "theta", "re", "im", "witness", "max_distance"}
+    scenarios = [builtin(name) for name in sorted(BUILTIN_SCENARIOS)]
+    for seed in range(4):
+        scenarios += _seeded_scenarios(seed)
+    assert {s["command"] for s in scenarios} == set(COMMANDS)
+    unrounded = 0
+    for scenario in scenarios:
+        before = json.dumps(scenario, sort_keys=True)
+        report = run(scenario)
+        assert report["scenario"] is scenario and json.dumps(scenario, sort_keys=True) == before
+        unrounded += sum(float(f"{x:.15g}") != x for _, x in _leaves(scenario) if isinstance(x, float))
+        path_types = [type(w) for w in scenario.get("paths", [[0, 0]])[0]]
+        for key, x in _leaves(report["result"]):
+            if x is None:  # an open path has no deck element and a closed one no witness
+                assert scenario["command"] == "classify" and key in ("deck", "witness")
+            elif key in bools:
+                assert type(x) is bool, (scenario["command"], key, x)
+            elif key == "weight" and scenario["command"] == "transport":
+                assert type(x) in path_types and (type(x) is int or float(f"{x:.15g}") == x)
+            elif key in ints:
+                assert type(x) is int, (scenario["command"], key, x)
+            else:
+                assert key in floats and type(x) is float, (scenario["command"], key, x)
+                assert float(f"{x:.15g}") == x, (scenario["command"], key, x)
+    assert unrounded > 100
 
 
 def test_pretty_flag_changes_layout_not_content(tmp_path):

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import THETA, assert_close
+from conftest import THETA, assert_close, exact_form_dict
 from nctorus import connections
 from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, u, v, vector_distance, zero
 from nctorus.connections import (
@@ -351,6 +351,59 @@ def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
         monkeypatch.undo()
 
 
+def test_scalar_connection_builds_no_theta_element(monkeypatch, params):
+    # a rank-16 [re, im] payload: parse, transport and curvature read complex rows; the only
+    # elements built are the n * n curvature entries themselves
+    gen = np.random.default_rng(20261018)
+    n = 16
+
+    def pairs():
+        entry = [[float(gen.normal()), float(gen.choice([0.0, -0.0, gen.normal()]))] for _ in range(n * n)]
+        return [entry[i : i + n] for i in range(0, n * n, n)]
+
+    payload = {"rank": n, "theta_u": pairs(), "theta_v": pairs()}
+    built = []
+    init, wrap = TorusElement.__init__, TorusElement._wrap
+    monkeypatch.setattr(TorusElement, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    monkeypatch.setattr(TorusElement, "_wrap", classmethod(lambda cls, *a: built.append(1) or wrap(*a)))
+    conn = Connection.from_dict(payload, params)
+    transport(conn, (1, 2), 0.5).to_dict()
+    assert built == []
+    curvature_form(conn)
+    is_flat(conn)
+    assert len(built) == 2 * n * n
+
+
+def _signed(c: complex) -> tuple:
+    """c with the sign bits of both parts, which == ignores on zeros."""
+    return c, math.copysign(1, c.real), math.copysign(1, c.imag)
+
+
+def test_lazy_theta_elements_match_the_eager_build(params):
+    # zero and -0.0 entries are the zero element; every other sign bit is kept as given
+    values = [0, -0.0, complex(-0.0, 1), complex(1, -0.0), complex(-0.0, -0.0), 2.5, -1j, complex(-3, 0.5), 0j]
+    theta_u = [values[0:3], values[3:6], values[6:9]]
+    theta_v = [values[8::-3], values[7::-3], values[6::-3]]
+    lazy = Connection(params, theta_u, theta_v)
+    # one element entry makes the connection build its elements eagerly, as it does for any payload
+    # with an element; TorusElement's public constructor drops exactly the zeros
+    eager = Connection(params, [[TorusElement(params, {(0, 0, 0): e}) for e in row] for row in theta_u], theta_v)
+
+    def bits(conn):
+        mats = (conn.theta_u, conn.theta_v)
+        return [[[{key: _signed(c) for key, c in e.terms.items()} for e in row] for row in mat] for mat in mats]
+
+    assert bits(lazy) == bits(eager)
+    assert _signed(lazy.theta_u[1][0].terms[(0, 0, 0)]) == _signed(complex(1, -0.0))
+    assert lazy.theta_u[0][1].terms == {} and lazy.theta_u is lazy.theta_u
+    with pytest.raises(AttributeError):
+        lazy.theta_u = eager.theta_u
+    # scalars is each entry as 0j + c
+    expected = [[[_signed(0j + complex(e)) for e in row] for row in mat] for mat in (theta_u, theta_v)]
+    for conn in (lazy, eager):
+        assert [[list(map(_signed, row)) for row in mat] for mat in conn.scalars] == expected
+
+
 def _seeded_complex(rng, rank: int, scale: float) -> np.ndarray:
     return scale * (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
 
@@ -413,7 +466,7 @@ def test_symbolic_bytes_are_pinned():
             Connection(params, theta_u, theta_u),
             Connection(params, scalars, [[2 * e for e in row] for row in scalars]),
         ):
-            update(curvature_form(conn).to_dict())
+            update(exact_form_dict(curvature_form(conn)))
             update([[e.to_dict() for e in row] for row in curvature_commutator(conn, (1, 0), (0, 1))])
             update(is_flat(conn))
     for n in (1, 4, 1, 4):

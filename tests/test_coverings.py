@@ -56,6 +56,19 @@ def test_covering_degrees_are_integers(params):
     assert all(type(c) is int for g in spec.deck_elements() for c in (g.a, g.b))
 
 
+def test_deck_coordinates_are_integers(params):
+    spec = CoveringSpec(params, (2, 2))
+    for a in (2.5, True, math.inf):
+        with pytest.raises(ValueError):
+            spec.deck(a, 0)
+    with pytest.raises(ValueError):
+        DeckElement(True, 0, (2, 2))
+    # integral floats reduce and are stored as ints
+    g = spec.deck(3.0, 1)
+    assert g == DeckElement(1, 1, (2, 2)) and all(type(c) is int for c in (g.a, g.b))
+    assert type(DeckElement(1.0, 0, (2, 2)).a) is int
+
+
 def test_project_generators(spec, params):
     assert project(spec, u(params)).terms == {(2, 0, 0): 1}
     assert project(spec, v(params)).terms == {(0, 2, 0): 1}

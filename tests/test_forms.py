@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close
+from conftest import THETA, assert_close, exact_form_dict
 from nctorus.algebra import TorusParams, apply_derivation, lam, mono, one, u, v, zero
 from nctorus.connections import Connection, rotation_block_connection
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
@@ -80,12 +80,15 @@ def test_matrix_wedge_is_matrix_commutator_component(params):
     # (0,0): Theta_u[0][1] Theta_v[1][0] - Theta_v[0][1] Theta_u[1][0] = u u - v v
     assert_close(curv.entries[0][0].dudv, u(params) * u(params) - v(params) * v(params))
     # (0,1) vanishes and (1,0) = delta_u(u) - delta_v(v): a transposed layout shows
+    assert curv.entries[0][1].dudv.terms == {}
+    assert curv.entries[1][0].dudv.terms == {(0, 1, 0): -TWO_PI_I, (1, 0, 0): TWO_PI_I}
     d = curv.to_dict()
     assert d["rank"] == 2
     assert d["entries"][0][1]["dudv"]["terms"] == []
+    # the report prints 2 pi to 15 significant digits
     assert d["entries"][1][0]["dudv"]["terms"] == [
-        {"m": 0, "n": 1, "re": 0.0, "im": -2 * math.pi, "lk": 0},
-        {"m": 1, "n": 0, "re": 0.0, "im": 2 * math.pi, "lk": 0},
+        {"m": 0, "n": 1, "re": 0.0, "im": -6.28318530717959, "lk": 0},
+        {"m": 1, "n": 0, "re": 0.0, "im": 6.28318530717959, "lk": 0},
     ]
 
 
@@ -169,7 +172,7 @@ def test_constant_curvature_matches_element_loop_bit_for_bit(params):
         conns += [signed_zero_connection(params, gen, rank) for _ in range(8)]
     for conn in conns:
         assert all(e.terms.keys() <= {(0, 0, 0)} for mat in (conn.theta_u, conn.theta_v) for row in mat for e in row)
-        got = json.dumps(curvature_form(conn).to_dict(), sort_keys=True)
+        got = json.dumps(exact_form_dict(curvature_form(conn)), sort_keys=True)
         assert got == json.dumps(element_curvature(conn), sort_keys=True)
 
 
