@@ -244,7 +244,8 @@ class TorusElement:
         terms: dict[tuple[int, int, int], complex] = {}
         for t in data["terms"]:
             key = (integral(t["m"], "m"), integral(t["n"], "n"), integral(t.get("lk", 0), "lk"))
-            terms[key] = terms.get(key, 0j) + complex(real(t["re"], "re"), real(t["im"], "im"))
+            # from -0j: x + -0j is x bit for bit, where a sum from 0j would drop a -0.0 part
+            terms[key] = terms.get(key, -0j) + complex(real(t["re"], "re"), real(t["im"], "im"))
         return cls(params, terms)
 
 
@@ -314,13 +315,10 @@ def apply_auto(weight: Weight, tau: float, a: TorusElement) -> TorusElement:
     """
     alpha, beta = weight
     terms = {}
-    for (m, n, k), c in a.terms.items():
-        w = alpha * m + beta * n
-        if w == 0 or tau == 0:
-            terms[(m, n, k)] = c
-        else:
-            terms[(m, n, k)] = c * cmath.exp(TWO_PI * 1j * (tau * w))
-    return TorusElement(a.params, terms)
+    for key, c in a.terms.items():
+        r = (tau * (alpha * key[0] + beta * key[1])) % 1.0  # float % is exact: an integer phase keeps c
+        terms[key] = c * cmath.exp(TWO_PI * 1j * r) if r else c
+    return TorusElement._wrap(a.params, terms)  # |c e^{i phi}| is |c| to a rounding: never zero
 
 
 def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:

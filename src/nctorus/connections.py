@@ -23,6 +23,7 @@ scipy by ``expm`` at rank 2 and up, so curvature and flatness load neither.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,6 +36,7 @@ from .algebra import (
     apply_auto,
     apply_derivation,
     integral,
+    mono,
     one,
     r15,
     random_element,
@@ -49,6 +51,8 @@ from .forms import curvature_form
 if TYPE_CHECKING:
     import numpy as np
 
+_TOP = sys.float_info.max  # the largest finite double
+
 
 def _coerce_entry(entry, params: TorusParams) -> TorusElement:
     if isinstance(entry, TorusElement):
@@ -56,8 +60,7 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
             raise ParamMismatch("connection entry over a different theta")
         # over the connection's own params, so products share one lambda memo
         return TorusElement._wrap(params, entry.terms)
-    c = complex(entry)
-    return TorusElement._wrap(params, {(0, 0, 0): c} if c else {})
+    return mono(0, 0, entry, params)
 
 
 def _scalar_coefficient(e: TorusElement) -> complex:
@@ -71,33 +74,31 @@ def _scalar_coefficient(e: TorusElement) -> complex:
 class Connection:
     """Rank-n connection with coefficient matrices Theta_u, Theta_v.
 
-    Entries may be TorusElement or plain complex scalars (multiples of 1),
-    decided once to be exact multiples or not (``scalars``).  Without a
-    TorusElement entry the connection holds complex rows only, and the
-    element matrices theta_u, theta_v are built on first access.  The
-    numeric Theta_u, Theta_v of a constant connection are built once, on the
-    first transport.
+    Each matrix is a sequence of rows, whose entries may be TorusElement or
+    plain complex scalars (multiples of 1), decided once to be exact
+    multiples or not (``scalars``).  Without a TorusElement entry the
+    connection holds complex rows only, read in one pass, and the element
+    matrices theta_u, theta_v are built on first access.  The numeric
+    Theta_u, Theta_v of a constant connection are built on the first transport.
     """
 
     __slots__ = ("params", "rank", "_entries", "_theta", "_scalars", "_fold")
 
     def __init__(self, params: TorusParams, theta_u, theta_v):
-        mats = [[list(row) for row in mat] for mat in (theta_u, theta_v)]
-        n = len(mats[0])
+        self.params, self._theta, self._fold = params, None, None
+        try:  # plain numbers: complex rows, the elements are built from them on first access
+            self._entries = mats = [[[complex(e) for e in row] for row in mat] for mat in (theta_u, theta_v)]
+        except (TypeError, ValueError, OverflowError):  # an element or a bad entry: checked below, in order
+            self._entries, mats = [[list(row) for row in mat] for mat in (theta_u, theta_v)], None
+        self.rank = n = len(self._entries[0])
         if n == 0:
             raise RankMismatch("a connection needs rank at least 1")
-        for mat in mats:
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise RankMismatch("Theta_u, Theta_v must be square of equal rank")
-        self.params, self.rank, self._entries, self._theta, self._fold = params, n, mats, None, None
-        if any(isinstance(e, TorusElement) for mat in mats for row in mat for e in row):
-            theta = self._elements()
-            exact = all(e.terms.keys() <= {(0, 0, 0)} for mat in theta for row in mat for e in row)
-            mats = [[[e.terms.get((0, 0, 0), 0j) for e in row] for row in m] for m in theta] if exact else None
-        else:  # complex rows only: the elements are built from them on first access
-            self._entries = mats = [[[complex(e) for e in row] for row in mat] for mat in mats]
+        if any(len(mat) != n or any(len(row) != n for row in mat) for mat in self._entries):
+            raise RankMismatch("Theta_u, Theta_v must be square of equal rank")
+        if mats is None and all(e.terms.keys() <= {(0, 0, 0)} for m in self._elements() for r in m for e in r):
+            mats = [[[e.terms.get((0, 0, 0), 0j) for e in row] for row in m] for m in self._theta]
         # each coefficient as 0j + c, the value a fold gives
-        self._scalars = tuple(tuple(tuple(0j + c for c in row) for row in mat) for mat in mats) if mats else None
+        self._scalars = mats and tuple(tuple(tuple([0j + c for c in row]) for row in m) for m in mats)
 
     @property
     def scalars(self):
@@ -145,15 +146,18 @@ class Connection:
     def from_dict(cls, data: dict, params: TorusParams) -> "Connection":
         def parse_entry(raw):
             """An element payload, a finite real number or an [re, im] pair of them."""
+            if type(raw) is list and len(raw) == 2:
+                re, im = raw  # two finite floats, as a JSON payload gives them, need no further check
+                if type(re) is float and type(im) is float and -_TOP <= re <= _TOP and -_TOP <= im <= _TOP:
+                    return complex(re, im)
             if isinstance(raw, dict):
                 return TorusElement.from_dict(raw)
             if isinstance(raw, (list, tuple)) and len(raw) == 2:
                 return complex(real(raw[0], "entry re"), real(raw[1], "entry im"))
             return complex(real(raw, "connection entry"))
 
-        theta_u = [[parse_entry(e) for e in row] for row in data["theta_u"]]
-        theta_v = [[parse_entry(e) for e in row] for row in data["theta_v"]]
-        conn = cls(params, theta_u, theta_v)
+        mats = ([[parse_entry(e) for e in row] for row in data[key]] for key in ("theta_u", "theta_v"))
+        conn = cls(params, *mats)
         if conn.rank != integral(data["rank"], "rank"):
             raise RankMismatch(f"declared rank {data['rank']} != matrix rank {conn.rank}")
         return conn

@@ -79,10 +79,6 @@ class CoveringSpec:
     def g_v(self) -> DeckElement:
         return self.deck(0, 1)
 
-    def deck_elements(self) -> list[DeckElement]:
-        k1, k2 = self.degrees
-        return [DeckElement(a, b, self.degrees) for a in range(k1) for b in range(k2)]
-
 
 def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:
     """*-homomorphism into the cover: u^m v^n -> x^{k1 m} y^{k2 n}.

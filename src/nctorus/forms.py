@@ -12,18 +12,20 @@ and serializes it for reports, each float rounded once (``r15``).
 
 When every entry is a plain multiple of 1 (no u, v or lambda powers), as
 the connection's ``scalars`` records, the derivation terms vanish and F is
-the commutator of two complex matrices, accumulated over Python complex
-scalars in the same order as the element loop, so both paths give
-bit-identical coefficients.  numpy is not used for it: its vectorized
-complex multiply may fuse multiply-adds, which changes the last bit of some
-products and so the printed reports.
+the commutator of two complex matrices, summed over Python complex scalars
+in the element loop's order (so bit-identical to it) and held as complex
+rows, which flatness and the report read; TwoForm entries are built on first
+access.  numpy is not used: its vectorized complex multiply may fuse
+multiply-adds, which changes the last bit of some products and the reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul, sub
 
-from .algebra import TorusElement, apply_derivation, r15, total, zero
+from .algebra import EQ_TOL, TorusElement, apply_derivation, mono, r15, total, zero
 
 
 @dataclass(frozen=True)
@@ -32,37 +34,57 @@ class TwoForm:
 
 
 class MatrixForm:
-    """Square matrix of TwoForm entries (row-major), all over one TorusParams."""
+    """Square matrix (row-major) of TwoForm entries over one TorusParams, or of complex rows of scalars c * 1."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_entries", "_params", "_rows", "rank")
 
-    def __init__(self, entries):
-        self.entries = tuple(tuple(row) for row in entries)
+    def __init__(self, entries=None, params=None, rows=None):
+        self._entries = None if entries is None else tuple(tuple(row) for row in entries)
+        self._params, self._rows, self.rank = params, rows, len(self._entries if rows is None else rows)
 
     @property
-    def rank(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[TwoForm, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(tuple(TwoForm(mono(0, 0, c, self._params)) for c in row) for row in self._rows)
+        return self._entries
 
     def is_zero(self) -> bool:
-        """True iff every folded coefficient of every entry is at most EQ_TOL."""
-        return all(e.dudv.is_zero() for row in self.entries for e in row)
+        """True iff every folded coefficient of every entry is at most EQ_TOL (c folds to 0j + c)."""
+        if self._rows is None:
+            return all(e.dudv.is_zero() for row in self._entries for e in row)
+        return all(abs(c) <= EQ_TOL for row in self._rows for c in row)
 
     def to_dict(self) -> dict:
         """Entries in TorusElement.to_dict's layout, every float rounded once by r15 (theta once)."""
-        theta = r15(self.entries[0][0].dudv.params.theta)
 
-        def terms(x: TorusElement) -> list:
-            items = sorted(x.terms.items())
-            return [{"m": m, "n": n, "re": r15(c.real), "im": r15(c.imag), "lk": k} for (m, n, k), c in items]
+        def term(c: complex, m=0, n=0, k=0) -> dict:
+            return {"m": m, "n": n, "re": r15(c.real), "im": r15(c.imag), "lk": k}
 
-        entries = [[{"dudv": {"theta": theta, "terms": terms(e.dudv)}} for e in row] for row in self.entries]
+        if self._rows is None:
+            params = self._entries[0][0].dudv.params
+            terms = [[sorted(e.dudv.terms.items()) for e in row] for row in self._entries]
+            terms = [[[term(c, *key) for key, c in items] for items in row] for row in terms]
+        else:
+            params, terms = self._params, [[[term(c)] if c else [] for c in row] for row in self._rows]
+        theta = r15(params.theta)
+        entries = [[{"dudv": {"theta": theta, "terms": t}} for t in row] for row in terms]
         return {"rank": self.rank, "entries": entries}
 
 
 def curvature_form(conn) -> MatrixForm:
-    """d Theta + Theta ^ Theta of a connection (free module: e = 1)."""
+    """d Theta + Theta ^ Theta of a connection (free module: e = 1).
+
+    For scalar matrices a, b it is [a, b] as complex rows, in the element loop's order: entry (i, j)
+    is 0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as the loop's first sum onto zero.
+    """
     if conn.scalars is not None:
-        return _constant_curvature(conn.params, *conn.scalars)
+        a, b = conn.scalars
+        cols = tuple(zip(zip(*a), zip(*b)))
+        rows = [
+            [reduce(add, map(sub, map(mul, ar, bc), map(mul, br, ac)), 0j) for ac, bc in cols]
+            for ar, br in zip(a, b)
+        ]
+        return MatrixForm(params=conn.params, rows=rows)
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
     out = []
     for i in range(n):
@@ -72,21 +94,5 @@ def curvature_form(conn) -> MatrixForm:
             acc = total(zero(conn.params), products)
             d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
             row.append(TwoForm(d + acc))
-        out.append(row)
-    return MatrixForm(out)
-
-
-def _constant_curvature(params, a, b) -> MatrixForm:
-    """[Theta_u, Theta_v] of scalar matrices a, b, in the element loop's order."""
-    a_cols, b_cols = tuple(zip(*a)), tuple(zip(*b))
-    out = []
-    for a_row, b_row in zip(a, b):
-        row = []
-        for a_col, b_col in zip(a_cols, b_cols):
-            # from 0j, as the element loop's first sum onto zero: a -0.0 part turns to 0.0
-            acc = 0j
-            for a_ik, b_kj, b_ik, a_kj in zip(a_row, b_col, b_row, a_col):
-                acc = acc + (a_ik * b_kj - b_ik * a_kj)
-            row.append(TwoForm(TorusElement._wrap(params, {(0, 0, 0): acc} if acc else {})))
         out.append(row)
     return MatrixForm(out)

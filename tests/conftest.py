@@ -27,6 +27,12 @@ def assert_close(a: TorusElement, b: TorusElement, tol: float = 1e-12):
     assert d <= tol, f"element distance {d} > {tol}\n  a={a!r}\n  b={b!r}"
 
 
+def deck_elements(spec) -> list:
+    """Every element of the deck group Z_{k1} x Z_{k2} of a covering, a-major."""
+    k1, k2 = spec.degrees
+    return [spec.deck(a, b) for a in range(k1) for b in range(k2)]
+
+
 def exact_form_dict(form) -> dict:
     """A MatrixForm in its report layout, each entry by the exact TorusElement.to_dict."""
     return {"rank": form.rank, "entries": [[{"dudv": e.dudv.to_dict()} for e in row] for row in form.entries]}

@@ -187,6 +187,20 @@ def test_flow_at_time_zero_is_identity(a, w):
     assert apply_auto(w, 0.0, a).terms == a.terms
 
 
+def test_flow_at_integer_time_is_exactly_the_identity(params):
+    # tau (alpha m + beta n) is reduced mod 1 before the exponential, so an integer phase leaves the
+    # coefficient as it is, sign bits included, whatever the degree
+    for w in ((1, 0), (2, 3), (0, 4)):
+        for m in (1, 7, 4000, 10**4, 10**5, 10**6):
+            for n in (0, 1, -3, m):
+                for c in (1, complex(0.3, -0.0), complex(-0.0, -2.5)):
+                    a = mono(m, n, c, params)
+                    for tau in (1.0, 2.0, -1.0):
+                        (got,) = apply_auto(w, tau, a).terms.items()
+                        want = ((m, n, 0), complex(c))
+                        assert got == want and str(got) == str(want), (w, m, n, c, tau)
+
+
 @settings(max_examples=60)
 @given(a=elements(), b=elements(), w=small_weights, tau=st.floats(-2, 2))
 def test_flow_is_automorphism(a, b, w, tau):
@@ -276,6 +290,16 @@ def test_json_round_trip(rng, params):
         back = TorusElement.from_dict(json.loads(json.dumps(a.to_dict())))
         assert back.params == a.params
         assert back.terms == a.terms
+
+
+def test_json_round_trip_keeps_signed_zero_parts(params):
+    # each term is read as given; only a repeated key is summed
+    for c in (complex(0.3, -0.0), complex(-0.0, 2.0), complex(-1.5, -0.0)):
+        (back,) = TorusElement.from_dict(json.loads(json.dumps(mono(2, -1, c, params, 3).to_dict()))).terms.values()
+        assert str(back) == str(c)
+    twice = [{"m": 1, "n": 0, "re": 0.5, "im": 1.0}, {"m": 1, "n": 0, "re": -0.5, "im": 1.0}]
+    repeated = {"theta": THETA, "terms": twice}
+    assert TorusElement.from_dict(repeated).terms == {(1, 0, 0): 2j}
 
 
 def test_json_shape(params):

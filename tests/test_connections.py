@@ -6,13 +6,14 @@ import hashlib
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import THETA, assert_close, exact_form_dict
 from nctorus import connections
-from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, u, v, vector_distance, zero
+from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, real, u, v, vector_distance, zero
 from nctorus.connections import (
     Connection,
     check_transport_axioms,
@@ -304,6 +305,72 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
         Connection.from_dict({**scalar, "rank": 2}, params)
 
 
+def reference_entry(raw):
+    """Reference copy of the general entry parse, which every payload took before the float-pair path."""
+    if isinstance(raw, dict):
+        return TorusElement.from_dict(raw)
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        return complex(real(raw[0], "entry re"), real(raw[1], "entry im"))
+    return complex(real(raw, "connection entry"))
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
+
+
+BIG = sys.float_info.max
+GOOD_ENTRIES = [
+    [0.0, -0.0], [-0.0, 0.0], [BIG, -BIG], [5e-324, -1e-310], [1.5, -2.5], [1, 2.0], [0.5, 3], 2.5, -1, (0.25, -0.0),
+    (1, 2), [2**60, 0.0],
+]  # fmt: skip
+BAD_ENTRIES = [
+    [True, 0.0], [0.0, False], True, [math.nan, 0.0], [0.0, math.nan], math.nan, [math.inf, 0.0], [0.0, -math.inf],
+    -math.inf, [10**400, 0.0], [0.0, -(10**400)], 10**400, (math.nan, 1.0), (1.0, "2"), (1.0, 2.0, 3.0),
+    [1.0, 2.0, 3.0], [1.0], [], ["1", 2.0], "1", None, [[1.0, 2.0], 0.0], {"a": {"b": 1}}, {"theta": 0.5},
+    {"theta": 0.5, "terms": [{"m": 0, "n": 0, "re": math.inf, "im": 0.0}]}, [{"re": 1.0}, 0.0],
+]  # fmt: skip
+
+
+def test_entry_parse_keeps_values_and_errors(params):
+    # the float-pair path gives the general parse's complex bit for bit, and any other entry takes
+    # the general parse, with its exception class and message, through from_dict and cli.run
+    from nctorus.cli import ScenarioError, run
+
+    rng = random.Random(20261020)
+    for entry in GOOD_ENTRIES:
+        conn = Connection.from_dict({"rank": 1, "theta_u": [[entry]], "theta_v": [[0.0]]}, params)
+        want = reference_entry(entry)
+        assert _signed(conn.scalars[0][0][0]) == _signed(0j + want)
+        assert {key: _signed(c) for key, c in conn.theta_u[0][0].terms.items()} == (
+            {(0, 0, 0): _signed(want)} if want else {}
+        )
+    for entry in BAD_ENTRIES:
+        kind, message = _outcome(reference_entry, entry)
+        assert kind != "ok"
+        for _ in range(3):
+            mats = [[[[rng.uniform(-1, 1), rng.uniform(-1, 1)] for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            mats[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] = entry
+            payload = {"rank": 2, "theta_u": mats[0], "theta_v": mats[1], "constant": True}
+            assert _outcome(Connection.from_dict, payload, params) == (kind, message)
+            scenario = {"v": 1, "command": "flat", "theta": params.theta, "connection": payload}
+            assert _outcome(run, scenario) == (ScenarioError, f"bad connection: {message}")
+
+
+def test_constructor_checks_shape_before_entries(params):
+    # the complex-row pass falls back to the general one on any bad entry, which checks the shape first
+    other = TorusParams(0.5)
+    cases = [
+        ([[10**400, 1]], RankMismatch), ([[None, u(params)]], RankMismatch), ([[u(params)], [1]], RankMismatch),
+        ([[10**400]], OverflowError), ([[None]], TypeError), ([["x"]], ValueError), ([[u(other)]], ParamMismatch),
+    ]  # fmt: skip
+    for theta_u, error in cases:
+        with pytest.raises(error):
+            Connection(params, theta_u, [[0]])
+
+
 def test_cached_fold_is_not_exposed(block_conn):
     # every weight matrix is a fresh array, so writing to one leaves later transports intact
     before = transport(block_conn, (1, 2), 0.5).matrix
@@ -352,8 +419,8 @@ def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
 
 
 def test_scalar_connection_builds_no_theta_element(monkeypatch, params):
-    # a rank-16 [re, im] payload: parse, transport and curvature read complex rows; the only
-    # elements built are the n * n curvature entries themselves
+    # a rank-16 [re, im] payload: parse, transport, curvature, flatness and the report read complex
+    # rows; no element is built until someone reads the curvature's entries
     gen = np.random.default_rng(20261018)
     n = 16
 
@@ -368,10 +435,12 @@ def test_scalar_connection_builds_no_theta_element(monkeypatch, params):
     monkeypatch.setattr(TorusElement, "_wrap", classmethod(lambda cls, *a: built.append(1) or wrap(*a)))
     conn = Connection.from_dict(payload, params)
     transport(conn, (1, 2), 0.5).to_dict()
+    form = curvature_form(conn)
+    assert not is_flat(conn) and not form.is_zero()
+    form.to_dict()
     assert built == []
-    curvature_form(conn)
-    is_flat(conn)
-    assert len(built) == 2 * n * n
+    form.entries
+    assert len(built) == n * n
 
 
 def _signed(c: complex) -> tuple:
@@ -476,4 +545,4 @@ def test_symbolic_bytes_are_pinned():
         conn = Connection(params, a, (0.3 * np.array(a)).tolist())
         weight = (rng.randint(-2, 2), rng.randint(1, 2))
         digest.update(repr(check_transport_axioms(conn, weight, samples=5, seed=rng.getrandbits(32))).encode())
-    assert digest.hexdigest() == "a1d0103409f5d01380f829cfa311916ae7cd5fafc09e0ce93d9a94f2b46ada73"
+    assert digest.hexdigest() == "059ae8bc58e8374fc730e2f1264561525f017f7798bb7b95eb88f20b01df6fe9"

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALT_THETA, THETA, assert_close
-from nctorus.algebra import TorusParams, apply_auto, lam, one, random_element, u, v
+from conftest import ALT_THETA, THETA, assert_close, deck_elements
+from nctorus.algebra import EQ_TOL, TorusParams, apply_auto, lam, mono, one, random_element, u, v
 from nctorus.connections import Connection, rotation_block_connection, scalar_connection
 from nctorus.coverings import (
     CoveringSpec,
@@ -53,7 +53,7 @@ def test_covering_degrees_are_integers(params):
     spec = CoveringSpec(params, (2.0, 3.0))
     assert spec.degrees == (2, 3) and all(type(k) is int for k in spec.degrees)
     assert spec.cover.theta == params.theta / 6
-    assert all(type(c) is int for g in spec.deck_elements() for c in (g.a, g.b))
+    assert all(type(c) is int for g in deck_elements(spec) for c in (g.a, g.b))
 
 
 def test_deck_coordinates_are_integers(params):
@@ -121,7 +121,7 @@ def test_deck_generators_on_cover_generators(spec):
 
 
 def test_deck_fixes_projected_elements_exactly(spec, params, rng):
-    for g in spec.deck_elements():
+    for g in deck_elements(spec):
         for _ in range(10):
             a = random_element(rng, params)
             assert deck_act(g, project(spec, a)).terms == project(spec, a).terms
@@ -134,14 +134,14 @@ def test_identity_deck_acts_trivially(spec, rng):
 
 
 def test_deck_action_is_group_action(spec, rng):
-    for g1 in spec.deck_elements():
-        for g2 in spec.deck_elements():
+    for g1 in deck_elements(spec):
+        for g2 in deck_elements(spec):
             a = random_element(rng, spec.cover)
             assert_close(deck_act(g1, deck_act(g2, a)), deck_act(g1 + g2, a))
 
 
 def test_deck_action_is_star_automorphism(spec, rng):
-    for g in spec.deck_elements():
+    for g in deck_elements(spec):
         a = random_element(rng, spec.cover)
         b = random_element(rng, spec.cover)
         assert_close(deck_act(g, a * b), deck_act(g, a) * deck_act(g, b))
@@ -151,7 +151,7 @@ def test_deck_action_is_star_automorphism(spec, rng):
 def test_equivariance_of_deck_action(spec, params, rng):
     # g(pi(a) atilde) = pi(a) (g atilde) on 200 random triples
     for i in range(200):
-        g = spec.deck_elements()[i % 4]
+        g = deck_elements(spec)[i % 4]
         a = random_element(rng, params)
         atilde = random_element(rng, spec.cover)
         assert_close(
@@ -211,7 +211,7 @@ def oracle_classify(spec: CoveringSpec, alpha: int, beta: int):
     k1, k2 = spec.degrees
     deck_phases = [
         (g, cmath.exp(2j * math.pi * g.a / k1), cmath.exp(2j * math.pi * g.b / k2))
-        for g in spec.deck_elements()
+        for g in deck_elements(spec)
     ]
 
     def member(tau):
@@ -304,6 +304,17 @@ def test_scalar_wilson_values(spec, params):
     assert np.array_equal(wilson(spec, spec.deck(0, 0), conn).matrix, np.eye(1))
 
 
+def test_scalar_wilson_operator_on_high_degree_elements(spec, params):
+    # the flow of g_u's path at time 1 is exactly the identity, so W acts on u^m as the scalar W
+    # at every degree; the error of an unreduced phase grows with m, though not monotonically
+    conn = scalar_connection(params, C_U, C_V)
+    op = wilson(spec, spec.g_u, conn)
+    w = complex(op.matrix[0, 0])
+    for m in (4000, 10**4, 10**5):
+        (got,) = op.apply([mono(m, 0, 1, params)])
+        assert_close(got, mono(m, 0, w, params), tol=EQ_TOL)
+
+
 def test_block_wilson_matrices(spec, params):
     conn = rotation_block_connection(params, 0.125, 1 / 6)
     got = wilson(spec, spec.g_u, conn).matrix
@@ -345,9 +356,9 @@ def test_wilson_homomorphism_without_wraparound(spec, params):
 def test_wilson_full_homomorphism_at_half_integer_holonomy(spec, params):
     # wraparound g_u + g_u = e needs exp(4 pi i c) = 1, i.e. half-integer c
     conn = scalar_connection(params, 0.5, 0.5)
-    table = {(g.a, g.b): wilson(spec, g, conn).matrix for g in spec.deck_elements()}
-    for g1 in spec.deck_elements():
-        for g2 in spec.deck_elements():
+    table = {(g.a, g.b): wilson(spec, g, conn).matrix for g in deck_elements(spec)}
+    for g1 in deck_elements(spec):
+        for g2 in deck_elements(spec):
             g3 = g1 + g2
             prod = table[(g1.a, g1.b)] @ table[(g2.a, g2.b)]
             assert np.max(np.abs(prod - table[(g3.a, g3.b)])) < 1e-10

@@ -6,11 +6,11 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import THETA, assert_close, exact_form_dict
-from nctorus.algebra import TorusParams, apply_derivation, lam, mono, one, u, v, zero
+from nctorus.algebra import EQ_TOL, TorusParams, apply_derivation, lam, mono, one, u, v, zero
 from nctorus.connections import Connection, rotation_block_connection
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
 from test_algebra import elements
@@ -119,8 +119,8 @@ def test_matrix_form_is_zero_at_tolerance(params):
 # -- constant coefficients: scalar path against the element loop -----------------
 
 
-def element_curvature(conn) -> dict:
-    """Reference copy of the generic element loop, run on every connection."""
+def element_loop(conn) -> list:
+    """Reference copy of the generic element loop, run on every connection: the F_ij elements."""
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
     entries = []
     for i in range(n):
@@ -130,9 +130,14 @@ def element_curvature(conn) -> dict:
             for k in range(n):
                 acc = acc + (tu[i][k] * tv[k][j] - tv[i][k] * tu[k][j])
             d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
-            row.append({"dudv": (d + acc).to_dict()})
+            row.append(d + acc)
         entries.append(row)
-    return {"rank": n, "entries": entries}
+    return entries
+
+
+def element_curvature(conn) -> dict:
+    """The element loop's F in the exact report layout."""
+    return {"rank": conn.rank, "entries": [[{"dudv": e.to_dict()} for e in row] for row in element_loop(conn)]}
 
 
 def haar_connection(params, gen, rank):
@@ -174,6 +179,58 @@ def test_constant_curvature_matches_element_loop_bit_for_bit(params):
         assert all(e.terms.keys() <= {(0, 0, 0)} for mat in (conn.theta_u, conn.theta_v) for row in mat for e in row)
         got = json.dumps(exact_form_dict(curvature_form(conn)), sort_keys=True)
         assert got == json.dumps(element_curvature(conn), sort_keys=True)
+
+
+def _signed_terms(e) -> dict:
+    """The terms of an element with the sign bits of both parts of each coefficient."""
+    return {key: (c, math.copysign(1, c.real), math.copysign(1, c.imag)) for key, c in e.terms.items()}
+
+
+def test_scalar_curvature_entries_are_built_on_first_access(params):
+    # the constant path holds complex rows; its TwoForm entries, built when read, are the loop's
+    gen = np.random.default_rng(20261019)
+    for rank in range(1, 7):
+        for conn in (haar_connection(params, gen, rank), signed_zero_connection(params, gen, rank)):
+            form = curvature_form(conn)
+            form.is_zero(), form.to_dict()
+            got = [[_signed_terms(e.dudv) for e in row] for row in form.entries]
+            assert got == [[_signed_terms(e) for e in row] for row in element_loop(conn)]
+            assert all(e.dudv.params is conn.params for row in form.entries for e in row)
+            assert form.entries is form.entries
+
+
+#: 0, -0.0, ints, subnormal, tiny, at-tolerance and large parts, whose products
+#: cancel to signed zeros, underflow, or overflow to inf and NaN
+parts = st.sampled_from([0, -0.0, 0.0, 1, -2, 3, 5e-324, 1e-310, 1e-13, 1e-12, 0.5, -1.25, 1e150, -1e154, 1e300])
+scalar_entries = st.one_of(parts, st.builds(complex, parts, parts))
+
+
+@st.composite
+def scalar_matrices(draw):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    square = st.lists(st.lists(scalar_entries, min_size=rank, max_size=rank), min_size=rank, max_size=rank)
+    return draw(square), draw(square)
+
+
+# F_01 = -8i: a sum started at -0j rather than 0j would print its real part as -0.0
+@example(mats=([[complex(-1, -0.0), complex(-1, 2)], [1j, 2]], [[complex(2, -1), 1j], [-1j, complex(-0.0, -0.0)]]))
+@given(mats=scalar_matrices())
+def test_scalar_form_reports_as_its_element_form(mats):
+    # the complex-row MatrixForm and the TwoForm MatrixForm of the element loop: same bytes, same verdict
+    conn = Connection(TorusParams(THETA), *mats)
+    scalar, element = curvature_form(conn), MatrixForm([[TwoForm(e) for e in row] for row in element_loop(conn)])
+    assert json.dumps(scalar.to_dict(), sort_keys=True) == json.dumps(element.to_dict(), sort_keys=True)
+    assert scalar.is_zero() == element.is_zero()
+    assert scalar.rank == element.rank == conn.rank
+
+
+def test_scalar_form_is_zero_at_tolerance(params):
+    # rows and TwoForm entries of the same coefficients: EQ_TOL itself is zero, the next double is not
+    above = math.nextafter(EQ_TOL, 1.0)
+    for c, zero_verdict in ((EQ_TOL, True), (complex(0, -EQ_TOL), True), (above, False), (complex(0, above), False)):
+        rows = [[0j, c], [0j, 0j]]
+        entries = [[TwoForm(mono(0, 0, x, params)) for x in row] for row in rows]
+        assert MatrixForm(params=params, rows=rows).is_zero() is MatrixForm(entries).is_zero() is zero_verdict
 
 
 def test_lambda_power_entries_keep_exact_exponents(params):
