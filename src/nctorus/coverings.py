@@ -17,11 +17,10 @@ theorem, so check_path_independence exposes the comparison.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import CERTIFY_TOL, TWO_PI, TorusElement, TorusParams, integral, r15
+from .algebra import CERTIFY_TOL, TorusElement, TorusParams, exact_phase, integral, r15
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
@@ -97,19 +96,17 @@ def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:
 def deck_act(g: DeckElement, a: TorusElement) -> TorusElement:
     """Deck automorphism: scales x^p y^q by exp(2 pi i (a p / k1 + b q / k2)).
 
-    The phase exponent is reduced mod (k1, k2) in integer arithmetic, so
-    monomials in the image of project are fixed exactly.
+    The phase is one ``exact_phase`` of the integer ratio (a p k2 + b q k1, k1 k2),
+    so a coefficient whose phase is an integer (every monomial in the image
+    of project among them) is kept bit for bit.
     """
     k1, k2 = g.degrees
+    a_turns, b_turns, den = g.a * k2, g.b * k1, k1 * k2
     terms = {}
-    for (p, q, k), c in a.terms.items():
-        r = (g.a * p) % k1
-        s = (g.b * q) % k2
-        if r == 0 and s == 0:
-            terms[(p, q, k)] = c
-        else:
-            terms[(p, q, k)] = c * cmath.exp(TWO_PI * 1j * (r / k1 + s / k2))
-    return TorusElement(a.params, terms)
+    for key, c in a.terms.items():
+        phase = exact_phase((a_turns * key[0] + b_turns * key[1], den), 1)
+        terms[key] = c if phase == 1 else c * phase  # exact_phase is exactly 1 only at phase 0
+    return TorusElement._wrap(a.params, terms)  # |c e^{i phi}| is |c| to a rounding: never zero
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,16 @@ modeled, and anything requiring it raises UnsupportedProduct.  Every
 computation the model supports cancels legs pairwise, which is all the
 generalized-Wilson and pure-gauge checks need.
 
-Cos/sin sums extend the model entrywise to the 4x4 block gauge field, whose
-Wilson images are rotation blocks.
+Cos/sin sums extend the model entrywise to the 4x4 block gauge field
+U = diag(R_u, R_v), with R = ((cos, -sin), (sin, cos)) on one leg.  Its
+Wilson image (deck(p,q) . U) U^* is block diagonal too, so it is computed one
+2x2 rotation block per leg, from that leg's two sums.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .algebra import EQ_TOL, exact_phase
@@ -90,13 +93,14 @@ class CharacterSum:
     def mul_by_inverse(self, unit: "CharacterSum") -> "CharacterSum":
         """self * unit^{-1} for a one-term unit of unitary legs; inner v-legs must cancel.
 
-        unit^{-1} = conj(c2) / |c2|^2 pi_v(-b2) pi_u(-a2) stands in anti-normal
-        order, so the product is only defined when the v frequencies agree.
+        unit^{-1} = (1 / c2) pi_v(-b2) pi_u(-a2) stands in anti-normal order, so
+        the product is only defined when the v frequencies agree.  Complex
+        division scales c2, so no |c2|^2 underflows or overflows.
         """
         if len(unit.terms) != 1:
             raise UnsupportedProduct(f"inverse of a {len(unit.terms)}-term sum is not modeled")
         (((a2, b2), c2),) = unit.terms.items()
-        inv = c2.conjugate() / (abs(c2) ** 2)
+        inv = 1 / c2
         out = []
         for (a, b), c in self.terms.items():
             if b - b2 != 0:
@@ -163,32 +167,25 @@ def sine_sum(freq: float, leg: str) -> CharacterSum:
     return CharacterSum(((0.0, freq, -0.5j), (0.0, -freq, 0.5j)))
 
 
-def block_gauge_field(c_u: float, c_v: float) -> list[list[CharacterSum]]:
-    """The 4x4 unitary with cos/sin character entries: u-rotation block + v-rotation block."""
-    cu, su = cosine_sum(c_u, "u"), sine_sum(c_u, "u")
-    cv, sv = cosine_sum(c_v, "v"), sine_sum(c_v, "v")
-    z = CharacterSum()
-    return [
-        [cu, -su, z, z],
-        [su, cu, z, z],
-        [z, z, cv, -sv],
-        [z, z, sv, cv],
-    ]
-
-
 def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
-    """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix."""
+    """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix.
+
+    U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*):
+    the off-diagonal blocks stay zero, and each leg deck-shifts and adjoins
+    only its two distinct sums c and s.  Entry (i, j) of a block merges its
+    two products in one sum.
+    """
     import numpy as np
 
-    gauge = block_gauge_field(c_u, c_v)
-    n = len(gauge)
-    shifted = [[entry.deck(p, q) for entry in row] for row in gauge]
-    adjoint = [[gauge[j][i].star() for j in range(n)] for i in range(n)]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = CharacterSum()
-            for k in range(n):
-                acc = acc + shifted[i][k] * adjoint[k][j]
-            out[i, j] = acc.constant_value()
+    out = np.zeros((4, 4), dtype=complex)
+    for at, freq, leg in ((0, c_u, "u"), (2, c_v, "v")):
+        c, s = cosine_sum(freq, leg), sine_sum(freq, leg)
+        dc, ds = c.deck(p, q), s.deck(p, q)
+        cs, ss = c.star(), s.star()
+        shifted = ((dc, -ds), (ds, dc))
+        adjoint = ((cs, ss), (-ss, cs))
+        for i in (0, 1):
+            for j in (0, 1):
+                entry = CharacterSum(chain.from_iterable(shifted[i][k] * adjoint[k][j] for k in (0, 1)))
+                out[at + i, at + j] = entry.constant_value()
     return out

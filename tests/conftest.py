@@ -38,6 +38,44 @@ def exact_form_dict(form) -> dict:
     return {"rank": form.rank, "entries": [[{"dudv": e.dudv.to_dict()} for e in row] for row in form.entries]}
 
 
+# -- dense reference for the infinite cover's block Wilson relation ----------
+
+
+def block_gauge_field(c_u: float, c_v: float) -> list:
+    """The 4x4 unitary with cos/sin character entries: u-rotation block + v-rotation block."""
+    from nctorus.infinitecover import CharacterSum, cosine_sum, sine_sum
+
+    cu, su = cosine_sum(c_u, "u"), sine_sum(c_u, "u")
+    cv, sv = cosine_sum(c_v, "v"), sine_sum(c_v, "v")
+    z = CharacterSum()
+    return [
+        [cu, -su, z, z],
+        [su, cu, z, z],
+        [z, z, cv, -sv],
+        [z, z, sv, cv],
+    ]
+
+
+def dense_matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float):
+    """(deck(p,q) . U) U^* by the full 4x4 product over every entry of U, zero blocks included."""
+    import numpy as np
+
+    from nctorus.infinitecover import CharacterSum
+
+    gauge = block_gauge_field(c_u, c_v)
+    n = len(gauge)
+    shifted = [[entry.deck(p, q) for entry in row] for row in gauge]
+    adjoint = [[gauge[j][i].star() for j in range(n)] for i in range(n)]
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            acc = CharacterSum()
+            for k in range(n):
+                acc = acc + shifted[i][k] * adjoint[k][j]
+            out[i, j] = acc.constant_value()
+    return out
+
+
 # -- brute-force normal-ordering oracle ------------------------------------
 #
 # The only axiom used is u v = lambda v u, applied one letter at a time:

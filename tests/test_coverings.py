@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import ALT_THETA, THETA, assert_close, deck_elements
-from nctorus.algebra import EQ_TOL, TorusParams, apply_auto, lam, mono, one, random_element, u, v
+from nctorus.algebra import EQ_TOL, TorusElement, TorusParams, apply_auto, lam, mono, one, random_element, u, v
 from nctorus.connections import Connection, rotation_block_connection, scalar_connection
 from nctorus.coverings import (
     CoveringSpec,
@@ -125,6 +127,39 @@ def test_deck_fixes_projected_elements_exactly(spec, params, rng):
         for _ in range(10):
             a = random_element(rng, params)
             assert deck_act(g, project(spec, a)).terms == project(spec, a).terms
+
+
+def test_deck_keeps_a_whole_turn_exactly(spec):
+    # 1/2 + 1/2 is one turn: the coefficient of xy stays 1, not 1 - 2.4e-16j
+    xy = x(spec) * y(spec)
+    assert deck_act(spec.deck(1, 1), xy).terms == {(1, 1, 0): 1 + 0j}
+
+
+def test_deck_keeps_coefficients_at_integer_phase_bit_for_bit(params):
+    rng = random.Random(59)
+    split = turned = 0
+    for _ in range(100):
+        k1 = rng.choice((rng.randint(2, 6), rng.randint(1, 1000)))
+        k2 = rng.choice((k1, rng.randint(1, 12)))
+        spec = CoveringSpec(params, (k1, k2))
+        g = spec.deck(rng.randrange(k1), rng.randrange(k2))
+        terms = {}
+        for _ in range(40):
+            c = complex(rng.uniform(-1, 1), rng.choice((rng.uniform(-1, 1), 0.0, -0.0)))
+            terms[(rng.randint(-(10**6), 10**6), rng.randint(-50, 50), rng.randint(-5, 5))] = c
+        a = TorusElement(spec.cover, terms)
+        got = deck_act(g, a).terms
+        assert list(got) == list(a.terms)
+        for (p, q, k), c in a.terms.items():
+            turns = Fraction(g.a * p, k1) + Fraction(g.b * q, k2)
+            if turns.denominator == 1:
+                assert (got[p, q, k].real.hex(), got[p, q, k].imag.hex()) == (c.real.hex(), c.imag.hex())
+                split += g.a * p % k1 != 0  # then the v leg is fractional too
+            else:
+                assert abs(got[p, q, k] - c * cmath.exp(2j * math.pi * float(turns % 1))) <= 1e-15 * abs(c)
+                turned += 1
+    # whole turns made of two fractional legs are the case a per-leg sum of floats misses
+    assert split > 60 and turned > 2000
 
 
 def test_identity_deck_acts_trivially(spec, rng):

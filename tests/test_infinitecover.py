@@ -6,6 +6,7 @@ import cmath
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,16 @@ def test_mul_by_inverse_cancels_legs():
     for unit in (mono(1, C_U, 0.99), CharacterSum(), cosine_sum(C_U, "u")):
         with pytest.raises(UnsupportedProduct):
             gauge.mul_by_inverse(unit)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_mul_by_inverse_takes_tiny_and_huge_coefficients(scale):
+    # |c|^2 of these underflows to 0 or overflows to inf; 1 / c does neither
+    for c in (scale, scale * (0.6 - 0.8j)):
+        unit = mono(c, C_U, C_V)
+        assert abs(unit.mul_by_inverse(unit).constant_value() - 1) < 1e-15
+        got = gauge_unitary(C_U, C_V).mul_by_inverse(unit).constant_value()
+        assert abs(got * c - 1) < 1e-15
 
 
 # -- Wilson relation --------------------------------------------------------------
@@ -262,6 +273,34 @@ def test_matrix_wilson_is_homomorphic_on_z2():
     assert np.max(np.abs(a @ b - ab)) < 1e-12
     sq = matrix_wilson_relation(2, 0, C_U, C_V)
     assert np.max(np.abs(a @ a - sq)) < 1e-12
+
+
+def test_matrix_wilson_is_bytes_of_dense_product():
+    """The per-leg block product gives the bytes of the full 4x4 product, and raises as it does."""
+    from conftest import dense_matrix_wilson_relation
+
+    rng = random.Random(53)
+    couplings = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, 1e308]
+    couplings += [rng.uniform(-1, 1) for _ in range(3)] + [rng.uniform(-1e3, 1e3)]
+    big = 10**6
+    decks = [(0, 0), (1, 0), (0, -1), (big, 0), (0, big), (-big, big), (big, -big + 1)]
+    for _ in range(6):
+        size = int(big ** rng.random())
+        decks += [(rng.choice((-1, 1)) * size, 0), (0, rng.choice((-1, 1)) * size)]
+        decks.append(tuple(rng.randint(-big, big) for _ in range(2)))
+    for c_u in couplings:
+        for c_v in couplings:
+            for p, q in decks:
+                got = matrix_wilson_relation(p, q, c_u, c_v).tobytes()
+                assert got == dense_matrix_wilson_relation(p, q, c_u, c_v).tobytes(), (p, q, c_u, c_v)
+
+    bad = [math.inf, -math.inf, math.nan]
+    for c_u, c_v in [(f, 0.25) for f in bad] + [(0.25, f) for f in bad] + [(math.nan, math.inf), (-0.0, math.nan)]:
+        for p, q in [(0, 0), (3, -2)]:
+            with pytest.raises(Exception) as want:
+                dense_matrix_wilson_relation(p, q, c_u, c_v)
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                matrix_wilson_relation(p, q, c_u, c_v)
 
 
 def test_wilson_bytes_are_pinned():

@@ -4,8 +4,11 @@ Usage: ``python3 tools/result_digest.py`` from any directory.  It runs 10
 paper-mix, 3 rank-sweep, 2 symbolic and 10 deep-deck cycles of
 ``perfbench/workloads.py`` at seeds 1-6, each operation through
 ``perfbench/calls.py``, and prints one ``workload count sha256`` line per
-workload.  Two checkouts that print the same lines give byte-identical
-results on all of these operations.
+workload.  Under it goes one ``workload call count sha256`` line per operation
+kind (the spec's ``call``), in order of first use, hashing the same results
+of that kind alone.  Two checkouts that print the same lines give
+byte-identical results on all of these operations; a moved kind line tells
+which entry point changed them.
 
 A result is serialized as sorted-key ``to_dict()`` JSON when it has
 ``to_dict``, as ``tobytes()`` for an array, elementwise for a tuple or list,
@@ -29,21 +32,23 @@ CYCLES = {"paper-mix": 10, "rank-sweep": 3, "symbolic": 2, "deep-deck": 10}
 SEEDS = range(1, 7)
 
 
-def serialize(value, digest) -> None:
+def chunks(value):
+    """The bytes that stand for one result, in hashing order."""
     if hasattr(value, "to_dict"):
-        digest.update(json.dumps(value.to_dict(), sort_keys=True).encode())
+        yield json.dumps(value.to_dict(), sort_keys=True).encode()
     elif hasattr(value, "tobytes"):
-        digest.update(value.tobytes())
+        yield value.tobytes()
     elif isinstance(value, (tuple, list)):
         for item in value:
-            serialize(item, digest)
+            yield from chunks(item)
     else:
-        digest.update(repr(value).encode())
+        yield repr(value).encode()
 
 
 def main() -> None:
     for workload, cycles in CYCLES.items():
         digest, count = hashlib.sha256(), 0
+        kinds: dict[str, list] = {}  # call -> [count, sha256 of its results]
         for seed in SEEDS:
             stream = Stream(workload, seed)
             for _ in range(cycles):
@@ -52,9 +57,15 @@ def main() -> None:
                         value = calls.prepare(spec)()
                     except Exception as exc:  # every error class is part of the result
                         value = type(exc).__name__
-                    serialize(value, digest)
+                    kind = kinds.setdefault(spec["call"], [0, hashlib.sha256()])
+                    for chunk in chunks(value):
+                        digest.update(chunk)
+                        kind[1].update(chunk)
                     count += 1
+                    kind[0] += 1
         print(workload, count, digest.hexdigest())
+        for call, (n, kind_digest) in kinds.items():
+            print(workload, call, n, kind_digest.hexdigest())
 
 
 if __name__ == "__main__":
