@@ -18,7 +18,12 @@ merge, which drops a key whose sum reaches zero.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
-ever stores the value exact_phase computes, so concurrent fills agree.
+ever stores the value turn computes, so concurrent fills agree.
+
+Every root of unity in the package, lambda**k, the flows and the deck
+actions of both covers, is one call of turn: the turn is reduced mod 1
+exactly, a whole turn keeps its coefficient untouched, and any other turn
+costs one rounding of the exponential per term.
 """
 
 from __future__ import annotations
@@ -68,18 +73,18 @@ def r15(x):
     return float(f"{x:.15g}") if isinstance(x, float) else x
 
 
-def exact_phase(ratio: tuple[int, int], count: int) -> complex:
-    """exp(2 pi i count num / den) for ratio = (num, den), reduced mod 1 in integers.
+def turn(c: complex, x, den: int = 1) -> complex:
+    """c * exp(2 pi i x / den), with x / den reduced mod 1 first; c itself at a whole turn.
 
-    On the integer ratio of a double x this is exp(2 pi i count x): exactly 1
-    when count x is an integer, otherwise one rounding whatever the size of
-    count.
+    The reduction r = x % den is exact in integers for an int x; for a float x
+    (den 1) float % rounds once, to the double that r / den gives on the
+    integer ratio of x.  So the result is c, untouched, exactly when x / den
+    is an integer, and otherwise carries one rounding whatever the size of x.
     """
-    num, den = ratio
-    r = (count * num) % den
-    if r == 0:
-        return 1 + 0j
-    return cmath.exp(TWO_PI * 1j * (r / den))
+    r = x % den
+    if not r:
+        return c
+    return c * cmath.exp(TWO_PI * 1j * (r / den))
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,10 @@ class TorusParams:
 
     def lam(self, k: int = 1) -> complex:
         """lambda**k = exp(2 pi i k theta), k theta reduced mod 1 exactly; memoized at |k| <= 64."""
+        num, den = self._ratio
         if -64 <= k <= 64:
-            return self._powers.get(k) or self._powers.setdefault(k, exact_phase(self._ratio, k))
-        return exact_phase(self._ratio, k)
+            return self._powers.get(k) or self._powers.setdefault(k, turn(1 + 0j, k * num, den))
+        return turn(1 + 0j, k * num, den)
 
 
 class TorusElement:
@@ -316,8 +322,7 @@ def apply_auto(weight: Weight, tau: float, a: TorusElement) -> TorusElement:
     alpha, beta = weight
     terms = {}
     for key, c in a.terms.items():
-        r = (tau * (alpha * key[0] + beta * key[1])) % 1.0  # float % is exact: an integer phase keeps c
-        terms[key] = c * cmath.exp(TWO_PI * 1j * r) if r else c
+        terms[key] = turn(c, tau * (alpha * key[0] + beta * key[1]))
     return TorusElement._wrap(a.params, terms)  # |c e^{i phi}| is |c| to a rounding: never zero
 
 

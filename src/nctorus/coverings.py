@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import CERTIFY_TOL, TorusElement, TorusParams, exact_phase, integral, r15
+from .algebra import CERTIFY_TOL, TorusElement, TorusParams, integral, r15, turn
 from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
@@ -96,7 +96,7 @@ def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:
 def deck_act(g: DeckElement, a: TorusElement) -> TorusElement:
     """Deck automorphism: scales x^p y^q by exp(2 pi i (a p / k1 + b q / k2)).
 
-    The phase is one ``exact_phase`` of the integer ratio (a p k2 + b q k1, k1 k2),
+    The phase is one ``turn`` of the integer ratio (a p k2 + b q k1, k1 k2),
     so a coefficient whose phase is an integer (every monomial in the image
     of project among them) is kept bit for bit.
     """
@@ -104,8 +104,7 @@ def deck_act(g: DeckElement, a: TorusElement) -> TorusElement:
     a_turns, b_turns, den = g.a * k2, g.b * k1, k1 * k2
     terms = {}
     for key, c in a.terms.items():
-        phase = exact_phase((a_turns * key[0] + b_turns * key[1], den), 1)
-        terms[key] = c if phase == 1 else c * phase  # exact_phase is exactly 1 only at phase 0
+        terms[key] = turn(c, a_turns * key[0] + b_turns * key[1], den)
     return TorusElement._wrap(a.params, terms)  # |c e^{i phi}| is |c| to a rounding: never zero
 
 

@@ -24,23 +24,11 @@ import math
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
-from .algebra import EQ_TOL, exact_phase
+from .algebra import EQ_TOL, turn
 from .errors import UnsupportedProduct
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def shift_up(frequency: float, count: int = 1) -> complex:
-    """The scalar exp(2 pi i count a) by which x -> x + 2 pi count scales e^{iax}.
-
-    count * a is reduced mod 1 exactly on the integer ratio of the double a
-    (``exact_phase``), so the scalar is exactly 1 when the phase is an
-    integer and otherwise carries one rounding whatever the size of count.
-    """
-    if not math.isfinite(frequency):
-        raise ValueError(f"character frequency {frequency} is not finite")
-    return exact_phase(frequency.as_integer_ratio(), count)
 
 
 class CharacterSum:
@@ -113,9 +101,10 @@ class CharacterSum:
         out = []
         for (a, b), c in self.terms.items():
             for frequency, count in ((a, p), (b, q)):
-                phase = shift_up(frequency, count)
-                if phase != 1:
-                    c *= phase
+                if not math.isfinite(frequency):
+                    raise ValueError(f"character frequency {frequency} is not finite")
+                num, den = frequency.as_integer_ratio()
+                c = turn(c, count * num, den)
             out.append((a, b, c))
         return CharacterSum(out)
 

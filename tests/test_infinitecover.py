@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nctorus.algebra import turn
 from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
     CharacterSum,
@@ -19,7 +20,6 @@ from nctorus.infinitecover import (
     gauge_unitary,
     matrix_wilson_relation,
     mono,
-    shift_up,
     sine_sum,
     wilson_relation,
 )
@@ -32,19 +32,24 @@ def exact_turn(x: Fraction) -> complex:
     return cmath.exp(2j * math.pi * float(x % 1))
 
 
+def shift(frequency: float, count: int = 1) -> complex:
+    """The scalar by which deck(count, 0) scales the u-character of the given frequency."""
+    return mono(1, frequency, 0.0).deck(count, 0).terms[frequency, 0.0]
+
+
 # -- characters and shifts ----------------------------------------------------
 
 
 def test_shift_of_constant_character_is_trivial():
-    assert shift_up(0.0) == 1.0
+    assert shift(0.0) == 1.0
 
 
 def test_shift_scalar_value():
-    assert shift_up(C_U) == pytest.approx(cmath.exp(2j * math.pi * C_U))
+    assert shift(C_U) == pytest.approx(cmath.exp(2j * math.pi * C_U))
 
 
 def test_shift_of_integer_frequency_is_periodic():
-    assert abs(shift_up(1.0) - 1.0) < 1e-15
+    assert abs(shift(1.0) - 1.0) < 1e-15
 
 
 def test_shift_preserves_frequency_and_modulus():
@@ -53,20 +58,20 @@ def test_shift_preserves_frequency_and_modulus():
         f = rng.uniform(-5, 5)
         shifted = mono(1, f, -f).deck(1, 1)
         assert list(shifted.terms) == [(f, -f)]
-        assert abs(abs(shift_up(f)) - 1.0) < 1e-12
+        assert abs(abs(turn(1 + 0j, f)) - 1.0) < 1e-12
 
 
 def test_shift_up_count_matches_exact_phase():
     rng = random.Random(23)
     for _ in range(50):
         f, count = rng.uniform(-5, 5), rng.randint(-(10**9), 10**9)
-        assert abs(shift_up(f, count) - exact_turn(count * Fraction(f))) < 1e-12
+        assert abs(shift(f, count) - exact_turn(count * Fraction(f))) < 1e-12
 
 
 @pytest.mark.parametrize("freq", [math.inf, -math.inf, math.nan])
 def test_shift_up_rejects_non_finite_frequency(freq):
-    with pytest.raises(ValueError):
-        shift_up(freq)
+    with pytest.raises(ValueError, match="is not finite"):
+        mono(1, freq, 0.0).deck(1, 0)
 
 
 # -- monomials (one-term sums) ----------------------------------------------------
