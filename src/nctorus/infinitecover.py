@@ -100,12 +100,12 @@ class CharacterSum:
         """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg."""
         out = []
         for (a, b), c in self.terms.items():
-            for frequency, count in ((a, p), (b, q)):
+            for frequency in (a, b):
                 if not math.isfinite(frequency):
                     raise ValueError(f"character frequency {frequency} is not finite")
-                num, den = frequency.as_integer_ratio()
-                c = turn(c, count * num, den)
-            out.append((a, b, c))
+            # p a + q b as one integer ratio, so the whole term takes one rounding
+            (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+            out.append((a, b, turn(c, p * na * db + q * nb * da, da * db)))
         return CharacterSum(out)
 
     def constant_value(self) -> complex:

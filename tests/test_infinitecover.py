@@ -168,6 +168,21 @@ def test_wilson_relation_matches_exact_phase_at_large_deck():
         assert abs(wilson_relation(p, q, c_u, c_v) - expect) < 1e-12
 
 
+def test_two_leg_deck_shift_takes_one_rounding():
+    """deck(p, q) turns a two-leg term by p a + q b at once: bit for bit the exact-Fraction phase."""
+    assert wilson_relation(1, 1, 0.25, 0.75) == 1  # two fractional legs make a whole turn
+    rng = random.Random(61)
+    big = 10**9
+    cases = [(1, 1, 0.25, 0.75), (3, 5, 0.5, 0.1), (big, -big, 0.5, C_V)]
+    for _ in range(200):
+        p, q = (rng.choice((-1, 1)) * int(big ** rng.random()) for _ in range(2))
+        cases.append((p, q, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        cases.append((rng.randint(-big, big), rng.randint(-big, big), rng.uniform(-2, 2), rng.uniform(-2, 2)))
+    for p, q, c_u, c_v in cases:
+        expect = exact_turn(p * Fraction(c_u) + q * Fraction(c_v))
+        assert repr(wilson_relation(p, q, c_u, c_v)) == repr(expect), (p, q, c_u, c_v)
+
+
 def test_wilson_relation_is_group_homomorphism():
     rng = random.Random(13)
     for _ in range(40):
@@ -326,4 +341,4 @@ def test_wilson_bytes_are_pinned():
                 digest.update(repr(wilson_relation(p, q, c_u, c_v)).encode())
             for p, q in decks(rng, 10**4, 1):
                 digest.update(matrix_wilson_relation(p, q, c_u, c_v).tobytes())
-    assert digest.hexdigest() == "f4c7edd520e68dac2223139d36d2062245efa11c735f850bfca2838b4999433f"
+    assert digest.hexdigest() == "0ea0a0c5e7592330e3b24253e5ef2c5f48c818b872ab5bf48a9f77d824e086c4"
