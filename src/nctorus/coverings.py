@@ -3,11 +3,11 @@
 A covering of degrees (k1, k2) embeds the base algebra (parameter theta)
 into a cover algebra with theta' = theta/(k1 k2) via u -> x^{k1},
 v -> y^{k2}; the deck group Z_{k1} x Z_{k2} acts by scaling x^p y^q with the
-root of unity exp(2 pi i (a p / k1 + b q / k2)).  The weight-(alpha, beta)
-flow on the base lifts uniquely to the cover as apply_auto at weight
-(alpha/k1, beta/k2); integer-weight lifts reach deck elements at integer
-times, and a flow is a closed path when its lift first meets the deck group
-exactly at time 1.
+root of unity exp(2 pi i (a p / k1 + b q / k2)), one rounding per term and
+none at a whole turn.  The weight-(alpha, beta) flow on the base lifts
+uniquely to the cover as apply_auto at weight (alpha/k1, beta/k2);
+integer-weight lifts reach deck elements at integer times, and a flow is a
+closed path when its lift first meets the deck group exactly at time 1.
 
 The generalized Wilson line transports a flat constant-coefficient
 connection along the canonical representative path of a deck element
@@ -69,14 +69,6 @@ class CoveringSpec:
     def deck(self, a: int, b: int) -> DeckElement:
         k1, k2 = self.degrees
         return DeckElement(integral(a, "deck a") % k1, integral(b, "deck b") % k2, self.degrees)
-
-    @property
-    def g_u(self) -> DeckElement:
-        return self.deck(1, 0)
-
-    @property
-    def g_v(self) -> DeckElement:
-        return self.deck(0, 1)
 
 
 def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:

@@ -3,10 +3,11 @@
 An element is a ``CharacterSum``: a finite sum of normal-ordered character
 terms c * pi_u(e^{iax}) * pi_v(e^{ibx}), stored sparsely as a map from the
 frequency pair (a, b) to c.  A monomial is a one-term sum.  The deck group
-Z^2 acts by argument shifts x -> x + 2 pi on one leg at a time, which scales
-a frequency-a character by exp(2 pi i a).  That phase is reduced mod 1 in
-exact integer arithmetic, so a deck element of any size costs one rounding
-per leg.  Only products that stay inside the normal-ordered model are
+Z^2 acts by argument shifts x -> x + 2 pi on one leg at a time, so deck
+element (p, q) scales a term of frequencies (a, b) by exp(2 pi i (p a + q b)).
+That turn is reduced mod 1 in exact integer arithmetic, on the integer
+ratios of a and b, so a deck element of any size costs one rounding per
+term.  Only products that stay inside the normal-ordered model are
 defined: the commutation rule between the two legs is deliberately not
 modeled, and anything requiring it raises UnsupportedProduct.  Every
 computation the model supports cancels legs pairwise, which is all the
@@ -97,13 +98,16 @@ class CharacterSum:
         return CharacterSum(out)
 
     def deck(self, p: int, q: int) -> "CharacterSum":
-        """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg."""
+        """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg.
+
+        A term turns by p a + q b, taken as one integer ratio: one rounding,
+        and its coefficient untouched at a whole turn.
+        """
         out = []
         for (a, b), c in self.terms.items():
             for frequency in (a, b):
                 if not math.isfinite(frequency):
                     raise ValueError(f"character frequency {frequency} is not finite")
-            # p a + q b as one integer ratio, so the whole term takes one rounding
             (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
             out.append((a, b, turn(c, p * na * db + q * nb * da, da * db)))
         return CharacterSum(out)

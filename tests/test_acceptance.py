@@ -47,8 +47,8 @@ def test_criterion_1_scalar_wilson_values():
         params = TorusParams(theta)
         spec = CoveringSpec(params, (2, 2))
         conn = scalar_connection(params, 0.25, 0.1)
-        w_u = wilson(spec, spec.g_u, conn).matrix
-        w_v = wilson(spec, spec.g_v, conn).matrix
+        w_u = wilson(spec, spec.deck(1, 0), conn).matrix
+        w_v = wilson(spec, spec.deck(0, 1), conn).matrix
         assert abs(w_u[0, 0] - 1j) < 1e-12
         assert abs(w_v[0, 0] - cmath.exp(0.2j * math.pi)) < 1e-12
         mats[theta] = (w_u, w_v)
@@ -61,10 +61,10 @@ def test_criterion_2_block_wilson_matrices():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     conn = rotation_block_connection(params, 1 / 8, 1 / 6)
-    got_u = wilson(spec, spec.g_u, conn).matrix
+    got_u = wilson(spec, spec.deck(1, 0), conn).matrix
     expect_u = _block_diag(_rotation(math.pi / 4), np.eye(2))
     assert np.max(np.abs(got_u - expect_u)) < 1e-12
-    got_v = wilson(spec, spec.g_v, conn).matrix
+    got_v = wilson(spec, spec.deck(0, 1), conn).matrix
     expect_v = _block_diag(np.eye(2), _rotation(math.pi / 3))
     assert np.max(np.abs(got_v - expect_v)) < 1e-12
     _report(2, "4x4 wilson matrices are R(pi/4) and R(pi/3) rotation blocks")
@@ -89,9 +89,9 @@ def test_criterion_4_closed_path_classification():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     rep = classify_path(spec, (1, 0))
-    assert rep.is_closed and rep.associated == spec.g_u
+    assert rep.is_closed and rep.associated == spec.deck(1, 0)
     rep = classify_path(spec, (0, 1))
-    assert rep.is_closed and rep.associated == spec.g_v
+    assert rep.is_closed and rep.associated == spec.deck(0, 1)
     cases = 0
     for alpha in range(-4, 5):
         for beta in range(-4, 5):
@@ -165,11 +165,11 @@ def test_criterion_8_path_dependence_demonstration():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     dependent = scalar_connection(params, 0.25, 0.3)
-    report = check_path_independence(spec, spec.g_u, dependent, [(1, 0), (1, 2)])
+    report = check_path_independence(spec, spec.deck(1, 0), dependent, [(1, 0), (1, 2)])
     assert report.max_distance > 0.5
     assert abs(report.max_distance - abs(cmath.exp(1.2j * math.pi) - 1)) < 1e-12
     independent = scalar_connection(params, 0.25, 0.5)
-    report = check_path_independence(spec, spec.g_u, independent, [(1, 0), (1, 2)])
+    report = check_path_independence(spec, spec.deck(1, 0), independent, [(1, 0), (1, 2)])
     assert report.max_distance < 1e-12
     _report(8, "transports differ by |e^{1.2 pi i} - 1| at c_v=0.3 and agree at c_v=0.5")
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from nctorus.algebra import (
     lam,
     mono,
     one,
+    turn,
     u,
     v,
     zero,
@@ -272,6 +275,28 @@ def test_lam_reduces_large_exponents_exactly(params):
     assert params.lam(1) == cmath.exp(2.0 * math.pi * 1j * params.theta)
     assert params.lam(0) == 1
     assert TorusParams(0.25).lam(-8) == 1  # an integer phase is exactly 1
+
+
+def test_turn_on_a_float_is_the_turn_on_its_integer_ratio():
+    """turn(c, x) and turn(c, num, den) give the same bits, and a whole turn gives c's own bits."""
+
+    def bits(z: complex) -> bytes:
+        return struct.pack("<dd", z.real, z.imag)
+
+    rng = random.Random(71)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1 - 2**-53, -(1 - 2**-53), 0.5, -0.5, 1.0, -1.0]
+    edges += [1e300, -1e300, 2.0**53 + 2, -(2.0**52) - 0.5, 1e16 + 0.5]
+    doubles = edges + [rng.uniform(-10, 10) for _ in range(400)]
+    doubles += [rng.choice((-1, 1)) * 2.0 ** rng.uniform(-1074, 1000) for _ in range(400)]
+    doubles += [float(rng.randint(-(10**18), 10**18)) / rng.choice((1, 2, 4, 1024)) for _ in range(200)]
+    coefficients = [1 + 0j, complex(-0.0, -0.0), complex(0.3, -0.0), complex(-0.0, 2.5), complex(-1e-300, 7.0)]
+    for x in doubles:
+        whole = Fraction(x) % 1 == 0
+        for c in coefficients:
+            got = turn(c, x)
+            assert bits(got) == bits(turn(c, *x.as_integer_ratio())), (c, x)
+            if whole:
+                assert bits(got) == bits(c), (c, x)
 
 
 def test_scalar_views(params):

@@ -115,7 +115,7 @@ def test_project_param_mismatch(spec):
 
 
 def test_deck_generators_on_cover_generators(spec):
-    gu, gv = spec.g_u, spec.g_v
+    gu, gv = spec.deck(1, 0), spec.deck(0, 1)
     assert_close(deck_act(gu, x(spec)), -1 * x(spec))
     assert_close(deck_act(gu, y(spec)), y(spec))
     assert_close(deck_act(gv, x(spec)), x(spec))
@@ -220,9 +220,9 @@ def test_lift_scales_cover_generator_at_half_speed(spec):
 def test_lift_at_time_one_is_deck_generator(spec, rng):
     for _ in range(20):
         a = random_element(rng, spec.cover)
-        assert_close(lift(spec, (1, 0), 1.0, a), deck_act(spec.g_u, a))
+        assert_close(lift(spec, (1, 0), 1.0, a), deck_act(spec.deck(1, 0), a))
     a = random_element(rng, spec.cover)
-    assert_close(lift(spec, (0, 1), 1.0, a), deck_act(spec.g_v, a))
+    assert_close(lift(spec, (0, 1), 1.0, a), deck_act(spec.deck(0, 1), a))
 
 
 def test_lift_compatible_with_projection(spec, params, rng):
@@ -268,9 +268,9 @@ def oracle_classify(spec: CoveringSpec, alpha: int, beta: int):
 
 def test_classify_paper_generator_paths(spec):
     rep = classify_path(spec, (1, 0))
-    assert rep.is_closed and rep.associated == spec.g_u and rep.witness is None
+    assert rep.is_closed and rep.associated == spec.deck(1, 0) and rep.witness is None
     rep = classify_path(spec, (0, 1))
-    assert rep.is_closed and rep.associated == spec.g_v
+    assert rep.is_closed and rep.associated == spec.deck(0, 1)
 
 
 def test_classify_doubled_weight_not_closed(spec):
@@ -279,12 +279,12 @@ def test_classify_doubled_weight_not_closed(spec):
     assert rep.associated is None
     assert rep.witness == pytest.approx(0.5)
     # the lift at the witness time is already the deck element g_u
-    assert_close(lift(spec, (2, 0), 0.5, u(spec.cover)), deck_act(spec.g_u, u(spec.cover)))
+    assert_close(lift(spec, (2, 0), 0.5, u(spec.cover)), deck_act(spec.deck(1, 0), u(spec.cover)))
 
 
 def test_classify_skew_weight(spec):
     rep = classify_path(spec, (1, 2))
-    assert rep.is_closed and rep.associated == spec.g_u
+    assert rep.is_closed and rep.associated == spec.deck(1, 0)
 
 
 def test_classify_zero_weight_rejected(spec):
@@ -298,7 +298,7 @@ def test_classify_non_integer_weight_rejected(spec):
         with pytest.raises(ValueError):
             classify_path(spec, weight)
     # integral floats are accepted
-    assert classify_path(spec, (1.0, 0.0)).associated == spec.g_u
+    assert classify_path(spec, (1.0, 0.0)).associated == spec.deck(1, 0)
 
 
 @pytest.mark.parametrize("degrees", [(2, 2), (3, 2)])
@@ -332,9 +332,9 @@ def test_report_json_shape(spec):
 
 def test_scalar_wilson_values(spec, params):
     conn = scalar_connection(params, C_U, C_V)
-    got = wilson(spec, spec.g_u, conn).matrix[0, 0]
+    got = wilson(spec, spec.deck(1, 0), conn).matrix[0, 0]
     assert abs(got - cmath.exp(2j * math.pi * C_U)) < 1e-12
-    got = wilson(spec, spec.g_v, conn).matrix[0, 0]
+    got = wilson(spec, spec.deck(0, 1), conn).matrix[0, 0]
     assert abs(got - cmath.exp(2j * math.pi * C_V)) < 1e-12
     assert np.array_equal(wilson(spec, spec.deck(0, 0), conn).matrix, np.eye(1))
 
@@ -343,7 +343,7 @@ def test_scalar_wilson_operator_on_high_degree_elements(spec, params):
     # the flow of g_u's path at time 1 is exactly the identity, so W acts on u^m as the scalar W
     # at every degree; the error of an unreduced phase grows with m, though not monotonically
     conn = scalar_connection(params, C_U, C_V)
-    op = wilson(spec, spec.g_u, conn)
+    op = wilson(spec, spec.deck(1, 0), conn)
     w = complex(op.matrix[0, 0])
     for m in (4000, 10**4, 10**5):
         (got,) = op.apply([mono(m, 0, 1, params)])
@@ -352,13 +352,13 @@ def test_scalar_wilson_operator_on_high_degree_elements(spec, params):
 
 def test_block_wilson_matrices(spec, params):
     conn = rotation_block_connection(params, 0.125, 1 / 6)
-    got = wilson(spec, spec.g_u, conn).matrix
+    got = wilson(spec, spec.deck(1, 0), conn).matrix
     r = math.sqrt(2) / 2
     expect = np.array(
         [[r, -r, 0, 0], [r, r, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
     )
     assert np.max(np.abs(got - expect)) < 1e-12
-    got = wilson(spec, spec.g_v, conn).matrix
+    got = wilson(spec, spec.deck(0, 1), conn).matrix
     c, s = 0.5, math.sqrt(3) / 2
     expect = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, -s], [0, 0, s, c]], dtype=complex
@@ -379,8 +379,8 @@ def test_wilson_values_do_not_depend_on_theta():
 def test_wilson_homomorphism_without_wraparound(spec, params):
     # canonical weights add exactly when no mod-k reduction happens
     conn = rotation_block_connection(params, C_U, C_V)
-    w_u = wilson(spec, spec.g_u, conn).matrix
-    w_v = wilson(spec, spec.g_v, conn).matrix
+    w_u = wilson(spec, spec.deck(1, 0), conn).matrix
+    w_v = wilson(spec, spec.deck(0, 1), conn).matrix
     w_uv = wilson(spec, spec.deck(1, 1), conn).matrix
     assert np.max(np.abs(w_u @ w_v - w_uv)) < 1e-10
     assert np.max(np.abs(w_v @ w_u - w_uv)) < 1e-10
@@ -402,20 +402,20 @@ def test_wilson_full_homomorphism_at_half_integer_holonomy(spec, params):
 def test_wilson_requires_flat(spec, params):
     bumpy = Connection(params, [[v(params)]], [[0]])
     with pytest.raises(NotFlat):
-        wilson(spec, spec.g_u, bumpy)
+        wilson(spec, spec.deck(1, 0), bumpy)
 
 
 def test_wilson_requires_constant_coefficients(spec, params):
     # flat but symbolic: Theta_u = u, Theta_v = 0 has vanishing curvature
     symbolic = Connection(params, [[u(params)]], [[0]])
     with pytest.raises(NonConstantConnection):
-        wilson(spec, spec.g_u, symbolic)
+        wilson(spec, spec.deck(1, 0), symbolic)
 
 
 def test_wilson_param_mismatch(spec):
     conn = scalar_connection(TorusParams(0.5), C_U, C_V)
     with pytest.raises(ParamMismatch):
-        wilson(spec, spec.g_u, conn)
+        wilson(spec, spec.deck(1, 0), conn)
 
 
 # -- path (in)dependence ---------------------------------------------------------
@@ -423,14 +423,14 @@ def test_wilson_param_mismatch(spec):
 
 def test_path_independence_holds_for_half_integer_c_v(spec, params):
     conn = scalar_connection(params, C_U, 0.5)
-    report = check_path_independence(spec, spec.g_u, conn, [(1, 0), (1, 2)])
+    report = check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0), (1, 2)])
     assert report.max_distance < 1e-12
     assert report.certified
 
 
 def test_path_dependence_for_generic_c_v(spec, params):
     conn = scalar_connection(params, C_U, 0.3)
-    report = check_path_independence(spec, spec.g_u, conn, [(1, 0), (1, 2)])
+    report = check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0), (1, 2)])
     # |e^{2 pi i (c_u + 0.6)} - e^{2 pi i c_u}| = |e^{1.2 pi i} - 1|
     expect = abs(cmath.exp(1.2j * math.pi) - 1)
     assert report.max_distance == pytest.approx(expect, abs=1e-12)
@@ -440,14 +440,14 @@ def test_path_dependence_for_generic_c_v(spec, params):
 
 def test_path_independence_singleton_is_trivial(spec, params):
     conn = scalar_connection(params, C_U, C_V)
-    report = check_path_independence(spec, spec.g_u, conn, [(1, 0)])
+    report = check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0)])
     assert report.max_distance == 0.0 and report.certified
 
 
 def test_path_independence_rejects_wrong_deck_element(spec, params):
     conn = scalar_connection(params, C_U, C_V)
     with pytest.raises(PathNotAssociated):
-        check_path_independence(spec, spec.g_u, conn, [(1, 0), (1, 1)])
+        check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0), (1, 1)])
     with pytest.raises(PathNotAssociated):
-        check_path_independence(spec, spec.g_u, conn, [(2, 0)])
+        check_path_independence(spec, spec.deck(1, 0), conn, [(2, 0)])
 

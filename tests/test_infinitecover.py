@@ -209,7 +209,7 @@ def test_wilson_relation_consistent_with_finite_cover():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     conn = scalar_connection(params, C_U, C_V)
-    finite = wilson(spec, spec.g_u, conn).matrix[0, 0]
+    finite = wilson(spec, spec.deck(1, 0), conn).matrix[0, 0]
     assert abs(wilson_relation(1, 0, C_U, C_V) - finite) < 1e-12
 
 
@@ -282,8 +282,8 @@ def test_matrix_wilson_matches_finite_cover_blocks():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     conn = rotation_block_connection(params, C_U, C_V)
-    assert np.max(np.abs(matrix_wilson_relation(1, 0, C_U, C_V) - wilson(spec, spec.g_u, conn).matrix)) < 1e-12
-    assert np.max(np.abs(matrix_wilson_relation(0, 1, C_U, C_V) - wilson(spec, spec.g_v, conn).matrix)) < 1e-12
+    assert np.max(np.abs(matrix_wilson_relation(1, 0, C_U, C_V) - wilson(spec, spec.deck(1, 0), conn).matrix)) < 1e-12
+    assert np.max(np.abs(matrix_wilson_relation(0, 1, C_U, C_V) - wilson(spec, spec.deck(0, 1), conn).matrix)) < 1e-12
 
 
 def test_matrix_wilson_is_homomorphic_on_z2():

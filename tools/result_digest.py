@@ -6,9 +6,10 @@ paper-mix, 3 rank-sweep, 2 symbolic and 10 deep-deck cycles of
 ``perfbench/calls.py``, and prints one ``workload count sha256`` line per
 workload.  Under it goes one ``workload call count sha256`` line per operation
 kind (the spec's ``call``), in order of first use, hashing the same results
-of that kind alone.  Two checkouts that print the same lines give
-byte-identical results on all of these operations; a moved kind line tells
-which entry point changed them.
+of that kind alone; a ``cli.run`` operation also counts under the kind
+``cli.run:<command>`` of its scenario.  Two checkouts that print the same
+lines give byte-identical results on all of these operations; a moved kind
+line tells which entry point, or which CLI command, changed them.
 
 A result is serialized as sorted-key ``to_dict()`` JSON when it has
 ``to_dict``, as ``tobytes()`` for an array, elementwise for a tuple or list,
@@ -57,12 +58,17 @@ def main() -> None:
                         value = calls.prepare(spec)()
                     except Exception as exc:  # every error class is part of the result
                         value = type(exc).__name__
-                    kind = kinds.setdefault(spec["call"], [0, hashlib.sha256()])
+                    names = [spec["call"]]
+                    if spec["call"] == "cli.run":
+                        names.append("cli.run:" + calls.scenario_of(spec)["command"])
+                    own = [kinds.setdefault(name, [0, hashlib.sha256()]) for name in names]
                     for chunk in chunks(value):
                         digest.update(chunk)
-                        kind[1].update(chunk)
+                        for kind in own:
+                            kind[1].update(chunk)
                     count += 1
-                    kind[0] += 1
+                    for kind in own:
+                        kind[0] += 1
         print(workload, count, digest.hexdigest())
         for call, (n, kind_digest) in kinds.items():
             print(workload, call, n, kind_digest.hexdigest())
