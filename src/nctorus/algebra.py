@@ -21,9 +21,7 @@ safe to share across threads.  The per-TorusParams memo of lambda**k only
 ever stores the value turn computes, so concurrent fills agree.
 
 Every root of unity in the package, lambda**k, the flows and the deck
-actions of both covers, is one call of turn: the turn is reduced mod 1
-exactly, a whole turn keeps its coefficient untouched, and any other turn
-costs one rounding of the exponential per term.
+actions of both covers, is one call of turn, so one rounding per term.
 """
 
 from __future__ import annotations
