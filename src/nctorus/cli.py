@@ -1,5 +1,7 @@
 """One-shot command line: JSON scenario in, deterministic JSON report out.
 
+``COMMANDS`` maps each command to the fields it reads and the handler of their
+values; ``run`` checks theta and every field before it computes anything.
 Exit codes: 0 success, 2 scenario validation error (including numbers too
 large for a double in the computation or the report, JSON nested deeper than
 the recursion limit and an --out path that cannot be written), 3 math-domain
@@ -26,8 +28,6 @@ from .errors import NCTorusError, ParamMismatch, RankMismatch
 from .infinitecover import wilson_relation
 from .scenarios import BUILTIN_SCENARIOS, builtin
 
-COMMANDS = ("curvature", "flat", "transport", "classify", "wilson", "independence", "infinite-wilson")
-
 
 class ScenarioError(ValueError):
     """The scenario file does not match the schema."""
@@ -47,20 +47,22 @@ def _finite_json_number(text: str) -> float:
     return x
 
 
-def _number(value, what: str) -> float:
-    """A finite int or float of the scenario (not a bool), as a float."""
-    try:
-        return real(value, what)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _int_pair(pair, what: str) -> tuple[int, int]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ScenarioError(f"{what} must be an integer pair, got {pair!r}")
+    return integral(pair[0], what), integral(pair[1], what)
 
 
-def _params(scenario: dict) -> TorusParams:
-    theta = _number(_need(scenario, "theta"), "theta")
-    try:
-        return TorusParams(theta)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _paths(scenario: dict, int_label: str | None = None) -> list[tuple]:
+    raw = _need(scenario, "paths")
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError("paths must be a non-empty list of [alpha, beta] weights")
+    for w in raw:
+        if not isinstance(w, (list, tuple)) or len(w) != 2:
+            raise ScenarioError(f"bad weight {w!r}")
+        for x in w:
+            real(x, "path weight")
+    return [tuple(w) if int_label is None else _int_pair(w, int_label) for w in raw]
 
 
 def _connection(scenario: dict, params: TorusParams) -> Connection:
@@ -68,7 +70,7 @@ def _connection(scenario: dict, params: TorusParams) -> Connection:
     try:
         return Connection.from_dict(raw, params)
     except (KeyError, TypeError, ValueError, ParamMismatch, RankMismatch) as exc:
-        raise ScenarioError(f"bad connection: {exc}") from exc
+        raise ValueError(f"bad connection: {exc}") from exc
 
 
 def _covering(scenario: dict, params: TorusParams) -> CoveringSpec:
@@ -76,104 +78,79 @@ def _covering(scenario: dict, params: TorusParams) -> CoveringSpec:
     try:
         return CoveringSpec(params, _int_pair(raw["degrees"], "covering.degrees"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad covering: {exc}") from exc
+        raise ValueError(f"bad covering: {exc}") from exc
 
 
-def _paths(scenario: dict) -> list[tuple]:
-    raw = _need(scenario, "paths")
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError("paths must be a non-empty list of [alpha, beta] weights")
-    out = []
-    for w in raw:
-        if not isinstance(w, (list, tuple)) or len(w) != 2:
-            raise ScenarioError(f"bad weight {w!r}")
-        for x in w:
-            _number(x, "path weight")
-        out.append((w[0], w[1]))  # as given: an int weight is reported as an int
-    return out
+#: field -> its reader (scenario, TorusParams) -> value, which raises ValueError on a malformed value
+FIELDS = {
+    "connection": _connection,
+    "covering": _covering,
+    "deck": lambda scenario, params: _int_pair(scenario.get("params", {}).get("deck"), "params.deck"),
+    "weight": lambda scenario, params: _paths(scenario)[0],
+    "tau": lambda scenario, params: real(scenario.get("params", {}).get("tau", 1.0), "params.tau"),
+    "weights": lambda scenario, params: _paths(scenario, f"{scenario['command']} weight"),
+    "c_u": lambda scenario, params: real(scenario.get("params", {}).get("c_u"), "params.c_u"),
+    "c_v": lambda scenario, params: real(scenario.get("params", {}).get("c_v"), "params.c_v"),
+}
 
 
-def _int_pair(pair, what: str) -> tuple[int, int]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ScenarioError(f"{what} must be an integer pair, got {pair!r}")
-    try:
-        return integral(pair[0], what), integral(pair[1], what)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _curvature(conn: Connection) -> dict:
+    form = curvature_form(conn)
+    return {"flat": form.is_zero(), "curvature": form.to_dict()}
 
 
-def _deck_pair(scenario: dict) -> tuple[int, int]:
-    return _int_pair(scenario.get("params", {}).get("deck"), "params.deck")
+def _infinite_wilson(c_u: float, c_v: float, deck: tuple[int, int]) -> dict:
+    value = wilson_relation(*deck, c_u, c_v)
+    return {"deck": list(deck), "value": [r15(value.real), r15(value.imag)]}
 
 
-def wilson_relation_report(p: int, q: int, c_u: float, c_v: float) -> dict:
-    """The infinite-wilson result: the deck pair and W(p, q) as [re, im]."""
-    value = wilson_relation(p, q, c_u, c_v)
-    return {"deck": [p, q], "value": [r15(value.real), r15(value.imag)]}
+#: command -> (the fields it reads, checked in this order after theta; the handler of their values)
+COMMANDS = {
+    "curvature": (("connection",), _curvature),
+    "flat": (("connection",), lambda conn: {"flat": curvature_form(conn).is_zero()}),
+    "transport": (("connection", "weight", "tau"), lambda conn, w, tau: transport(conn, w, tau).to_dict()),
+    "classify": (
+        ("covering", "weights"),
+        lambda spec, weights: {"paths": [classify_path(spec, w).to_dict() for w in weights]},
+    ),
+    "wilson": (
+        ("covering", "connection", "deck"),
+        lambda spec, conn, deck: {**wilson(spec, spec.deck(*deck), conn).to_dict(), "deck": list(deck)},
+    ),
+    "independence": (
+        ("covering", "connection", "deck", "weights"),
+        lambda spec, conn, deck, ws: check_path_independence(spec, spec.deck(*deck), conn, ws).to_dict(),
+    ),
+    "infinite-wilson": (("c_u", "c_v", "deck"), _infinite_wilson),
+}
 
 
 def run(scenario: dict) -> dict:
-    """Validate and dispatch a scenario; return the full report dict."""
+    """Check the header, theta and every field of the command, then compute; return the report."""
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     version = scenario.get("v")
     if isinstance(version, bool) or version != 1:  # True == 1 in Python
         raise ScenarioError('scenario must declare schema version "v": 1')
     command = _need(scenario, "command")
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:  # a list or dict is unhashable
         raise ScenarioError(f"unknown command {command!r} (choose from: {', '.join(COMMANDS)})")
     if not isinstance(scenario.get("params", {}), dict):
         raise ScenarioError("params must be an object")
 
-    if command in ("curvature", "flat"):
-        form = curvature_form(_connection(scenario, _params(scenario)))
-        result = {"flat": form.is_zero()}
-        if command == "curvature":
-            result["curvature"] = form.to_dict()
-    elif command == "transport":
-        params = _params(scenario)
-        conn = _connection(scenario, params)
-        weight = _paths(scenario)[0]
-        tau = _number(scenario.get("params", {}).get("tau", 1.0), "params.tau")
-        result = transport(conn, weight, tau).to_dict()
-    elif command == "classify":
-        spec = _covering(scenario, _params(scenario))
-        reports = []
-        for w in _paths(scenario):
-            reports.append(classify_path(spec, _int_pair(w, "classify weight")).to_dict())
-        result = {"paths": reports}
-    elif command == "wilson":
-        params = _params(scenario)
-        spec = _covering(scenario, params)
-        conn = _connection(scenario, params)
-        a, b = _deck_pair(scenario)
-        result = wilson(spec, spec.deck(a, b), conn).to_dict()
-        result["deck"] = [a, b]
-    elif command == "independence":
-        params = _params(scenario)
-        spec = _covering(scenario, params)
-        conn = _connection(scenario, params)
-        a, b = _deck_pair(scenario)
-        weights = [_int_pair(w, "independence weight") for w in _paths(scenario)]
-        result = check_path_independence(spec, spec.deck(a, b), conn, weights).to_dict()
-    else:  # infinite-wilson
-        _params(scenario)  # theta does not enter the relation but is still validated
-        cp = scenario.get("params", {})
-        c_u, c_v = (_number(cp.get(key), f"params.{key}") for key in ("c_u", "c_v"))
-        p, q = _deck_pair(scenario)
-        result = wilson_relation_report(p, q, c_u, c_v)
+    fields, handler = COMMANDS[command]
+    try:  # theta first: every command checks it, though infinite-wilson does not use it
+        params = TorusParams(real(_need(scenario, "theta"), "theta"))
+        inputs = [FIELDS[field](scenario, params) for field in fields]
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     return {
         "v": 1,
         "command": command,
         "scenario": scenario,
-        "result": result,
+        "result": handler(*inputs),
     }
-
-
-def _error_code(exc: Exception) -> str:
-    name = type(exc).__name__
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
 def main(argv=None) -> int:
@@ -223,8 +200,9 @@ def main(argv=None) -> int:
         report = run(scenario)
         text = render(report)
     except NCTorusError as exc:
-        return emit(render({"error": _error_code(exc), "message": str(exc)}), 3)
-    except (ScenarioError, ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError) as exc:
+        error = re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()  # NotFlat -> not-flat
+        return emit(render({"error": error, "message": str(exc)}), 3)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError) as exc:
         # JSONDecodeError is a ValueError; RecursionError is JSON nested too deep to load or render
         return emit(render({"error": "validation", "message": str(exc)}), 2)
 

@@ -324,6 +324,16 @@ def test_non_integer_classify_weight_is_validation_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("paths", [[[0, 0], [0.5, 1]], [[0.5, 1], [0, 0]]], ids=["zero-first", "zero-last"])
+def test_classify_checks_every_weight_before_classifying(tmp_path, paths):
+    # the malformed weight is exit 2 in either order, not the zero weight's exit 3
+    scenario = builtin("paper-cover")
+    scenario["paths"] = paths
+    code, text = run_cli(tmp_path, "--scenario", scenario_file(tmp_path, scenario))
+    assert code == 2
+    assert json.loads(text) == {"error": "validation", "message": "classify weight must be an integer, got 0.5"}
+
+
 def test_non_integer_deck_is_validation_error(tmp_path):
     scenario = builtin("paper-scalar")
     scenario["params"]["deck"] = [0.5, 0]
@@ -453,6 +463,37 @@ def test_scenario_text_contract_violation_exits_2(tmp_path, capsys, name, old, n
     assert capsys.readouterr().err == ""
 
 
+def _every_field(command: str) -> dict:
+    """paper-scalar as ``command``, with a valid value for every field any command reads."""
+    scenario = builtin("paper-scalar")
+    scenario.update(command=command, paths=[[1, 0]])
+    scenario["params"].update(tau=0.5, c_u=0.25, c_v=0.1)
+    return scenario
+
+
+_BAD_CONNECTION = {"rank": 1, "theta_u": [[[0.0, math.nan]]], "theta_v": [[0.0]]}
+# (command, field) for every pair of cli.COMMANDS, with a malformed value of that field
+_FIELD_CASES = [
+    ("curvature", "connection", ("connection",), _BAD_CONNECTION),
+    ("flat", "connection", ("connection",), _BAD_CONNECTION),
+    ("transport", "connection", ("connection",), _BAD_CONNECTION),
+    ("transport", "weight", ("paths",), [[math.nan, 0]]),
+    ("transport", "tau", ("params", "tau"), math.inf),
+    ("classify", "covering", ("covering",), {"degrees": [2, math.inf]}),
+    ("classify", "weights", ("paths",), [[1, 0], [0.5, 1]]),
+    ("wilson", "covering", ("covering",), {"degrees": [0, 2]}),
+    ("wilson", "connection", ("connection",), _BAD_CONNECTION),
+    ("wilson", "deck", ("params", "deck"), [1, 0.5]),
+    ("independence", "covering", ("covering",), {}),
+    ("independence", "connection", ("connection",), {"rank": 2, "theta_u": [[0.0]], "theta_v": [[0.0]]}),
+    ("independence", "deck", ("params", "deck"), [1]),
+    ("independence", "weights", ("paths",), [[1, 0], [2.5, 1]]),
+    ("infinite-wilson", "c_u", ("params", "c_u"), math.nan),
+    ("infinite-wilson", "c_v", ("params", "c_v"), "0.1"),
+    ("infinite-wilson", "deck", ("params", "deck"), None),
+]
+
+
 @pytest.mark.parametrize(
     "name, keys, value",
     [
@@ -463,11 +504,23 @@ def test_scenario_text_contract_violation_exits_2(tmp_path, capsys, name, old, n
         ("paper-scalar", ("params", "deck"), [math.nan, 0]),
         ("paper-scalar", ("params",), [1]),
         ("paper-scalar", ("v",), True),
+        *[(command, keys, value) for command, _, keys, value in _FIELD_CASES],
     ],
-    ids=["nan-coupling", "nan-theta", "huge-int-theta", "infinite-deck", "nan-deck", "params-list", "bool-version"],
+    ids=[
+        "nan-coupling",
+        "nan-theta",
+        "huge-int-theta",
+        "infinite-deck",
+        "nan-deck",
+        "params-list",
+        "bool-version",
+        *[f"{command}-{field}" for command, field, _, _ in _FIELD_CASES],
+    ],
 )
 def test_run_rejects_non_finite_and_malformed_values(name, keys, value):
-    scenario = builtin(name)
+    # a builtin, or a command run on _every_field; the scenario runs until one value is replaced
+    scenario = builtin(name) if name in BUILTIN_SCENARIOS else _every_field(name)
+    run(scenario)
     target = scenario
     for key in keys[:-1]:
         target = target[key]
@@ -604,7 +657,7 @@ def _connections(draw):
 @st.composite
 def _scenarios(draw):
     scenario = builtin(draw(st.sampled_from(sorted(BUILTIN_SCENARIOS))))
-    scenario["command"] = draw(st.sampled_from(COMMANDS))
+    scenario["command"] = draw(st.sampled_from(sorted(COMMANDS)))
     params = scenario.setdefault("params", {})
     if draw(st.booleans()):  # give every command the fields it needs
         for key, value in builtin("paper-4x4").items():

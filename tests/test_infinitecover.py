@@ -214,9 +214,10 @@ def test_wilson_relation_consistent_with_finite_cover():
 
 
 def test_wilson_relation_report_shape():
-    from nctorus.cli import wilson_relation_report
+    from nctorus.cli import run
+    from nctorus.scenarios import builtin
 
-    report = wilson_relation_report(1, 0, 0.25, 0.1)
+    report = run(builtin("paper-infinite"))["result"]  # deck (1, 0), c_u 0.25, c_v 0.1
     assert report["deck"] == [1, 0]
     assert report["value"][0] == pytest.approx(0.0, abs=1e-12)
     assert report["value"][1] == pytest.approx(1.0)

@@ -13,7 +13,7 @@ line tells which entry point, or which CLI command, changed them.
 
 A result is serialized as sorted-key ``to_dict()`` JSON when it has
 ``to_dict``, as ``tobytes()`` for an array, elementwise for a tuple or list,
-as ``repr`` otherwise, and as its class name when the call raised.
+as ``repr`` otherwise, and as ``"<class name>: <message>"`` when the call raised.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def main() -> None:
                 for spec in stream.cycle():
                     try:
                         value = calls.prepare(spec)()
-                    except Exception as exc:  # every error class is part of the result
-                        value = type(exc).__name__
+                    except Exception as exc:  # every error class and message is part of the result
+                        value = f"{type(exc).__name__}: {exc}"
                     names = [spec["call"]]
                     if spec["call"] == "cli.run":
                         names.append("cli.run:" + calls.scenario_of(spec)["command"])
