@@ -1,91 +1,54 @@
-"""Connections, curvature, covering lifts and generalized Wilson lines on the noncommutative torus."""
+"""Connections, curvature, covering lifts and generalized Wilson lines on the noncommutative torus.
 
-from .algebra import (
-    TorusElement,
-    TorusParams,
-    apply_auto,
-    apply_derivation,
-    lam,
-    mono,
-    one,
-    u,
-    v,
-    zero,
-)
-from .connections import (
-    Connection,
-    TransportOperator,
-    check_transport_axioms,
-    curvature_commutator,
-    curvature_form,
-    is_flat,
-    nabla,
-    rotation_block_connection,
-    scalar_connection,
-    transport,
-)
-from .coverings import (
-    ClosedPathReport,
-    CoveringSpec,
-    DeckElement,
-    check_path_independence,
-    classify_path,
-    deck_act,
-    project,
-    wilson,
-)
-from .errors import (
-    NCTorusError,
-    NonConstantConnection,
-    NotFlat,
-    ParamMismatch,
-    PathNotAssociated,
-    RankMismatch,
-    UnsupportedProduct,
-    ZeroWeight,
-)
-from .forms import MatrixForm, TwoForm
-from . import infinitecover
+Submodules load on first use (PEP 562): ``import nctorus`` runs no
+submodule, and ``nctorus.wilson`` or ``nctorus.coverings`` imports
+``coverings`` (and what it imports) when first read.  A one-shot CLI run so
+loads only the modules its command uses: ``infinite-wilson`` never loads
+``connections``, ``coverings`` or ``forms``.
+"""
 
-__all__ = [
-    "TorusElement",
-    "TorusParams",
-    "apply_auto",
-    "apply_derivation",
-    "lam",
-    "mono",
-    "one",
-    "u",
-    "v",
-    "zero",
-    "TwoForm",
-    "MatrixForm",
-    "Connection",
-    "TransportOperator",
-    "nabla",
-    "curvature_form",
-    "curvature_commutator",
-    "is_flat",
-    "transport",
-    "check_transport_axioms",
-    "scalar_connection",
-    "rotation_block_connection",
-    "CoveringSpec",
-    "DeckElement",
-    "ClosedPathReport",
-    "project",
-    "deck_act",
-    "classify_path",
-    "wilson",
-    "check_path_independence",
-    "NCTorusError",
-    "ParamMismatch",
-    "RankMismatch",
-    "NonConstantConnection",
-    "NotFlat",
-    "ZeroWeight",
-    "PathNotAssociated",
-    "UnsupportedProduct",
-]
+#: Each submodule and the public names it defines; ``__all__`` is every name listed here.
+_EXPORTS = {
+    "algebra": (
+        "TorusElement", "TorusParams", "apply_auto", "apply_derivation",
+        "lam", "mono", "one", "u", "v", "zero",
+    ),
+    "forms": ("TwoForm", "MatrixForm"),
+    "connections": (
+        "Connection", "TransportOperator", "nabla", "curvature_form", "curvature_commutator",
+        "is_flat", "transport", "check_transport_axioms", "scalar_connection", "rotation_block_connection",
+    ),
+    "coverings": (
+        "CoveringSpec", "DeckElement", "ClosedPathReport", "project", "deck_act",
+        "classify_path", "wilson", "check_path_independence",
+    ),
+    "errors": (
+        "NCTorusError", "ParamMismatch", "RankMismatch", "NonConstantConnection",
+        "NotFlat", "ZeroWeight", "PathNotAssociated", "UnsupportedProduct",
+    ),
+    "infinitecover": (),
+    "cli": (),
+    "scenarios": (),
+}  # fmt: skip
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A submodule, imported on first read (then a plain attribute), or a public name read from its home."""
+    home = _HOME.get(name, name)
+    if home not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's path, which -X importtime reports (importlib.import_module's is not timed);
+    # it binds the submodule in this namespace
+    __import__(f"{__name__}.{home}")
+    module = globals()[home]
+    # a public name is read from its home each time, so a wrapper patched in there is what callers get
+    return module if home == name else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParamMismatch
@@ -85,18 +84,39 @@ def turn(c: complex, x, den: int = 1) -> complex:
     return c * cmath.exp(TWO_PI * 1j * (r / den))
 
 
-@dataclass(frozen=True)
 class TorusParams:
-    """Deformation parameter theta of one torus algebra, 0 < theta < 1."""
+    """Deformation parameter theta of one torus algebra, 0 < theta < 1.
 
-    theta: float
+    Immutable, and equal, hashed and printed by theta alone.  Each instance
+    holds its own memo of lambda**k, shared by every element over it.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+    __slots__ = ("theta", "_ratio", "_powers")
+
+    def __init__(self, theta: float):
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must lie in (0,1), got {theta}")
+        object.__setattr__(self, "theta", theta)
         # theta = num / den exactly; read once, since lam runs in every fold
-        object.__setattr__(self, "_ratio", self.theta.as_integer_ratio())
+        object.__setattr__(self, "_ratio", theta.as_integer_ratio())
         object.__setattr__(self, "_powers", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusParams is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.theta == other.theta
+
+    def __hash__(self) -> int:
+        return hash((self.theta,))
+
+    def __repr__(self) -> str:
+        return f"TorusParams(theta={self.theta!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild from theta, with an empty memo
+        return TorusParams, (self.theta,)
 
     def lam(self, k: int = 1) -> complex:
         """lambda**k = exp(2 pi i k theta), k theta reduced mod 1 exactly; memoized at |k| <= 64."""

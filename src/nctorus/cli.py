@@ -9,6 +9,12 @@ error (not flat, non-constant connection, ...).  Reports carry no timestamps;
 run metadata goes to stderr so identical scenarios produce byte-identical
 reports.  Each float of a result is rounded to 15 significant digits once, by
 the report object that emits it (``r15``); the echoed scenario is verbatim.
+
+Only ``algebra``, ``errors`` and ``scenarios`` load with this module.  The
+readers and handlers reach ``connections``, ``coverings``, ``forms`` and
+``infinitecover`` as attributes of the package (``_lib.coverings.wilson``),
+so a one-shot run loads only the modules its command uses, and a name
+looked up at call time is whatever its home module holds now.
 """
 
 from __future__ import annotations
@@ -20,13 +26,17 @@ import math
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
+
+import nctorus as _lib
 
 from .algebra import TorusParams, integral, r15, real
-from .connections import Connection, curvature_form, transport
-from .coverings import CoveringSpec, check_path_independence, classify_path, wilson
 from .errors import NCTorusError, ParamMismatch, RankMismatch
-from .infinitecover import wilson_relation
 from .scenarios import BUILTIN_SCENARIOS, builtin
+
+if TYPE_CHECKING:
+    from .connections import Connection
+    from .coverings import CoveringSpec
 
 
 class ScenarioError(ValueError):
@@ -68,7 +78,7 @@ def _paths(scenario: dict, int_label: str | None = None) -> list[tuple]:
 def _connection(scenario: dict, params: TorusParams) -> Connection:
     raw = _need(scenario, "connection")
     try:
-        return Connection.from_dict(raw, params)
+        return _lib.connections.Connection.from_dict(raw, params)
     except (KeyError, TypeError, ValueError, ParamMismatch, RankMismatch) as exc:
         raise ValueError(f"bad connection: {exc}") from exc
 
@@ -76,7 +86,7 @@ def _connection(scenario: dict, params: TorusParams) -> Connection:
 def _covering(scenario: dict, params: TorusParams) -> CoveringSpec:
     raw = _need(scenario, "covering")
     try:
-        return CoveringSpec(params, _int_pair(raw["degrees"], "covering.degrees"))
+        return _lib.coverings.CoveringSpec(params, _int_pair(raw["degrees"], "covering.degrees"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad covering: {exc}") from exc
 
@@ -95,31 +105,39 @@ FIELDS = {
 
 
 def _curvature(conn: Connection) -> dict:
-    form = curvature_form(conn)
+    form = _lib.forms.curvature_form(conn)
     return {"flat": form.is_zero(), "curvature": form.to_dict()}
 
 
 def _infinite_wilson(c_u: float, c_v: float, deck: tuple[int, int]) -> dict:
-    value = wilson_relation(*deck, c_u, c_v)
+    value = _lib.infinitecover.wilson_relation(*deck, c_u, c_v)
     return {"deck": list(deck), "value": [r15(value.real), r15(value.imag)]}
 
 
 #: command -> (the fields it reads, checked in this order after theta; the handler of their values)
 COMMANDS = {
     "curvature": (("connection",), _curvature),
-    "flat": (("connection",), lambda conn: {"flat": curvature_form(conn).is_zero()}),
-    "transport": (("connection", "weight", "tau"), lambda conn, w, tau: transport(conn, w, tau).to_dict()),
+    "flat": (("connection",), lambda conn: {"flat": _lib.forms.curvature_form(conn).is_zero()}),
+    "transport": (
+        ("connection", "weight", "tau"),
+        lambda conn, w, tau: _lib.connections.transport(conn, w, tau).to_dict(),
+    ),
     "classify": (
         ("covering", "weights"),
-        lambda spec, weights: {"paths": [classify_path(spec, w).to_dict() for w in weights]},
+        lambda spec, weights: {"paths": [_lib.coverings.classify_path(spec, w).to_dict() for w in weights]},
     ),
     "wilson": (
         ("covering", "connection", "deck"),
-        lambda spec, conn, deck: {**wilson(spec, spec.deck(*deck), conn).to_dict(), "deck": list(deck)},
+        lambda spec, conn, deck: {
+            **_lib.coverings.wilson(spec, spec.deck(*deck), conn).to_dict(),
+            "deck": list(deck),
+        },
     ),
     "independence": (
         ("covering", "connection", "deck", "weights"),
-        lambda spec, conn, deck, ws: check_path_independence(spec, spec.deck(*deck), conn, ws).to_dict(),
+        lambda spec, conn, deck, ws: _lib.coverings.check_path_independence(
+            spec, spec.deck(*deck), conn, ws
+        ).to_dict(),
     ),
     "infinite-wilson": (("c_u", "c_v", "deck"), _infinite_wilson),
 }

@@ -146,17 +146,27 @@ class Connection:
     def from_dict(cls, data: dict, params: TorusParams) -> "Connection":
         def parse_entry(raw):
             """An element payload, a finite real number or an [re, im] pair of them."""
-            if type(raw) is list and len(raw) == 2:
-                re, im = raw  # two finite floats, as a JSON payload gives them, need no further check
-                if type(re) is float and type(im) is float and -_TOP <= re <= _TOP and -_TOP <= im <= _TOP:
-                    return complex(re, im)
             if isinstance(raw, dict):
                 return TorusElement.from_dict(raw)
             if isinstance(raw, (list, tuple)) and len(raw) == 2:
                 return complex(real(raw[0], "entry re"), real(raw[1], "entry im"))
             return complex(real(raw, "connection entry"))
 
-        mats = ([[parse_entry(e) for e in row] for row in data[key]] for key in ("theta_u", "theta_v"))
+        def parse_row(row):
+            """A list of [re, im] pairs of finite floats, as JSON gives them, in one pass; else by entry."""
+            if type(row) is list:
+                pairs = [
+                    complex(re, im)
+                    for e in row
+                    if type(e) is list and len(e) == 2
+                    for re, im in (e,)
+                    if type(re) is float and type(im) is float and -_TOP <= re <= _TOP and -_TOP <= im <= _TOP
+                ]
+                if len(pairs) == len(row):
+                    return pairs
+            return [parse_entry(e) for e in row]  # in order, so the first bad entry names the error
+
+        mats = ([parse_row(row) for row in data[key]] for key in ("theta_u", "theta_v"))
         conn = cls(params, *mats)
         if conn.rank != integral(data["rank"], "rank"):
             raise RankMismatch(f"declared rank {data['rank']} != matrix rank {conn.rank}")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -76,6 +78,26 @@ def test_param_mismatch_raises(params):
         u(params) + u(other)
     with pytest.raises(ParamMismatch):
         u(params) * u(other)
+
+
+def test_torus_params_is_a_value_of_theta():
+    a, b, c = TorusParams(0.25), TorusParams(theta=0.25), TorusParams(0.5)
+    assert a == b and a is not b and hash(a) == hash(b) == hash((0.25,))
+    assert a != c and len({a, b, c}) == 2
+    assert a != 0.25 and a.__eq__(0.25) is NotImplemented  # only another TorusParams compares
+    assert repr(a) == "TorusParams(theta=0.25)"
+    with pytest.raises(AttributeError):
+        a.theta = 0.5
+    with pytest.raises(AttributeError):
+        a.other = 1  # slotted: no new attributes either
+    for theta in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            TorusParams(theta)
+    # one lambda**k memo per instance: each small power is computed once and shared by every fold
+    assert a.lam(3) is a.lam(3) and a.lam(3) == b.lam(3)
+    x = mono(1, 0, 1, a, lam_exp=3)
+    assert x.folded() == {(1, 0): a.lam(3)} and a.lam(65) is not a.lam(65)  # memo only for |k| <= 64
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_uv_product_is_plain_monomial(params):

@@ -580,23 +580,66 @@ print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_numpy_and_scipy_only_where_used():
-    # one fresh interpreter, scenarios in order: [numpy loaded, scipy loaded] after each
+def _fresh_interpreter(code: str):
+    """The JSON that ``code`` prints, run in a new interpreter on this checkout's nctorus."""
     import nctorus
 
     src = str(Path(nctorus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    return json.loads(proc.stdout)
+
+
+def test_cold_start_loads_numpy_and_scipy_only_where_used():
+    # one fresh interpreter, scenarios in order: [numpy loaded, scipy loaded] after each
+    assert _fresh_interpreter(_IMPORT_PROBE) == {
         "import": [False, False],
         "paper-infinite": [False, False],
         "paper-cover": [False, False],
         "rank-4 curvature": [False, False],
         "paper-scalar": [True, False],  # rank-1 expm is np.exp
         "paper-4x4": [True, True],
+    }
+
+
+_MODULE_PROBE = """
+import json, sys
+from nctorus import cli
+from nctorus.scenarios import builtin
+
+before = set()
+def loaded():
+    now = {name for name in sys.modules if name.startswith("nctorus.")}
+    new = sorted(name.partition(".")[2] for name in now - before)
+    before.update(now)
+    return [new, "dataclasses" in sys.modules]
+
+seen = {"import": loaded()}
+curvature = builtin("paper-4x4")
+curvature["command"] = "curvature"
+for name, scenario in (
+    ("paper-infinite", builtin("paper-infinite")),
+    ("rank-4 curvature", curvature),
+    ("paper-cover", builtin("paper-cover")),
+    ("paper-scalar", builtin("paper-scalar")),
+    ("paper-4x4", builtin("paper-4x4")),
+):
+    cli.run(scenario)
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_only_the_modules_a_command_uses():
+    # one fresh interpreter, scenarios in order: [submodules newly loaded, dataclasses loaded] after each
+    assert _fresh_interpreter(_MODULE_PROBE) == {
+        "import": [["algebra", "cli", "errors", "scenarios"], False],
+        "paper-infinite": [["infinitecover"], False],
+        "rank-4 curvature": [["connections", "forms"], True],  # both define dataclasses
+        "paper-cover": [["coverings"], True],
+        "paper-scalar": [[], True],
+        "paper-4x4": [[], True],
     }
 
 

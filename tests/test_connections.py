@@ -347,6 +347,10 @@ def test_entry_parse_keeps_values_and_errors(params):
         assert {key: _signed(c) for key, c in conn.theta_u[0][0].terms.items()} == (
             {(0, 0, 0): _signed(want)} if want else {}
         )
+    for entry in GOOD_ENTRIES:  # beside float pairs, a row takes every entry through the general parse
+        row = [[0.5, -0.0], entry, [-1.5, 2.0]]
+        conn = Connection.from_dict({"rank": 3, "theta_u": [row] * 3, "theta_v": [row] * 3}, params)
+        assert [_signed(c) for c in conn.scalars[0][0]] == [_signed(0j + reference_entry(e)) for e in row]
     for entry in BAD_ENTRIES:
         kind, message = _outcome(reference_entry, entry)
         assert kind != "ok"
