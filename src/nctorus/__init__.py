@@ -15,8 +15,8 @@ _EXPORTS = {
     ),
     "forms": ("TwoForm", "MatrixForm"),
     "connections": (
-        "Connection", "TransportOperator", "nabla", "curvature_form", "curvature_commutator",
-        "is_flat", "transport", "check_transport_axioms", "scalar_connection", "rotation_block_connection",
+        "Connection", "TransportOperator", "curvature_form", "curvature_commutator",
+        "is_flat", "transport", "check_transport_axioms",
     ),
     "coverings": (
         "CoveringSpec", "DeckElement", "ClosedPathReport", "project", "deck_act",

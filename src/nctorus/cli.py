@@ -20,7 +20,6 @@ looked up at call time is whatever its home module holds now.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import re
@@ -227,7 +226,8 @@ def main(argv=None) -> int:
     if emit(text, 0):
         return 2  # --out could not be written
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    seconds, ns = divmod(time.time_ns(), 10**9)  # ISO 8601 UTC, without loading datetime
+    stamp = f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}.{ns // 1000:06d}+00:00"
     print(
         f"nctorus: command={report['command']} elapsed_ms={elapsed_ms:.2f} finished={stamp}",
         file=sys.stderr,

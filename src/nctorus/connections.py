@@ -33,6 +33,7 @@ from .algebra import (
     TorusElement,
     TorusParams,
     Weight,
+    _check_params,
     apply_auto,
     apply_derivation,
     integral,
@@ -173,37 +174,7 @@ class Connection:
         return conn
 
 
-def scalar_connection(params: TorusParams, c_u: float, c_v: float) -> Connection:
-    """Rank-1 connection with antihermitian form i(c_u du + c_v dv)."""
-    return Connection(params, [[1j * c_u]], [[1j * c_v]])
-
-
-def rotation_block_connection(params: TorusParams, c_u: float, c_v: float) -> Connection:
-    """Rank-4 flat connection rotating (e1,e2) in du and (e3,e4) in dv."""
-    theta_u = [
-        [0, -c_u, 0, 0],
-        [c_u, 0, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ]
-    theta_v = [
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, -c_v],
-        [0, 0, c_v, 0],
-    ]
-    return Connection(params, theta_u, theta_v)
-
-
 # -- covariant derivative and curvature -------------------------------------
-
-
-def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
-    """delta_X(xi) + (alpha Theta_u + beta Theta_v) xi on a column vector."""
-    xi = list(xi)
-    if len(xi) != conn.rank:
-        raise RankMismatch(f"vector length {len(xi)} != rank {conn.rank}")
-    return _nabla(conn.weight_matrix(weight), weight, xi)
 
 
 def _nabla(theta, weight: Weight, xi: list[TorusElement]) -> list[TorusElement]:
@@ -251,14 +222,38 @@ class TransportOperator:
         return self.matrix.shape[0]
 
     def apply(self, xs) -> list[TorusElement]:
+        """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict.
+
+        The summation order is a contract, so that every coefficient keeps its
+        bits: each x_j is twisted once; the products t * M[i][0] of the first
+        column's terms t go in first, in term order; each later column's are
+        then added in column and term order, d[key] = d.get(key, 0j) + p.  A
+        zero product is skipped and a sum that reaches zero drops its key.
+        That is total(x_0 * M[i][0], [x_1 * M[i][1], ...]), key order included,
+        which the tests keep as the reference.  Every x_j must share x_0's
+        theta (ParamMismatch).
+        """
         xs = list(xs)
         if len(xs) != self.rank:
             raise RankMismatch(f"vector length {len(xs)} != rank {self.rank}")
-        twisted = [apply_auto(self.weight, self.tau, x) for x in xs]
+        params = xs[0].params
+        for x in xs[1:]:
+            _check_params(params, x.params)
+        first, *rest = [apply_auto(self.weight, self.tau, x).terms.items() for x in xs]
         out = []
-        for row in self.matrix.tolist():
-            scaled = [x * complex(c) for x, c in zip(twisted, row)]
-            out.append(total(scaled[0], scaled[1:]))
+        for c0, *row in self.matrix.astype(complex, copy=False).tolist():
+            terms = {key: p for key, t in first if (p := t * c0)}
+            get = terms.get
+            for items, c in zip(rest, row):
+                for key, t in items:
+                    p = t * c
+                    if p:
+                        s = get(key, 0j) + p
+                        if s:
+                            terms[key] = s
+                        else:
+                            del terms[key]
+            out.append(TorusElement._wrap(params, terms))
         return out
 
     def to_dict(self) -> dict:

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from nctorus.algebra import TorusElement, TorusParams, distance
+from nctorus.algebra import TorusElement, TorusParams, Weight, apply_auto, distance, total
+from nctorus.connections import Connection, _nabla
+from nctorus.errors import RankMismatch
 
 THETA = 0.3819660113
 ALT_THETA = 0.7182818285
@@ -36,6 +38,49 @@ def deck_elements(spec) -> list:
 def exact_form_dict(form) -> dict:
     """A MatrixForm in its report layout, each entry by the exact TorusElement.to_dict."""
     return {"rank": form.rank, "entries": [[{"dudv": e.dudv.to_dict()} for e in row] for row in form.entries]}
+
+
+# -- the paper's two model connections, nabla and the first transport -------
+
+
+def scalar_connection(params: TorusParams, c_u: float, c_v: float) -> Connection:
+    """Rank-1 connection with antihermitian form i(c_u du + c_v dv)."""
+    return Connection(params, [[1j * c_u]], [[1j * c_v]])
+
+
+def rotation_block_connection(params: TorusParams, c_u: float, c_v: float) -> Connection:
+    """Rank-4 flat connection rotating (e1,e2) in du and (e3,e4) in dv."""
+    theta_u = [
+        [0, -c_u, 0, 0],
+        [c_u, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ]
+    theta_v = [
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, -c_v],
+        [0, 0, c_v, 0],
+    ]
+    return Connection(params, theta_u, theta_v)
+
+
+def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
+    """delta_X(xi) + (alpha Theta_u + beta Theta_v) xi on a column vector."""
+    xi = list(xi)
+    if len(xi) != conn.rank:
+        raise RankMismatch(f"vector length {len(xi)} != rank {conn.rank}")
+    return _nabla(conn.weight_matrix(weight), weight, xi)
+
+
+def reference_apply(op, xs) -> list[TorusElement]:
+    """TransportOperator.apply as first written: per row, total over the elements x_j * complex(M[i][j])."""
+    twisted = [apply_auto(op.weight, op.tau, x) for x in xs]
+    out = []
+    for row in op.matrix.tolist():
+        scaled = [x * complex(c) for x, c in zip(twisted, row)]
+        out.append(total(scaled[0], scaled[1:]))
+    return out
 
 
 # -- dense reference for the infinite cover's block Wilson relation ----------

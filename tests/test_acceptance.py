@@ -12,15 +12,9 @@ import random
 
 import numpy as np
 
-from conftest import ALT_THETA, THETA, deck_elements
+from conftest import ALT_THETA, THETA, deck_elements, rotation_block_connection, scalar_connection
 from nctorus.algebra import TorusParams, random_element
-from nctorus.connections import (
-    check_transport_axioms,
-    curvature_commutator,
-    curvature_form,
-    rotation_block_connection,
-    scalar_connection,
-)
+from nctorus.connections import check_transport_axioms, curvature_commutator, curvature_form
 from nctorus.coverings import CoveringSpec, check_path_independence, classify_path, deck_act, project, wilson
 from nctorus.infinitecover import matrix_wilson_relation, wilson_relation
 from test_coverings import oracle_classify

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -604,7 +605,7 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used():
 
 
 _MODULE_PROBE = """
-import json, sys
+import contextlib, io, json, os, sys
 from nctorus import cli
 from nctorus.scenarios import builtin
 
@@ -613,34 +614,55 @@ def loaded():
     now = {name for name in sys.modules if name.startswith("nctorus.")}
     new = sorted(name.partition(".")[2] for name in now - before)
     before.update(now)
-    return [new, "dataclasses" in sys.modules]
+    return [new, "dataclasses" in sys.modules, "datetime" in sys.modules]
+
+def one_shot(name):  # the whole main path, the stderr stamp included
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["--builtin", name, "--out", os.devnull]) == 0
 
 seen = {"import": loaded()}
 curvature = builtin("paper-4x4")
 curvature["command"] = "curvature"
-for name, scenario in (
-    ("paper-infinite", builtin("paper-infinite")),
-    ("rank-4 curvature", curvature),
-    ("paper-cover", builtin("paper-cover")),
-    ("paper-scalar", builtin("paper-scalar")),
-    ("paper-4x4", builtin("paper-4x4")),
+for name, step in (
+    ("paper-infinite", lambda: one_shot("paper-infinite")),
+    ("rank-4 curvature", lambda: cli.run(curvature)),
+    ("paper-cover", lambda: one_shot("paper-cover")),
+    ("paper-scalar", lambda: one_shot("paper-scalar")),
+    ("paper-4x4", lambda: one_shot("paper-4x4")),
 ):
-    cli.run(scenario)
+    step()
     seen[name] = loaded()
 print(json.dumps(seen))
 """
 
 
 def test_cold_start_loads_only_the_modules_a_command_uses():
-    # one fresh interpreter, scenarios in order: [submodules newly loaded, dataclasses loaded] after each
+    # one fresh interpreter, scenarios in order: [submodules newly loaded, dataclasses loaded,
+    # datetime loaded] after each; nctorus never imports datetime, numpy does
     assert _fresh_interpreter(_MODULE_PROBE) == {
-        "import": [["algebra", "cli", "errors", "scenarios"], False],
-        "paper-infinite": [["infinitecover"], False],
-        "rank-4 curvature": [["connections", "forms"], True],  # both define dataclasses
-        "paper-cover": [["coverings"], True],
-        "paper-scalar": [[], True],
-        "paper-4x4": [[], True],
+        "import": [["algebra", "cli", "errors", "scenarios"], False, False],
+        "paper-infinite": [["infinitecover"], False, False],
+        "rank-4 curvature": [["connections", "forms"], True, False],  # both define dataclasses
+        "paper-cover": [["coverings"], True, False],
+        "paper-scalar": [[], True, True],  # numpy's import loads datetime
+        "paper-4x4": [[], True, True],
     }
+
+
+def test_stderr_line_is_command_time_and_utc_stamp(capsys):
+    import datetime
+
+    assert main(["--builtin", "paper-infinite"]) == 0
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"nctorus: command=infinite-wilson elapsed_ms=\d+\.\d\d "
+        r"finished=(\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00)\n",
+        err,
+    )
+    assert match, err
+    finished = datetime.datetime.fromisoformat(match[1])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    assert abs((now - finished).total_seconds()) < 60
 
 
 def test_every_builtin_runs_clean(tmp_path):

@@ -6,23 +6,30 @@ import hashlib
 import json
 import math
 import random
+import struct
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import THETA, assert_close, exact_form_dict
+from conftest import (
+    THETA,
+    assert_close,
+    exact_form_dict,
+    nabla,
+    reference_apply,
+    rotation_block_connection,
+    scalar_connection,
+)
 from nctorus import connections
 from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, real, u, v, vector_distance, zero
 from nctorus.connections import (
     Connection,
+    TransportOperator,
     check_transport_axioms,
     curvature_commutator,
     curvature_form,
     is_flat,
-    nabla,
-    rotation_block_connection,
-    scalar_connection,
     transport,
 )
 from nctorus.errors import NonConstantConnection, ParamMismatch, RankMismatch
@@ -97,6 +104,8 @@ def test_nabla_leibniz_rule(rng, params, block_conn):
 def test_nabla_rank_mismatch(scalar_conn, params):
     with pytest.raises(RankMismatch):
         nabla(scalar_conn, (1, 0), [u(params), v(params)])
+    with pytest.raises(RankMismatch):
+        transport(scalar_conn, (1, 0), 0.5).apply([u(params), v(params)])
 
 
 # -- curvature ---------------------------------------------------------------
@@ -259,6 +268,70 @@ def test_transport_axioms_paper_connections(scalar_conn, block_conn):
         assert report.max_residual < 1e-10
 
 
+def _bits(elements) -> list:
+    """Each element's terms in insertion order, every coefficient as its two doubles' bytes."""
+    return [[(key, struct.pack("<dd", c.real, c.imag)) for key, c in e.terms.items()] for e in elements]
+
+
+def _operator(rows) -> TransportOperator:
+    """An operator with the given matrix and the trivial flow, so phi_tau leaves every term as it is."""
+    return TransportOperator(matrix=np.array(rows, dtype=complex), weight=(0.0, 0.0), tau=0.0)
+
+
+def test_apply_is_the_reference_sum_bit_for_bit(params):
+    from nctorus.algebra import random_element
+
+    rng = random.Random(16)
+    h = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)] for _ in range(4)]
+    dense = [[0.5j * (h[i][j] + h[j][i].conjugate()) for j in range(4)] for i in range(4)]
+    conns = (
+        Connection(params, [[0.25j]], [[0.1j]]),
+        rotation_block_connection(params, C_U, C_V),
+        Connection(params, dense, [row[::-1] for row in dense[::-1]]),
+    )
+    cases = []
+    for conn in conns:
+        for w in ((1, 0), (1, 1), (-2, 3)):
+            # tau = 0 is the identity: every off-diagonal zero gives zero products
+            for tau in (0.0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)):
+                for _ in range(4):
+                    xs = [random_element(rng, params, max_terms=3) for _ in range(conn.rank)]
+                    a = random_element(rng, params, max_terms=3)
+                    cases += [(transport(conn, w, tau), xs), (transport(conn, w, tau), [x * a for x in xs])]
+
+    x = random_element(rng, params, max_terms=4)
+    y = TorusElement(params, {**dict(reversed(list(x.terms.items()))), (9, 9, 0): 1.5j})
+    # row 0 cancels exactly, so every key is dropped and y's come back in y's order
+    cancel = _operator([[1, -1, 1], [1, 1, 0], [0.5, 0.25, -0.5]])
+    assert list(cancel.apply([x, x, y])[0].terms) == list(y.terms)
+    cases.append((cancel, [x, x, y]))
+
+    signed = TorusElement(params, {(1, 0, 0): complex(-0.0, 1.0)})
+    later = TorusElement(params, {(2, 0, 0): complex(-0.0, 1.0)})
+    # the first column's product keeps its -0.0 part; a later column's new key is 0j + p, so 0.0;
+    # a -0.0 matrix entry gives only zero products
+    for rows in ([[1, 1], [complex(-0.0, 0.0), 1]], [[1, 0], [complex(0.0, -0.0), -1]]):
+        cases.append((_operator(rows), [signed, later]))
+    got = cases[-2][0].apply([signed, later])
+    assert math.copysign(1.0, got[0].terms[(1, 0, 0)].real) == -1.0
+    assert math.copysign(1.0, got[0].terms[(2, 0, 0)].real) == 1.0
+    assert list(got[1].terms) == [(2, 0, 0)]
+
+    huge = TorusElement(params, {(0, 1, 0): complex(1e300, 1e300), (1, 0, 0): 2.0})
+    infinite = TorusElement(params, {(0, 1, 0): complex(math.inf, 0.0)})
+    # (1e300 + 1e300i)^2 is nan + inf i, and inf * 0 is nan: a nan product or sum is kept
+    overflow = _operator([[complex(1e300, 1e300), 0], [1e300, 1e300]])
+    got = overflow.apply([huge, infinite])
+    assert math.isnan(got[0].terms[(0, 1, 0)].real) and math.isnan(got[0].terms[(0, 1, 0)].imag)
+    assert math.isinf(got[1].terms[(0, 1, 0)].real)
+    cases.append((overflow, [huge, infinite]))
+
+    for op, xs in cases:
+        got = op.apply(xs)
+        assert _bits(got) == _bits(reference_apply(op, xs))
+        assert all(e.params == params for e in got)
+
+
 # -- structure and serialization ----------------------------------------------
 
 
@@ -272,6 +345,10 @@ def test_entry_params_must_match(params):
         transport(conn, (1, 0), 0.25).apply(xi)
     with pytest.raises(ParamMismatch):
         nabla(conn, (1, 1), xi)
+    # at every other index too, and on the identity operator
+    for i in range(3):
+        with pytest.raises(ParamMismatch):
+            transport(conn, (1, 0), 0.0).apply([*xi[i + 1 :], *xi[: i + 1]])
 
 
 def test_connection_from_scenario_payload(params, scalar_conn, block_conn):

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ALT_THETA, THETA, assert_close, deck_elements
+from conftest import ALT_THETA, THETA, assert_close, deck_elements, rotation_block_connection, scalar_connection
 from nctorus.algebra import EQ_TOL, TorusElement, TorusParams, apply_auto, lam, mono, one, random_element, u, v
-from nctorus.connections import Connection, rotation_block_connection, scalar_connection
+from nctorus.connections import Connection
 from nctorus.coverings import (
     CoveringSpec,
     DeckElement,

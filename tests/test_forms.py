@@ -9,9 +9,9 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close, exact_form_dict
+from conftest import THETA, assert_close, exact_form_dict, rotation_block_connection
 from nctorus.algebra import EQ_TOL, TorusParams, apply_derivation, lam, mono, one, u, v, zero
-from nctorus.connections import Connection, rotation_block_connection
+from nctorus.connections import Connection
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
 from test_algebra import elements
 

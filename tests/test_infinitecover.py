@@ -201,9 +201,8 @@ def test_wilson_relation_values_are_unimodular():
 
 
 def test_wilson_relation_consistent_with_finite_cover():
-    from conftest import THETA
+    from conftest import THETA, scalar_connection
     from nctorus.algebra import TorusParams
-    from nctorus.connections import scalar_connection
     from nctorus.coverings import CoveringSpec, wilson
 
     params = TorusParams(THETA)
@@ -275,9 +274,8 @@ def test_matrix_wilson_matches_exact_phase_at_large_deck():
 
 
 def test_matrix_wilson_matches_finite_cover_blocks():
-    from conftest import THETA
+    from conftest import THETA, rotation_block_connection
     from nctorus.algebra import TorusParams
-    from nctorus.connections import rotation_block_connection
     from nctorus.coverings import CoveringSpec, wilson
 
     params = TorusParams(THETA)
