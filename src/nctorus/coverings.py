@@ -19,10 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import nctorus as _lib  # connections is read at call time, so classify never loads it
 
 from .algebra import CERTIFY_TOL, TorusElement, TorusParams, integral, r15, turn
-from .connections import Connection, TransportOperator, is_flat, transport
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
+
+if TYPE_CHECKING:
+    from .connections import Connection, TransportOperator
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,9 @@ def wilson(spec: CoveringSpec, g: DeckElement, conn: Connection) -> TransportOpe
         raise ParamMismatch("connection does not live over the base parameter")
     if g.degrees != spec.degrees:
         raise ParamMismatch("deck element belongs to a different covering")
-    if not is_flat(conn):
+    if not _lib.connections.is_flat(conn):
         raise NotFlat("generalized Wilson lines are defined for flat connections")
-    return transport(conn, (g.a, g.b), 1.0)
+    return _lib.connections.transport(conn, (g.a, g.b), 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def check_path_independence(
             )
         checked.append(report.weight)
     weights = checked
-    mats = [transport(conn, w, 1.0).matrix for w in weights]
+    mats = [_lib.connections.transport(conn, w, 1.0).matrix for w in weights]
     max_distance = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):

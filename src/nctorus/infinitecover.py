@@ -13,16 +13,17 @@ modeled, and anything requiring it raises UnsupportedProduct.  Every
 computation the model supports cancels legs pairwise, which is all the
 generalized-Wilson and pure-gauge checks need.
 
-Cos/sin sums extend the model entrywise to the 4x4 block gauge field
-U = diag(R_u, R_v), with R = ((cos, -sin), (sin, cos)) on one leg.  Its
-Wilson image (deck(p,q) . U) U^* is block diagonal too, so it is computed one
-2x2 rotation block per leg, from that leg's two sums.
+Every operation writes its result dict once, term by term in the order,
+and so to the bits, of merging its term triples.  Cos/sin sums extend the
+model entrywise to the 4x4 block gauge field U = diag(R_u, R_v), with
+R = ((cos, -sin), (sin, cos)) on one leg.  Its Wilson image
+(deck(p,q) . U) U^* is block diagonal too, so it is computed one 2x2 block
+per leg, from six products of that leg's two sums.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from .algebra import EQ_TOL, turn
@@ -36,8 +37,9 @@ class CharacterSum:
     """Finite sum of normal-ordered characters (u-leg left).
 
     ``terms`` maps (u-frequency, v-frequency) to a nonzero complex
-    coefficient.  The constructor merges (a, b, c) triples in order and drops
-    a pair whose coefficient sums to zero; iterating yields the triples back.
+    coefficient with no -0.0 part.  The constructor merges (a, b, c) triples
+    in order as ``get(key, 0j) + c`` and drops a pair that sums to zero; each
+    operation writes its one result dict as that merge of its terms would.
     Instances are value-like: never mutate ``terms`` after construction.
     """
 
@@ -45,39 +47,30 @@ class CharacterSum:
 
     def __init__(self, triples: Iterable[tuple[float, float, complex]] = ()):
         # not a dict literal: -0.0 == 0.0, so cos(0 x) = 1/2 + 1/2 must add
-        merged: dict[tuple[float, float], complex] = {}
-        for a, b, c in triples:
-            key = (a, b)
-            s = merged.get(key, 0j) + c
-            if s == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = s
-        self.terms = merged
+        self.terms = _accumulate({}, (((a, b), c) for a, b, c in triples))
 
-    def __iter__(self):
-        return ((a, b, c) for (a, b), c in self.terms.items())
+    @classmethod
+    def _wrap(cls, terms: dict) -> "CharacterSum":
+        """A sum over ``terms`` as given: every value a nonzero complex with no -0.0 part."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     def __add__(self, other: "CharacterSum") -> "CharacterSum":
-        return CharacterSum((*self, *other))
+        return CharacterSum._wrap(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "CharacterSum":
-        return CharacterSum((a, b, -c) for a, b, c in self)
+        # keys stay distinct and nothing becomes zero; 0j + turns a -0.0 part to +0.0, as the merge does
+        return CharacterSum._wrap({key: 0j + -c for key, c in self.terms.items()})
 
     def __mul__(self, other: "CharacterSum") -> "CharacterSum":
         """Product, defined only when an inner leg is trivial (normal order survives)."""
-        out = []
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                if b1 != 0 and a2 != 0:
-                    raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
-                out.append((a1 + a2, b2, c1 * c2) if b1 == 0 else (a1, b1 + b2, c1 * c2))
-        return CharacterSum(out)
+        return CharacterSum._wrap(_product(self.terms, other.terms))
 
     def star(self) -> "CharacterSum":
-        if any(a != 0 and b != 0 for a, b, _ in self):
+        if any(a != 0 and b != 0 for a, b in self.terms):
             raise UnsupportedProduct("adjoint of a two-leg term needs the unmodeled leg commutation")
-        return CharacterSum((-a, -b, c.conjugate()) for a, b, c in self)
+        return CharacterSum._wrap({(-a, -b): 0j + c.conjugate() for (a, b), c in self.terms.items()})
 
     def mul_by_inverse(self, unit: "CharacterSum") -> "CharacterSum":
         """self * unit^{-1} for a one-term unit of unitary legs; inner v-legs must cancel.
@@ -94,8 +87,8 @@ class CharacterSum:
         for (a, b), c in self.terms.items():
             if b - b2 != 0:
                 raise UnsupportedProduct("v-legs do not cancel; the result leaves the model")
-            out.append((a - a2, 0.0, c * inv))
-        return CharacterSum(out)
+            out.append(((a - a2, 0.0), c * inv))
+        return CharacterSum._wrap(_accumulate({}, out))
 
     def deck(self, p: int, q: int) -> "CharacterSum":
         """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg.
@@ -103,14 +96,16 @@ class CharacterSum:
         A term turns by p a + q b, taken as one integer ratio: one rounding,
         and its coefficient untouched at a whole turn.
         """
-        out = []
-        for (a, b), c in self.terms.items():
-            for frequency in (a, b):
+        out = {}
+        for key, c in self.terms.items():
+            for frequency in key:
                 if not math.isfinite(frequency):
                     raise ValueError(f"character frequency {frequency} is not finite")
-            (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-            out.append((a, b, turn(c, p * na * db + q * nb * da, da * db)))
-        return CharacterSum(out)
+            (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
+            s = 0j + turn(c, p * na * db + q * nb * da, da * db)
+            if s != 0:  # c e^{i phi} can underflow to zero
+                out[key] = s
+        return CharacterSum._wrap(out)
 
     def constant_value(self) -> complex:
         """Scalar part; raises if any oscillating term survives above EQ_TOL."""
@@ -123,9 +118,36 @@ class CharacterSum:
         return value
 
 
+def _product(x: dict, y: dict) -> dict:
+    """The terms of x * y, each product merged in (x, y) loop order as the constructor merges."""
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            if b1 != 0 and a2 != 0:
+                raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
+            key = (a1 + a2, b2) if b1 == 0 else (a1, b1 + b2)
+            s = out.get(key, 0j) + c1 * c2  # c1 c2 can underflow, or cancel an earlier product
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def _accumulate(acc: dict, terms: Iterable[tuple[tuple[float, float], complex]]) -> dict:
+    """Merge (key, c) pairs into acc in order, as ``get(key, 0j) + c``; a key whose sum is zero leaves acc."""
+    for key, c in terms:
+        s = acc.get(key, 0j) + c
+        if s == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+    return acc
+
+
 def mono(c: complex, a: float, b: float) -> CharacterSum:
     """The one-term sum c * pi_u(e^{iax}) * pi_v(e^{ibx})."""
-    return CharacterSum(((a, b, complex(c)),))
+    return CharacterSum._wrap(_accumulate({}, (((a, b), complex(c)),)))
 
 
 def gauge_unitary(c_u: float, c_v: float) -> CharacterSum:
@@ -147,17 +169,21 @@ def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
 
 
 def cosine_sum(freq: float, leg: str) -> CharacterSum:
-    """cos(freq * x) on the given leg as a two-character sum."""
+    """cos(freq * x) on leg "u" or "v" as a two-character sum."""
     if leg == "u":
         return CharacterSum(((freq, 0.0, 0.5), (-freq, 0.0, 0.5)))
-    return CharacterSum(((0.0, freq, 0.5), (0.0, -freq, 0.5)))
+    if leg == "v":
+        return CharacterSum(((0.0, freq, 0.5), (0.0, -freq, 0.5)))
+    raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
 
 
 def sine_sum(freq: float, leg: str) -> CharacterSum:
-    """sin(freq * x) on the given leg as a two-character sum."""
+    """sin(freq * x) on leg "u" or "v" as a two-character sum."""
     if leg == "u":
         return CharacterSum(((freq, 0.0, -0.5j), (-freq, 0.0, 0.5j)))
-    return CharacterSum(((0.0, freq, -0.5j), (0.0, -freq, 0.5j)))
+    if leg == "v":
+        return CharacterSum(((0.0, freq, -0.5j), (0.0, -freq, 0.5j)))
+    raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
 
 
 def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
@@ -165,8 +191,10 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
 
     U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*):
     the off-diagonal blocks stay zero, and each leg deck-shifts and adjoins
-    only its two distinct sums c and s.  Entry (i, j) of a block merges its
-    two products in one sum.
+    only its two distinct sums c and s.  Entry (i, j) of a block is one dict
+    that its two products, each merged on its own, are merged into in key
+    order: the bits of adding the two product sums.  (-ds)(-ss) is ds ss bit
+    for bit, so the diagonal entries share their products: six per leg.
     """
     import numpy as np
 
@@ -175,10 +203,11 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
         c, s = cosine_sum(freq, leg), sine_sum(freq, leg)
         dc, ds = c.deck(p, q), s.deck(p, q)
         cs, ss = c.star(), s.star()
-        shifted = ((dc, -ds), (ds, dc))
-        adjoint = ((cs, ss), (-ss, cs))
-        for i in (0, 1):
-            for j in (0, 1):
-                entry = CharacterSum(chain.from_iterable(shifted[i][k] * adjoint[k][j] for k in (0, 1)))
-                out[at + i, at + j] = entry.constant_value()
+        # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)), entries row-major
+        diagonal = _product(dc.terms, cs.terms), _product(ds.terms, ss.terms)
+        upper = _product(dc.terms, ss.terms), _product((-ds).terms, cs.terms)
+        lower = _product(ds.terms, cs.terms), _product(dc.terms, (-ss).terms)
+        for n, (first, second) in enumerate((diagonal, upper, lower, diagonal[::-1])):
+            entry = CharacterSum._wrap(_accumulate(dict(first), second.items()))
+            out[at + n // 2, at + n % 2] = entry.constant_value()
     return out

@@ -121,6 +121,38 @@ def dense_matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float):
     return out
 
 
+def reference_merge(triples) -> dict:
+    """The CharacterSum constructor as first written: each (a, b, c) stored as get(key, 0j) + c, zero sums dropped."""
+    merged = {}
+    for a, b, c in triples:
+        key = (a, b)
+        s = merged.get(key, 0j) + c
+        if s == 0:
+            merged.pop(key, None)
+        else:
+            merged[key] = s
+    return merged
+
+
+def reference_product(x, y) -> dict:
+    """The terms of CharacterSum.__mul__ as first written: the list of product triples, then one merge."""
+    from nctorus.errors import UnsupportedProduct
+
+    out = []
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            if b1 != 0 and a2 != 0:
+                raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
+            out.append((a1 + a2, b2, c1 * c2) if b1 == 0 else (a1, b1 + b2, c1 * c2))
+    return reference_merge(out)
+
+
+def reference_add_product(acc, x, y) -> dict:
+    """The terms of ``acc + x * y`` as first written: acc's triples, then the merged product's, in one merge."""
+    product = reference_product(x, y)
+    return reference_merge([(a, b, c) for terms in (acc.terms, product) for (a, b), c in terms.items()])
+
+
 # -- brute-force normal-ordering oracle ------------------------------------
 #
 # The only axiom used is u v = lambda v u, applied one letter at a time:

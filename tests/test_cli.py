@@ -581,13 +581,13 @@ print(json.dumps(seen))
 """
 
 
-def _fresh_interpreter(code: str):
-    """The JSON that ``code`` prints, run in a new interpreter on this checkout's nctorus."""
+def _fresh_interpreter(code: str, *args: str):
+    """The JSON that ``code`` prints, run with ``args`` in a new interpreter on this checkout's nctorus."""
     import nctorus
 
     src = str(Path(nctorus.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -623,14 +623,11 @@ def one_shot(name):  # the whole main path, the stderr stamp included
 seen = {"import": loaded()}
 curvature = builtin("paper-4x4")
 curvature["command"] = "curvature"
-for name, step in (
-    ("paper-infinite", lambda: one_shot("paper-infinite")),
-    ("rank-4 curvature", lambda: cli.run(curvature)),
-    ("paper-cover", lambda: one_shot("paper-cover")),
-    ("paper-scalar", lambda: one_shot("paper-scalar")),
-    ("paper-4x4", lambda: one_shot("paper-4x4")),
-):
-    step()
+for name in sys.argv[1:]:
+    if name == "rank-4 curvature":
+        cli.run(curvature)
+    else:
+        one_shot(name)
     seen[name] = loaded()
 print(json.dumps(seen))
 """
@@ -639,13 +636,23 @@ print(json.dumps(seen))
 def test_cold_start_loads_only_the_modules_a_command_uses():
     # one fresh interpreter, scenarios in order: [submodules newly loaded, dataclasses loaded,
     # datetime loaded] after each; nctorus never imports datetime, numpy does
-    assert _fresh_interpreter(_MODULE_PROBE) == {
+    order = ("paper-infinite", "rank-4 curvature", "paper-cover", "paper-scalar", "paper-4x4")
+    assert _fresh_interpreter(_MODULE_PROBE, *order) == {
         "import": [["algebra", "cli", "errors", "scenarios"], False, False],
         "paper-infinite": [["infinitecover"], False, False],
         "rank-4 curvature": [["connections", "forms"], True, False],  # both define dataclasses
         "paper-cover": [["coverings"], True, False],
         "paper-scalar": [[], True, True],  # numpy's import loads datetime
         "paper-4x4": [[], True, True],
+    }
+
+
+def test_cover_classification_loads_no_connection_module():
+    # classify first: coverings reaches connections only when wilson or independence runs
+    assert _fresh_interpreter(_MODULE_PROBE, "paper-cover", "paper-4x4") == {
+        "import": [["algebra", "cli", "errors", "scenarios"], False, False],
+        "paper-cover": [["coverings"], True, False],  # coverings defines dataclasses
+        "paper-4x4": [["connections", "forms"], True, True],
     }
 
 

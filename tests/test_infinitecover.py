@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from nctorus.algebra import turn
 from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
     CharacterSum,
+    _accumulate,
+    _product,
     cosine_sum,
     gauge_unitary,
     matrix_wilson_relation,
@@ -239,6 +242,79 @@ def test_character_sum_trig_identity():
     for leg in ("u", "v"):
         assert cosine_sum(0.0, leg).constant_value() == 1
         assert sine_sum(0.0, leg).terms == {}
+
+
+@pytest.mark.parametrize("make", [cosine_sum, sine_sum])
+def test_leg_sums_reject_an_unknown_leg(make):
+    assert make(0.5, "u").terms.keys() == {(0.5, 0.0), (-0.5, 0.0)}
+    assert make(0.5, "v").terms.keys() == {(0.0, 0.5), (0.0, -0.5)}
+    for leg in ("U", "w", "", None):
+        with pytest.raises(ValueError, match=f"^leg must be 'u' or 'v', got {re.escape(repr(leg))}$"):
+            make(0.5, leg)
+
+
+def term_bits(terms: dict) -> list[bytes]:
+    """Each term's frequencies and coefficient as bytes, in key order: 0.0 and -0.0 differ here."""
+    return [struct.pack("<4d", a, b, c.real, c.imag) for (a, b), c in terms.items()]
+
+
+def random_sum(rng: random.Random) -> CharacterSum:
+    """A small sum whose products collide on keys, cancel to zero, underflow and carry -0.0 parts."""
+    freqs = (0.0, -0.0, 0.25, -0.25, 0.5)
+    if rng.random() < 0.2:  # cos(0 x) merges its 0.0 and -0.0 keys; sin(0 x) is empty
+        return rng.choice((cosine_sum, sine_sum))(rng.choice(freqs), rng.choice("uv"))
+    # 1e-200 squared underflows; 5e-324 turned by a phase can round a part to -0.0
+    coefficients = (0.5, -0.5, 0.5j, -0.5j, complex(0.25, -0.0), complex(-0.0, -0.25), 1e-200, -1e-200, 5e-324, -5e-324)
+    legs = rng.choice(("u", "v", "uv"))
+    triples = []
+    for _ in range(rng.randint(0, 4)):
+        a = rng.choice(freqs) if "u" in legs else 0.0
+        b = rng.choice(freqs) if "v" in legs else 0.0
+        triples.append((a, b, rng.choice(coefficients)))
+    return CharacterSum(triples)
+
+
+def test_one_dict_arithmetic_is_bits_of_the_triple_merge():
+    """Each one-dict operation gives the terms, key order and raise of merging its triples as first written."""
+    from conftest import reference_add_product, reference_merge, reference_product
+
+    rng = random.Random(61)
+    cu, su = cosine_sum(0.25, "u"), sine_sum(0.25, "u")
+    cases = [
+        (CharacterSum(), cu, su),  # cos sin: the two key-0 products cancel to exact zero
+        (cosine_sum(0.0, "v"), cu, cu),  # cos(0 x) = 1 on the 0.0 == -0.0 key
+        (cu, mono(1e-200, 0.5, 0.0), mono(1e-200, -0.5, 0.0)),  # the product underflows to zero
+        (cu, mono(1, 0.5, 0.25), mono(1, 0.5, 0.0)),  # v-leg times u-leg
+    ]
+    cases += [tuple(random_sum(rng) for _ in range(3)) for _ in range(3000)]
+    tally = {"raised": 0, "cancelled": 0}
+    for acc, x, y in cases:
+        try:
+            want, want_acc = reference_product(x, y), reference_add_product(acc, x, y)
+        except UnsupportedProduct as error:
+            tally["raised"] += 1
+            for call in (lambda: _product(x.terms, y.terms), lambda: x * y, lambda: acc + x * y):
+                with pytest.raises(UnsupportedProduct, match=f"^{re.escape(str(error))}$"):
+                    call()
+            continue
+        tally["cancelled"] += len(want) < len({(a1 + a2, b1 + b2) for a1, b1 in x.terms for a2, b2 in y.terms})
+        product = _product(x.terms, y.terms)
+        assert term_bits(product) == term_bits(want)
+        assert term_bits(_accumulate(dict(acc.terms), product.items())) == term_bits(want_acc)
+        assert term_bits((acc + x * y).terms) == term_bits(want_acc)
+        both = [(a, b, c) for terms in (x.terms, y.terms) for (a, b), c in terms.items()]
+        assert term_bits(CharacterSum(both).terms) == term_bits(reference_merge(both))
+        assert term_bits((-x).terms) == term_bits(reference_merge((a, b, -c) for (a, b), c in x.terms.items()))
+        if all(a == 0 or b == 0 for a, b in x.terms):
+            star = reference_merge((-a, -b, c.conjugate()) for (a, b), c in x.terms.items())
+            assert term_bits(x.star().terms) == term_bits(star)
+        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+        deck = []
+        for (a, b), c in x.terms.items():
+            (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+            deck.append((a, b, turn(c, p * na * db + q * nb * da, da * db)))
+        assert term_bits(x.deck(p, q).terms) == term_bits(reference_merge(deck))
+    assert tally["raised"] > 100 and tally["cancelled"] > 50, tally
 
 
 def test_matrix_wilson_images_of_deck_generators():
