@@ -13,8 +13,9 @@ depends on it.
 
 Every stored coefficient is a nonzero complex.  The public constructor
 enforces that; sums, products, negation and star are canonical by
-construction and skip the check.  Sums accumulate in place through one
-merge, which drops a key whose sum reaches zero.
+construction and skip the check.  Products and sums run through one product
+kernel and one in-place merge over term dicts, which drop a key whose sum
+reaches zero; their callers check theta, and may merge into one dict.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
@@ -173,32 +174,19 @@ class TorusElement:
         return TorusElement._wrap(self.params, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "TorusElement":
-        terms = dict(self.terms)
-        _merge(self.params, terms, self._coerce(other), subtract=True)
-        return TorusElement._wrap(self.params, terms)
+        other = self._coerce(other)
+        _check_params(self.params, other.params)
+        return TorusElement._wrap(self.params, _merge(dict(self.terms), other.terms, subtract=True))
 
     def __rsub__(self, other) -> "TorusElement":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TorusElement":
         if isinstance(other, (int, float, complex)):
-            return TorusElement(
-                self.params, {key: c * other for key, c in self.terms.items()}
-            )
+            return TorusElement(self.params, {key: c * other for key, c in self.terms.items()})
         other = self._coerce(other)
         _check_params(self.params, other.params)
-        # (u^m v^n)(u^p v^q) = lambda^{-n p} u^{m+p} v^{n+q}, -np exact.
-        terms: dict[tuple[int, int, int], complex] = {}
-        get, right = terms.get, other.terms.items()
-        for (m, n, k), a in self.terms.items():
-            for (p, q, l), b in right:
-                key = (m + p, n + q, k + l - n * p)
-                s = get(key, 0j) + a * b
-                if s:
-                    terms[key] = s
-                else:  # a * b may underflow to zero on a new key
-                    terms.pop(key, None)
-        return TorusElement._wrap(self.params, terms)
+        return TorusElement._wrap(self.params, _product(self.terms, other.terms))
 
     def __rmul__(self, other) -> "TorusElement":
         if isinstance(other, (int, float, complex)):
@@ -278,24 +266,40 @@ def _check_params(mine: TorusParams, theirs: TorusParams):
         raise ParamMismatch(f"theta mismatch: {mine.theta} vs {theirs.theta}")
 
 
-def _merge(params: TorusParams, terms: dict, x: TorusElement, subtract: bool = False):
-    """terms += x (or -= x) in place, key by key, dropping a sum that reaches zero."""
-    _check_params(params, x.params)
+def _product(x: dict, y: dict) -> dict:
+    """The terms of x * y in (x, y) loop order: (u^m v^n)(u^p v^q) = lambda^{-n p} u^{m+p} v^{n+q}, -np exact."""
+    terms: dict[tuple[int, int, int], complex] = {}
+    get, right = terms.get, y.items()
+    for (m, n, k), a in x.items():
+        for (p, q, l), b in right:
+            key = (m + p, n + q, k + l - n * p)
+            s = get(key, 0j) + a * b
+            if s:
+                terms[key] = s
+            else:  # a * b may underflow to zero on a new key
+                terms.pop(key, None)
+    return terms
+
+
+def _merge(terms: dict, x: dict, subtract: bool = False) -> dict:
+    """terms += x (or -= x) in place, key by key, dropping a sum that reaches zero; returns terms."""
     get = terms.get
-    for key, c in x.terms.items():
+    for key, c in x.items():
         # in IEEE 754 t - c is t + (-c) bit for bit, signed zeros included
         s = get(key, 0j) - c if subtract else get(key, 0j) + c
         if s:
             terms[key] = s
         else:
             del terms[key]
+    return terms
 
 
 def total(first: TorusElement, rest: Iterable[TorusElement]) -> TorusElement:
     """first + rest[0] + rest[1] + ..., summed left to right in one dict."""
     terms = dict(first.terms)
     for x in rest:
-        _merge(first.params, terms, x)
+        _check_params(first.params, x.params)
+        _merge(terms, x.terms)
     return TorusElement._wrap(first.params, terms)
 
 

@@ -116,7 +116,7 @@ def _infinite_wilson(c_u: float, c_v: float, deck: tuple[int, int]) -> dict:
 #: command -> (the fields it reads, checked in this order after theta; the handler of their values)
 COMMANDS = {
     "curvature": (("connection",), _curvature),
-    "flat": (("connection",), lambda conn: {"flat": _lib.forms.curvature_form(conn).is_zero()}),
+    "flat": (("connection",), lambda conn: {"flat": _lib.connections.is_flat(conn)}),
     "transport": (
         ("connection", "weight", "tau"),
         lambda conn, w, tau: _lib.connections.transport(conn, w, tau).to_dict(),

@@ -28,26 +28,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import (
-    EQ_TOL,
-    TWO_PI,
-    TorusElement,
-    TorusParams,
-    Weight,
-    _check_params,
-    apply_auto,
-    apply_derivation,
-    integral,
-    mono,
-    one,
-    r15,
-    random_element,
-    real,
-    total,
-    vector_distance,
-    zero,
+    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, apply_auto,
+    apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
-from .forms import curvature_form
+from .forms import _element_entries, curvature_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,11 +163,18 @@ class Connection:
 
 
 def _nabla(theta, weight: Weight, xi: list[TorusElement]) -> list[TorusElement]:
-    """nabla_X(xi) from the weight matrix theta = alpha Theta_u + beta Theta_v."""
-    return [
-        total(apply_derivation(weight, x), (t * y for t, y in zip(row, xi)))
-        for row, x in zip(theta, xi)
-    ]
+    """nabla_X(xi) from the weight matrix theta = alpha Theta_u + beta Theta_v, each entry one dict:
+    delta_X(xi_i)'s terms, then each product theta_ij xi_j merged in column order, the bits and key
+    order of total(delta_X(xi_i), [theta_i0 * xi_0, ...]).  Each xi_j must share theta's params."""
+    for y in xi:
+        _check_params(theta[0][0].params, y.params)
+    out = []
+    for row, x in zip(theta, xi):
+        terms = apply_derivation(weight, x).terms  # a fresh dict
+        for t, y in zip(row, xi):
+            _merge(terms, _product(t.terms, y.terms))
+        out.append(TorusElement._wrap(x.params, terms))
+    return out
 
 
 def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
@@ -202,8 +194,11 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
 
 
 def is_flat(conn: Connection) -> bool:
-    """True iff every curvature-form coefficient is at most EQ_TOL."""
-    return curvature_form(conn).is_zero()
+    """True iff every curvature-form coefficient is at most EQ_TOL.  Only an element connection stops
+    early: it builds curvature_form's entries one at a time and stops at the first one above EQ_TOL."""
+    if conn.scalars is not None:
+        return curvature_form(conn).is_zero()
+    return all(e.dudv.is_zero() for e in _element_entries(conn))
 
 
 # -- parallel transport ------------------------------------------------------
@@ -311,9 +306,7 @@ class TransportAxiomReport:
         return max(self.module_residual, self.identity_residual, self.group_residual)
 
 
-def check_transport_axioms(
-    conn: Connection, weight: Weight, samples: int = 100, seed: int = 0
-) -> TransportAxiomReport:
+def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
     """Exercise the transport axioms on random vectors, elements and times."""
     rng = random.Random(seed)
     res_module = res_identity = res_group = 0.0
@@ -334,9 +327,4 @@ def check_transport_axioms(
         both = transport(conn, weight, tau + sigma).apply(s)
         composed = phi_tau.apply(transport(conn, weight, sigma).apply(s))
         res_group = max(res_group, vector_distance(both, composed))
-    return TransportAxiomReport(
-        samples=samples,
-        module_residual=res_module,
-        identity_residual=res_identity,
-        group_residual=res_group,
-    )
+    return TransportAxiomReport(samples, res_module, res_identity, res_group)

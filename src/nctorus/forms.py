@@ -17,6 +17,8 @@ in the element loop's order (so bit-identical to it) and held as complex
 rows, which flatness and the report read; TwoForm entries are built on first
 access.  numpy is not used: its vectorized complex multiply may fuse
 multiply-adds, which changes the last bit of some products and the reports.
+Otherwise each entry is one dict fed by the algebra's product kernel, in the
+element loop's order, and flatness reads the entries one at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul, sub
 
-from .algebra import EQ_TOL, TorusElement, apply_derivation, mono, r15, total, zero
+from .algebra import EQ_TOL, TorusElement, _merge, _product, apply_derivation, mono, r15
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,13 @@ class MatrixForm:
 
 
 def curvature_form(conn) -> MatrixForm:
-    """d Theta + Theta ^ Theta of a connection (free module: e = 1).
+    """d Theta + Theta ^ Theta of a connection (free module: e = 1), every entry built before it returns.
 
     For scalar matrices a, b it is [a, b] as complex rows, in the element loop's order: entry (i, j)
     is 0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as the loop's first sum onto zero.
+    Element entry (i, j) is delta_u(tv_ij) - delta_v(tu_ij) plus one dict: for each k, tv_ik tu_kj is
+    subtracted in place from the kernel's tu_ik tv_kj, which is then merged into the dict, the bits and
+    key order of zero + (tu_ik * tv_kj - tv_ik * tu_kj) + ... over elements.  Only is_flat stops early.
     """
     if conn.scalars is not None:
         a, b = conn.scalars
@@ -85,14 +90,18 @@ def curvature_form(conn) -> MatrixForm:
             for ar, br in zip(a, b)
         ]
         return MatrixForm(params=conn.params, rows=rows)
+    entries = _element_entries(conn)
+    return MatrixForm(zip(*[entries] * conn.rank))  # n entries at a time: the rows, all built here
+
+
+def _element_entries(conn):
+    """The TwoForm entries of an element connection's curvature_form, row-major, each built when reached."""
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
-    out = []
     for i in range(n):
-        row = []
         for j in range(n):
-            products = (tu[i][k] * tv[k][j] - tv[i][k] * tu[k][j] for k in range(n))
-            acc = total(zero(conn.params), products)
+            acc = {}
+            for k in range(n):
+                p = _product(tu[i][k].terms, tv[k][j].terms)
+                _merge(acc, _merge(p, _product(tv[i][k].terms, tu[k][j].terms), subtract=True))
             d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
-            row.append(TwoForm(d + acc))
-        out.append(row)
-    return MatrixForm(out)
+            yield TwoForm(d + TorusElement._wrap(conn.params, acc))

@@ -96,16 +96,7 @@ class CharacterSum:
         A term turns by p a + q b, taken as one integer ratio: one rounding,
         and its coefficient untouched at a whole turn.
         """
-        out = {}
-        for key, c in self.terms.items():
-            for frequency in key:
-                if not math.isfinite(frequency):
-                    raise ValueError(f"character frequency {frequency} is not finite")
-            (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
-            s = 0j + turn(c, p * na * db + q * nb * da, da * db)
-            if s != 0:  # c e^{i phi} can underflow to zero
-                out[key] = s
-        return CharacterSum._wrap(out)
+        return CharacterSum._wrap(_deck(p, q, self.terms, {}))
 
     def constant_value(self) -> complex:
         """Scalar part; raises if any oscillating term survives above EQ_TOL."""
@@ -131,6 +122,24 @@ def _product(x: dict, y: dict) -> dict:
                 out.pop(key, None)
             else:
                 out[key] = s
+    return out
+
+
+def _deck(p: int, q: int, terms: dict, phases: dict) -> dict:
+    """The terms deck-acted by (p, q), each key turned once across the calls that share ``phases``.  turn(1, ...)
+    is the int 1 at a whole turn, where c stays as it is, and else e^{i phi} with no zero part: c e^{i phi} is
+    turn(c, ...) bit for bit.  0.0 and -0.0 are one key, of one integer ratio."""
+    out = {}
+    for key, c in terms.items():
+        e = phases.get(key)
+        if e is None:
+            for frequency in key:
+                if not math.isfinite(frequency):
+                    raise ValueError(f"character frequency {frequency} is not finite")
+            (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
+            e = phases[key] = turn(1, p * na * db + q * nb * da, da * db)
+        if s := 0j + (c if e.__class__ is int else c * e):  # c e^{i phi} can underflow to zero
+            out[key] = s
     return out
 
 
@@ -190,9 +199,9 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
     """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix.
 
     U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*):
-    the off-diagonal blocks stay zero, and each leg deck-shifts and adjoins
-    only its two distinct sums c and s.  Entry (i, j) of a block is one dict
-    that its two products, each merged on its own, are merged into in key
+    the off-diagonal blocks stay zero.  Each leg deck-shifts its two sums c and s,
+    one turn per shared key +-f, and adjoins them.  Entry (i, j) of a block
+    is one dict that its two products, each merged on its own, are merged into in key
     order: the bits of adding the two product sums.  (-ds)(-ss) is ds ss bit
     for bit, so the diagonal entries share their products: six per leg.
     """
@@ -201,7 +210,8 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
     out = np.zeros((4, 4), dtype=complex)
     for at, freq, leg in ((0, c_u, "u"), (2, c_v, "v")):
         c, s = cosine_sum(freq, leg), sine_sum(freq, leg)
-        dc, ds = c.deck(p, q), s.deck(p, q)
+        phases = {}  # c and s share their keys +-freq: two turns
+        dc, ds = (CharacterSum._wrap(_deck(p, q, x.terms, phases)) for x in (c, s))
         cs, ss = c.star(), s.star()
         # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)), entries row-major
         diagonal = _product(dc.terms, cs.terms), _product(ds.terms, ss.terms)

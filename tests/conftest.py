@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 
 import pytest
 
-from nctorus.algebra import TorusElement, TorusParams, Weight, apply_auto, distance, total
+from nctorus.algebra import (
+    TorusElement,
+    TorusParams,
+    Weight,
+    apply_auto,
+    apply_derivation,
+    distance,
+    one,
+    total,
+    turn,
+    zero,
+)
 from nctorus.connections import Connection, _nabla
 from nctorus.errors import RankMismatch
 
@@ -65,12 +78,57 @@ def rotation_block_connection(params: TorusParams, c_u: float, c_v: float) -> Co
     return Connection(params, theta_u, theta_v)
 
 
+#: small integers, signed zeros beside them, a subnormal and overflowing parts: products that
+#: cancel to exact or signed zeros, underflow, and overflow to inf (and inf - inf to NaN)
+EDGE_COEFFICIENTS = (1, -2, 0.5j, complex(-0.0, 1), complex(1, -0.0), complex(-1, -0.0), 5e-324, 1e200, -1e200j)
+
+
+def element_connection(params, rng, rank: int, same: bool = False, coefficients=EDGE_COEFFICIENTS) -> Connection:
+    """A rank-n connection of random elements: |m|, |n| <= 1, lambda powers |k| <= 2, the given coefficients.
+
+    Keys collide often, so sums cancel; ``same`` takes Theta_v = Theta_u, whose products cancel exactly.
+    Entry (0, 0) of Theta_u holds u v^2 besides, so the connection never takes the scalar path.
+    """
+
+    def entry():
+        keys = [(rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
+        return TorusElement(params, {key: rng.choice(coefficients) for key in keys})
+
+    theta_u = [[entry() for _ in range(rank)] for _ in range(rank)]
+    theta_u[0][0] = theta_u[0][0] + TorusElement(params, {(1, 2, 0): 1})
+    theta_v = theta_u if same else [[entry() for _ in range(rank)] for _ in range(rank)]
+    return Connection(params, theta_u, theta_v)
+
+
 def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
     """delta_X(xi) + (alpha Theta_u + beta Theta_v) xi on a column vector."""
     xi = list(xi)
     if len(xi) != conn.rank:
         raise RankMismatch(f"vector length {len(xi)} != rank {conn.rank}")
     return _nabla(conn.weight_matrix(weight), weight, xi)
+
+
+def reference_nabla(theta, weight: Weight, xi) -> list[TorusElement]:
+    """_nabla as first written: per row, total over delta_X(xi_i) and the elements theta_ij * xi_j."""
+    return [total(apply_derivation(weight, x), (t * y for t, y in zip(row, xi))) for row, x in zip(theta, xi)]
+
+
+def reference_commutator(conn: Connection, X: Weight, Y: Weight):
+    """curvature_commutator as first written, over reference_nabla."""
+    n = conn.rank
+    tx, ty = conn.weight_matrix(X), conn.weight_matrix(Y)
+    columns = []
+    for j in range(n):
+        basis = [one(conn.params) if i == j else zero(conn.params) for i in range(n)]
+        xy = reference_nabla(tx, X, reference_nabla(ty, Y, basis))
+        yx = reference_nabla(ty, Y, reference_nabla(tx, X, basis))
+        columns.append([a - b for a, b in zip(xy, yx)])
+    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+
+
+def element_bits(e: TorusElement) -> list:
+    """Each term's key and the struct bytes of its coefficient, in key order: -0.0 and NaN payloads show."""
+    return [(key, struct.pack("<2d", c.real, c.imag)) for key, c in e.terms.items()]
 
 
 def reference_apply(op, xs) -> list[TorusElement]:
@@ -145,6 +203,20 @@ def reference_product(x, y) -> dict:
                 raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
             out.append((a1 + a2, b2, c1 * c2) if b1 == 0 else (a1, b1 + b2, c1 * c2))
     return reference_merge(out)
+
+
+def reference_deck(x, p: int, q: int) -> dict:
+    """The terms of CharacterSum.deck as first written: one turn per term, zero sums dropped."""
+    out = {}
+    for key, c in x.terms.items():
+        for frequency in key:
+            if not math.isfinite(frequency):
+                raise ValueError(f"character frequency {frequency} is not finite")
+        (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
+        s = 0j + turn(c, p * na * db + q * nb * da, da * db)
+        if s != 0:
+            out[key] = s
+    return out
 
 
 def reference_add_product(acc, x, y) -> dict:

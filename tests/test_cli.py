@@ -89,6 +89,23 @@ def test_flat_command_on_builtin_connection(tmp_path):
     assert json.loads(text)["result"] == {"flat": True}
 
 
+def test_flat_command_stops_at_the_first_curved_entry(monkeypatch):
+    # an element connection curved at (0, 0): flat takes that entry's 2n products and agrees with curvature
+    from nctorus import forms
+
+    calls = []
+    product = forms._product
+    monkeypatch.setattr(forms, "_product", lambda x, y: calls.append(1) or product(x, y))
+    scenario = builtin("paper-4x4")
+    v = {"theta": scenario["theta"], "terms": [{"m": 0, "n": 1, "re": 1.0, "im": 0.0, "lk": 0}]}
+    scenario["connection"]["theta_u"][0][0] = v  # -delta_v(v) = -2 pi i v at (0, 0)
+    assert run({**scenario, "command": "flat"})["result"] == {"flat": False}
+    assert len(calls) == 2 * 4
+    calls.clear()
+    assert run({**scenario, "command": "curvature"})["result"]["flat"] is False
+    assert len(calls) == 2 * 4**3
+
+
 def test_curvature_command(tmp_path):
     scenario = builtin("paper-4x4")
     scenario["command"] = "curvature"

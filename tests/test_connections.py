@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import struct
 import sys
 
@@ -15,9 +16,13 @@ import pytest
 from conftest import (
     THETA,
     assert_close,
+    element_bits,
+    element_connection,
     exact_form_dict,
     nabla,
     reference_apply,
+    reference_commutator,
+    reference_nabla,
     rotation_block_connection,
     scalar_connection,
 )
@@ -108,6 +113,38 @@ def test_nabla_rank_mismatch(scalar_conn, params):
         transport(scalar_conn, (1, 0), 0.5).apply([u(params), v(params)])
 
 
+def test_nabla_and_commutator_are_bits_of_the_total_over_products(params):
+    # keys, key order and coefficient bytes against total(delta_X(x), [t * y, ...]) per row
+    from nctorus.algebra import random_element
+
+    rng = random.Random(20261020)
+    for rank in range(1, 6):
+        for same in (False, True):
+            conn = element_connection(params, rng, rank, same=same)
+            xi = [random_element(rng, params, max_terms=3) for _ in range(rank)]
+            xi[-1] = xi[-1] * 1e200  # products overflow to inf, and sums of them to NaN
+            for weight in ((1, 0), (0, 1), (2, -1), (0.5, 0.25)):
+                theta = conn.weight_matrix(weight)
+                got, want = connections._nabla(theta, weight, xi), reference_nabla(theta, weight, xi)
+                assert list(map(element_bits, got)) == list(map(element_bits, want))
+            got, want = curvature_commutator(conn, (1, 0), (0, 1)), reference_commutator(conn, (1, 0), (0, 1))
+            assert [list(map(element_bits, row)) for row in got] == [list(map(element_bits, row)) for row in want]
+
+
+def test_nabla_rejects_a_vector_over_another_theta(params):
+    # every xi over another theta, and each single one, raises as the total over products did
+    other = TorusParams(0.7)
+    conn = element_connection(params, random.Random(5), 3)
+    theta = conn.weight_matrix((1, 1))
+    vectors = [[u(other), v(other), one(other)]]
+    vectors += [[one(other) if i == j else u(params) for i in range(3)] for j in range(3)]
+    for xi in vectors:
+        with pytest.raises(ParamMismatch) as want:
+            reference_nabla(theta, (1, 1), xi)
+        with pytest.raises(ParamMismatch, match=f"^{re.escape(str(want.value))}$"):
+            nabla(conn, (1, 1), xi)
+
+
 # -- curvature ---------------------------------------------------------------
 
 
@@ -131,6 +168,68 @@ def test_symbolic_curvature_frozen_values(params):
     conn = Connection(params, [[v(params)]], [[0]])
     assert curvature_form(conn).entries[0][0].dudv.terms == {(0, 1, 0): -TWO_PI_I}
     assert not is_flat(conn)
+
+
+def _flat_block(params, rng, rank: int) -> list:
+    """Theta_u = Theta_v = A with every term's u and v powers equal: d Theta and Theta ^ Theta are exactly zero."""
+    def entry():
+        return TorusElement(params, {(m, m, rng.randint(-2, 2)): complex(rng.randint(-3, 3), 1) for m in (-1, 1)})
+
+    return [[entry() for _ in range(rank)] for _ in range(rank)]
+
+
+def _curved_cases(params, rng, rank: int) -> list:
+    """Element connections, flat and curved, with the curvature at one chosen entry or everywhere."""
+    z = zero(params)
+    a = _flat_block(params, rng, rank)
+    last = [row + [z] for row in _flat_block(params, rng, rank - 1)] + [[z] * (rank - 1) + [lam(params)]]
+    # a product commutator u v - v u at (n-1, n-1) only, beside a flat block
+    theta_u, theta_v = [row[:] for row in last], [row[:] for row in last]
+    theta_u[-1][-1], theta_v[-1][-1] = u(params), v(params)
+    # only a derivation term, 2 pi i (u - lambda v) at (n-1, n-1): Theta_v = Theta_u cancels every product
+    only_d = [row[:] for row in a]
+    only_d[-1][-1] = only_d[-1][-1] + u(params) - lam(params) * v(params)
+    # below tolerance at (0, 0): still flat
+    tiny = [row[:] for row in a]
+    tiny[0][0] = tiny[0][0] + mono(1, 0, 1e-13, params)
+    return [
+        (Connection(params, a, a), True),
+        (Connection(params, last, last), True),
+        (Connection(params, tiny, tiny), True),
+        (Connection(params, theta_u, theta_v), False),
+        (Connection(params, only_d, only_d), False),
+        (element_connection(params, rng, rank), False),
+    ]
+
+
+def test_is_flat_is_the_verdict_of_the_full_form(params):
+    rng = random.Random(20261021)
+    for rank in range(1, 6):
+        for conn, flat in _curved_cases(params, rng, rank):
+            assert conn.scalars is None
+            assert is_flat(conn) is curvature_form(conn).is_zero() is flat
+        for same in (False, True):
+            conn = element_connection(params, rng, rank, same=same)
+            assert is_flat(conn) is curvature_form(conn).is_zero()
+
+
+def test_is_flat_stops_at_the_first_curved_entry(monkeypatch, params):
+    # entry (0, 0) is curved: is_flat takes only its 2n products; curvature_form still takes all 2n^3
+    from nctorus import forms
+
+    calls = []
+    product = forms._product
+    monkeypatch.setattr(forms, "_product", lambda x, y: calls.append(1) or product(x, y))
+    rng = random.Random(20261022)
+    for rank in range(1, 6):
+        conn = element_connection(params, rng, rank)
+        assert not curvature_form(conn).entries[0][0].dudv.is_zero()
+        calls.clear()
+        assert is_flat(conn) is False
+        assert len(calls) == 2 * rank
+        calls.clear()
+        curvature_form(conn)
+        assert len(calls) == 2 * rank**3
 
 
 def test_commutator_curvature_of_paper_connections_vanishes(scalar_conn, block_conn):

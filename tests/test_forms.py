@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close, exact_form_dict, rotation_block_connection
+from conftest import THETA, assert_close, element_bits, element_connection, exact_form_dict, rotation_block_connection
 from nctorus.algebra import EQ_TOL, TorusParams, apply_derivation, lam, mono, one, u, v, zero
 from nctorus.connections import Connection
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
@@ -116,7 +117,7 @@ def test_matrix_form_is_zero_at_tolerance(params):
     assert small.is_zero() and not large.is_zero()
 
 
-# -- constant coefficients: scalar path against the element loop -----------------
+# -- the element loop as the reference of both paths -----------------------------
 
 
 def element_loop(conn) -> list:
@@ -240,3 +241,32 @@ def test_lambda_power_entries_keep_exact_exponents(params):
     assert curv.entries[0][0].dudv.terms == {(0, 0, 1): 1, (0, 0, 0): -1}
     assert curv.entries[1][1].dudv.terms == {(0, 0, 0): 1, (0, 0, 1): -1}
     assert [t["lk"] for t in curv.to_dict()["entries"][0][0]["dudv"]["terms"]] == [0, 1]
+
+
+def test_element_curvature_is_bits_of_the_element_loop(params):
+    # keys, key order and coefficient bytes of every entry, against acc + (tu tv - tv tu) over elements
+    rng = random.Random(20261019)
+    z, e = zero(params), one(params)
+    conns = [
+        # lambda powers with the exponents kept exact, and u, v, whose commutator carries lambda^-1
+        Connection(params, [[z, lam(params, 2)], [e, u(params)]], [[v(params), e], [lam(params, -1), z]]),
+        Connection(params, [[u(params)]], [[v(params)]]),
+    ]
+    for rank in range(1, 6):
+        conns += [element_connection(params, rng, rank, same=same) for same in (False, True) for _ in range(6)]
+    seen = {"nan": False, "inf": False, "signed zero": False}
+    for conn in conns:
+        assert conn.scalars is None
+        got = [[element_bits(f.dudv) for f in row] for row in curvature_form(conn).entries]
+        want = [[element_bits(f) for f in row] for row in element_loop(conn)]
+        assert got == want
+        coefficients = [c for row in element_loop(conn) for f in row for c in f.terms.values()]
+        seen["nan"] |= any(math.isnan(c.real) or math.isnan(c.imag) for c in coefficients)
+        seen["inf"] |= any(math.isinf(c.real) or math.isinf(c.imag) for c in coefficients)
+        seen["signed zero"] |= any(math.copysign(1, c.real) < 0 and c.real == 0 for c in coefficients)
+    assert all(seen.values()), seen
+    # Theta_v = Theta_u of finite products: every product cancels to exact zero, leaving d Theta
+    conn = element_connection(params, rng, 4, same=True, coefficients=(1, -2, 0.5j, complex(-0.0, 1)))
+    for row, frow in zip(conn.theta_u, curvature_form(conn).entries):
+        for a, f in zip(row, frow):
+            assert element_bits(f.dudv) == element_bits(apply_derivation((1, 0), a) - apply_derivation((0, 1), a))

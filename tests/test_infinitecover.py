@@ -18,6 +18,7 @@ from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
     CharacterSum,
     _accumulate,
+    _deck,
     _product,
     cosine_sum,
     gauge_unitary,
@@ -315,6 +316,52 @@ def test_one_dict_arithmetic_is_bits_of_the_triple_merge():
             deck.append((a, b, turn(c, p * na * db + q * nb * da, da * db)))
         assert term_bits(x.deck(p, q).terms) == term_bits(reference_merge(deck))
     assert tally["raised"] > 100 and tally["cancelled"] > 50, tally
+
+
+def test_deck_turns_each_frequency_pair_once_to_the_bits_of_a_turn_per_term(monkeypatch):
+    """_deck over sums that share their phases gives each sum's terms of one turn per term, and raises as that does."""
+    from conftest import reference_deck
+
+    def deck_all(p, q, sums):
+        phases = {}
+        return [_deck(p, q, x.terms, phases) for x in sums]
+
+    rng = random.Random(67)
+    big = 10**6
+    cases = [
+        (cosine_sum(0.0, "u"), sine_sum(0.0, "u")),  # the cosine's 0.0 and -0.0 keys merged, the sine empty
+        (cosine_sum(-0.0, "v"), sine_sum(-0.0, "v")),
+        (mono(5e-324, 0.25, 0.0), mono(complex(-0.0, 5e-324), 0.25, 0.0)),  # subnormal parts round to signed zeros
+        (mono(complex(math.inf, 1), 0.5, 0.0), mono(complex(-0.0, math.nan), 0.0, 1.0)),  # untouched at whole turns
+        (mono(1, math.inf, 0.0),),
+        (mono(1, 0.5, 0.0), mono(1, 0.25, math.nan)),  # the first non-finite frequency in order names the error
+    ]
+    for freq in (0.0, 0.5, 1.0, 5e-324, 1e308, rng.uniform(-1, 1), rng.uniform(-1e3, 1e3)):
+        for leg in "uv":
+            cases.append((cosine_sum(freq, leg), sine_sum(freq, leg)))
+    cases += [tuple(random_sum(rng) for _ in range(rng.randint(1, 3))) for _ in range(500)]
+    decks = [(0, 0), (1, 0), (0, -1), (3, -2), (big, -big + 1)]
+    for sums in cases:
+        for p, q in [*decks, (rng.randint(-big, big), rng.randint(-big, big))]:
+            try:
+                want = [reference_deck(x, p, q) for x in sums]
+            except ValueError as error:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                    deck_all(p, q, sums)
+                continue
+            got = deck_all(p, q, sums)
+            assert [term_bits(t) for t in got] == [term_bits(t) for t in want]
+    assert cosine_sum(0.0, "u").deck(5, 7).terms == {(0.0, 0.0): 1} and sine_sum(0.0, "u").deck(5, 7).terms == {}
+
+    # the block Wilson relation turns each leg's two keys +-freq once: four turns a matrix, not eight
+    from nctorus import infinitecover
+
+    turns = []
+    monkeypatch.setattr(infinitecover, "turn", lambda *a: turns.append(a) or turn(*a))
+    for p, q, c_u, c_v in [(3, -2, 0.25, 0.1), (big, 1, rng.uniform(-1, 1), rng.uniform(-1, 1))]:
+        turns.clear()
+        matrix_wilson_relation(p, q, c_u, c_v)
+        assert len(turns) == 4
 
 
 def test_matrix_wilson_images_of_deck_generators():
