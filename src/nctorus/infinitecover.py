@@ -13,12 +13,11 @@ modeled, and anything requiring it raises UnsupportedProduct.  Every
 computation the model supports cancels legs pairwise, which is all the
 generalized-Wilson and pure-gauge checks need.
 
-Every operation writes its result dict once, term by term in the order,
-and so to the bits, of merging its term triples.  Cos/sin sums extend the
-model entrywise to the 4x4 block gauge field U = diag(R_u, R_v), with
-R = ((cos, -sin), (sin, cos)) on one leg.  Its Wilson image
-(deck(p,q) . U) U^* is block diagonal too, so it is computed one 2x2 block
-per leg, from six products of that leg's two sums.
+Every operation writes its result dict once, term by term in the order, and so
+to the bits, of merging its term triples.  Cos/sin sums extend the model
+entrywise to the 4x4 block gauge field U = diag(R_u, R_v), R = ((cos, -sin),
+(sin, cos)) on one leg.  Its Wilson image (deck(p,q) . U) U^* is one 2x2 block
+a leg: four products of the leg's two sums, one map for both diagonal entries.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .algebra import EQ_TOL, turn
+from .algebra import EQ_TOL, integral, turn
 from .errors import UnsupportedProduct
 
 if TYPE_CHECKING:
@@ -60,8 +59,7 @@ class CharacterSum:
         return CharacterSum._wrap(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "CharacterSum":
-        # keys stay distinct and nothing becomes zero; 0j + turns a -0.0 part to +0.0, as the merge does
-        return CharacterSum._wrap({key: 0j + -c for key, c in self.terms.items()})
+        return CharacterSum._wrap(_neg(self.terms))
 
     def __mul__(self, other: "CharacterSum") -> "CharacterSum":
         """Product, defined only when an inner leg is trivial (normal order survives)."""
@@ -70,7 +68,7 @@ class CharacterSum:
     def star(self) -> "CharacterSum":
         if any(a != 0 and b != 0 for a, b in self.terms):
             raise UnsupportedProduct("adjoint of a two-leg term needs the unmodeled leg commutation")
-        return CharacterSum._wrap({(-a, -b): 0j + c.conjugate() for (a, b), c in self.terms.items()})
+        return CharacterSum._wrap(_star(self.terms))
 
     def mul_by_inverse(self, unit: "CharacterSum") -> "CharacterSum":
         """self * unit^{-1} for a one-term unit of unitary legs; inner v-legs must cancel.
@@ -96,17 +94,30 @@ class CharacterSum:
         A term turns by p a + q b, taken as one integer ratio: one rounding,
         and its coefficient untouched at a whole turn.
         """
-        return CharacterSum._wrap(_deck(p, q, self.terms, {}))
+        return CharacterSum._wrap(_deck(integral(p, "deck p"), integral(q, "deck q"), self.terms, {}))
 
     def constant_value(self) -> complex:
         """Scalar part; raises if any oscillating term survives above EQ_TOL."""
-        value = 0j
-        for (a, b), c in self.terms.items():
-            if a == 0 and b == 0:
-                value += c
-            elif abs(c) > EQ_TOL:
-                raise UnsupportedProduct(f"non-constant character of weight {abs(c)} survives")
-        return value
+        return _constant(self.terms)
+
+
+def _neg(terms: dict) -> dict:
+    # keys stay distinct and nothing becomes zero; 0j + turns a -0.0 part to +0.0, as the merge does
+    return {key: 0j + -c for key, c in terms.items()}
+
+
+def _star(terms: dict) -> dict:
+    return {(-a, -b): 0j + c.conjugate() for (a, b), c in terms.items()}
+
+
+def _constant(terms: dict) -> complex:
+    value = 0j
+    for (a, b), c in terms.items():
+        if a == 0 and b == 0:
+            value += c
+        elif abs(c) > EQ_TOL:
+            raise UnsupportedProduct(f"non-constant character of weight {abs(c)} survives")
+    return value
 
 
 def _product(x: dict, y: dict) -> dict:
@@ -138,8 +149,7 @@ def _deck(p: int, q: int, terms: dict, phases: dict) -> dict:
                     raise ValueError(f"character frequency {frequency} is not finite")
             (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
             e = phases[key] = turn(1, p * na * db + q * nb * da, da * db)
-        if s := 0j + (c if e.__class__ is int else c * e):  # c e^{i phi} can underflow to zero
-            out[key] = s
+        out[key] = 0j + (c if e.__class__ is int else c * e)  # |c e^{i phi}| is |c| to a rounding: never zero
     return out
 
 
@@ -177,47 +187,43 @@ def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
 # -- the 4x4 block gauge field ---------------------------------------------------
 
 
+def _leg_sums(freq: float, leg: str) -> tuple[dict, dict]:
+    """The terms of cos(freq * x) and of sin(freq * x) on leg "u" or "v", at the keys +-freq."""
+    if leg not in ("u", "v"):
+        raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
+    keys = ((freq, 0.0), (-freq, 0.0)) if leg == "u" else ((0.0, freq), (0.0, -freq))
+    return _accumulate({}, zip(keys, (0.5, 0.5))), _accumulate({}, zip(keys, (-0.5j, 0.5j)))
+
+
 def cosine_sum(freq: float, leg: str) -> CharacterSum:
     """cos(freq * x) on leg "u" or "v" as a two-character sum."""
-    if leg == "u":
-        return CharacterSum(((freq, 0.0, 0.5), (-freq, 0.0, 0.5)))
-    if leg == "v":
-        return CharacterSum(((0.0, freq, 0.5), (0.0, -freq, 0.5)))
-    raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
+    return CharacterSum._wrap(_leg_sums(freq, leg)[0])
 
 
 def sine_sum(freq: float, leg: str) -> CharacterSum:
     """sin(freq * x) on leg "u" or "v" as a two-character sum."""
-    if leg == "u":
-        return CharacterSum(((freq, 0.0, -0.5j), (-freq, 0.0, 0.5j)))
-    if leg == "v":
-        return CharacterSum(((0.0, freq, -0.5j), (0.0, -freq, 0.5j)))
-    raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
+    return CharacterSum._wrap(_leg_sums(freq, leg)[1])
 
 
 def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
     """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix.
 
-    U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*):
-    the off-diagonal blocks stay zero.  Each leg deck-shifts its two sums c and s,
-    one turn per shared key +-f, and adjoins them.  Entry (i, j) of a block
-    is one dict that its two products, each merged on its own, are merged into in key
-    order: the bits of adding the two product sums.  (-ds)(-ss) is ds ss bit
-    for bit, so the diagonal entries share their products: six per leg.
+    U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*): the off-diagonal
+    blocks stay zero.  Each leg deck-shifts its two sums c and s, one turn per shared key +-f, and
+    adjoins them.  Entry (i, j) of a block is one dict that its two products, each merged on its own,
+    are merged into in key order.  _product(-x, y) and _product(x, -y) are _neg(_product(x, y)) bit
+    for bit, and addition commutes, so the diagonal entries are one map: four products per leg.
     """
     import numpy as np
 
+    p, q = integral(p, "deck p"), integral(q, "deck q")
     out = np.zeros((4, 4), dtype=complex)
     for at, freq, leg in ((0, c_u, "u"), (2, c_v, "v")):
-        c, s = cosine_sum(freq, leg), sine_sum(freq, leg)
-        phases = {}  # c and s share their keys +-freq: two turns
-        dc, ds = (CharacterSum._wrap(_deck(p, q, x.terms, phases)) for x in (c, s))
-        cs, ss = c.star(), s.star()
-        # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)), entries row-major
-        diagonal = _product(dc.terms, cs.terms), _product(ds.terms, ss.terms)
-        upper = _product(dc.terms, ss.terms), _product((-ds).terms, cs.terms)
-        lower = _product(ds.terms, cs.terms), _product(dc.terms, (-ss).terms)
-        for n, (first, second) in enumerate((diagonal, upper, lower, diagonal[::-1])):
-            entry = CharacterSum._wrap(_accumulate(dict(first), second.items()))
-            out[at + n // 2, at + n % 2] = entry.constant_value()
+        (c, s), phases = _leg_sums(freq, leg), {}  # c and s share their keys +-freq: two turns
+        dc, ds, cs, ss = _deck(p, q, c, phases), _deck(p, q, s, phases), _star(c), _star(s)
+        # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)); entries checked in row-major order
+        dc_cs, ds_ss, dc_ss, ds_cs = _product(dc, cs), _product(ds, ss), _product(dc, ss), _product(ds, cs)
+        out[at, at] = out[at + 1, at + 1] = _constant(_accumulate(dc_cs, ds_ss.items()))
+        out[at, at + 1] = _constant(_accumulate(dict(dc_ss), _neg(ds_cs).items()))  # (1, 0) reads dc_ss
+        out[at + 1, at] = _constant(_accumulate(ds_cs, _neg(dc_ss).items()))
     return out

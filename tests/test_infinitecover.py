@@ -19,6 +19,7 @@ from nctorus.infinitecover import (
     CharacterSum,
     _accumulate,
     _deck,
+    _neg,
     _product,
     cosine_sum,
     gauge_unitary,
@@ -101,6 +102,24 @@ def test_deck_action_is_z2_action():
         ((key, c1),), ((key2, c2),) = one_step.terms.items(), both.terms.items()
         assert abs(c1 - c2) < 1e-12
         assert key == key2
+
+
+def test_deck_coordinates_are_integers():
+    """Z^2 has no fractional or bool elements: the deck action and both Wilson relations refuse them."""
+    cases = [(0.5, 0, "p", 0.5), (0, 0.25, "q", 0.25), (True, 0, "p", True), (0, False, "q", False)]
+    cases += [(math.inf, 1, "p", math.inf), (1, math.nan, "q", math.nan), ("1", 0, "p", "1"), (0, 1j, "q", 1j)]
+    for p, q, name, bad in cases:
+        calls = (
+            lambda: wilson_relation(p, q, C_U, C_V),
+            lambda: matrix_wilson_relation(p, q, C_U, C_V),
+            lambda: mono(1, C_U, C_V).deck(p, q),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^deck {name} must be an integer, got {re.escape(repr(bad))}$"):
+                call()
+    # integral floats act as their ints
+    assert wilson_relation(3.0, -2.0, C_U, C_V) == wilson_relation(3, -2, C_U, C_V)
+    assert matrix_wilson_relation(3.0, -2.0, C_U, C_V).tobytes() == matrix_wilson_relation(3, -2, C_U, C_V).tobytes()
 
 
 def test_mul_requires_trivial_inner_leg():
@@ -259,6 +278,11 @@ def term_bits(terms: dict) -> list[bytes]:
     return [struct.pack("<4d", a, b, c.real, c.imag) for (a, b), c in terms.items()]
 
 
+def value_bits(terms: dict) -> dict:
+    """Each key's coefficient as bytes; keys compare as numbers, so 0.0 and -0.0 are one key here."""
+    return {key: struct.pack("<2d", c.real, c.imag) for key, c in terms.items()}
+
+
 def random_sum(rng: random.Random) -> CharacterSum:
     """A small sum whose products collide on keys, cancel to zero, underflow and carry -0.0 parts."""
     freqs = (0.0, -0.0, 0.25, -0.25, 0.5)
@@ -301,6 +325,13 @@ def test_one_dict_arithmetic_is_bits_of_the_triple_merge():
         tally["cancelled"] += len(want) < len({(a1 + a2, b1 + b2) for a1, b1 in x.terms for a2, b2 in y.terms})
         product = _product(x.terms, y.terms)
         assert term_bits(product) == term_bits(want)
+        # the block Wilson relation's four products rest on these: a negated factor gives the negated
+        # product to the bits and key order, and two merged sums are one map in either order
+        assert term_bits(_product(_neg(x.terms), y.terms)) == term_bits(_neg(product))
+        assert term_bits(_product(x.terms, _neg(y.terms))) == term_bits(_neg(product))
+        assert value_bits(_accumulate(dict(acc.terms), product.items())) == value_bits(
+            _accumulate(dict(product), acc.terms.items())
+        )
         assert term_bits(_accumulate(dict(acc.terms), product.items())) == term_bits(want_acc)
         assert term_bits((acc + x * y).terms) == term_bits(want_acc)
         both = [(a, b, c) for terms in (x.terms, y.terms) for (a, b), c in terms.items()]
@@ -332,6 +363,8 @@ def test_deck_turns_each_frequency_pair_once_to_the_bits_of_a_turn_per_term(monk
         (cosine_sum(0.0, "u"), sine_sum(0.0, "u")),  # the cosine's 0.0 and -0.0 keys merged, the sine empty
         (cosine_sum(-0.0, "v"), sine_sum(-0.0, "v")),
         (mono(5e-324, 0.25, 0.0), mono(complex(-0.0, 5e-324), 0.25, 0.0)),  # subnormal parts round to signed zeros
+        # subnormal parts at eighth turns: a part can round to zero, never the whole coefficient
+        (mono(complex(5e-324, 5e-324), 0.125, 0.0), mono(-5e-324, 0.125, 0.0), mono(complex(5e-324, -5e-324), 0.0, 0.375)),
         (mono(complex(math.inf, 1), 0.5, 0.0), mono(complex(-0.0, math.nan), 0.0, 1.0)),  # untouched at whole turns
         (mono(1, math.inf, 0.0),),
         (mono(1, 0.5, 0.0), mono(1, 0.25, math.nan)),  # the first non-finite frequency in order names the error
@@ -351,6 +384,7 @@ def test_deck_turns_each_frequency_pair_once_to_the_bits_of_a_turn_per_term(monk
                 continue
             got = deck_all(p, q, sums)
             assert [term_bits(t) for t in got] == [term_bits(t) for t in want]
+            assert [list(t) for t in got] == [list(x.terms) for x in sums]  # every key survives
     assert cosine_sum(0.0, "u").deck(5, 7).terms == {(0.0, 0.0): 1} and sine_sum(0.0, "u").deck(5, 7).terms == {}
 
     # the block Wilson relation turns each leg's two keys +-freq once: four turns a matrix, not eight
