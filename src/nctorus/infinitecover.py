@@ -1,9 +1,9 @@
 """Desk-scale model of the infinite Z^2 cover of the torus algebra.
 
-An element is a ``CharacterSum``: a finite sum of normal-ordered character
-terms c * pi_u(e^{iax}) * pi_v(e^{ibx}), stored sparsely as a map from the
-frequency pair (a, b) to c.  A monomial is a one-term sum.  The deck group
-Z^2 acts by argument shifts x -> x + 2 pi on one leg at a time, so deck
+An element is a term dict: a finite sum of normal-ordered character terms
+c * pi_u(e^{iax}) * pi_v(e^{ibx}), stored sparsely as a map from the
+frequency pair (a, b) to a nonzero complex c with no -0.0 part.  The deck
+group Z^2 acts by argument shifts x -> x + 2 pi on one leg at a time, so deck
 element (p, q) scales a term of frequencies (a, b) by exp(2 pi i (p a + q b)).
 That turn is reduced mod 1 in exact integer arithmetic, on the integer
 ratios of a and b, so a deck element of any size costs one rounding per
@@ -13,11 +13,13 @@ modeled, and anything requiring it raises UnsupportedProduct.  Every
 computation the model supports cancels legs pairwise, which is all the
 generalized-Wilson and pure-gauge checks need.
 
-Every operation writes its result dict once, term by term in the order, and so
-to the bits, of merging its term triples.  Cos/sin sums extend the model
-entrywise to the 4x4 block gauge field U = diag(R_u, R_v), R = ((cos, -sin),
-(sin, cos)) on one leg.  Its Wilson image (deck(p,q) . U) U^* is one 2x2 block
-a leg: four products of the leg's two sums, one map for both diagonal entries.
+Each helper writes its result dict once, term by term in the order, and so
+to the bits, of merging its (a, b, c) triples as ``get(key, 0j) + c``.  Two
+functions use them: ``wilson_relation`` for the one-term gauge unitary, and
+``matrix_wilson_relation`` for the 4x4 block gauge field U = diag(R_u, R_v),
+R = ((cos, -sin), (sin, cos)) on one leg.  Its Wilson image
+(deck(p,q) . U) U^* is one 2x2 block a leg: four products of the leg's two
+sums, one map for both diagonal entries.
 """
 
 from __future__ import annotations
@@ -32,81 +34,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class CharacterSum:
-    """Finite sum of normal-ordered characters (u-leg left).
-
-    ``terms`` maps (u-frequency, v-frequency) to a nonzero complex
-    coefficient with no -0.0 part.  The constructor merges (a, b, c) triples
-    in order as ``get(key, 0j) + c`` and drops a pair that sums to zero; each
-    operation writes its one result dict as that merge of its terms would.
-    Instances are value-like: never mutate ``terms`` after construction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, triples: Iterable[tuple[float, float, complex]] = ()):
-        # not a dict literal: -0.0 == 0.0, so cos(0 x) = 1/2 + 1/2 must add
-        self.terms = _accumulate({}, (((a, b), c) for a, b, c in triples))
-
-    @classmethod
-    def _wrap(cls, terms: dict) -> "CharacterSum":
-        """A sum over ``terms`` as given: every value a nonzero complex with no -0.0 part."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "CharacterSum") -> "CharacterSum":
-        return CharacterSum._wrap(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "CharacterSum":
-        return CharacterSum._wrap(_neg(self.terms))
-
-    def __mul__(self, other: "CharacterSum") -> "CharacterSum":
-        """Product, defined only when an inner leg is trivial (normal order survives)."""
-        return CharacterSum._wrap(_product(self.terms, other.terms))
-
-    def star(self) -> "CharacterSum":
-        if any(a != 0 and b != 0 for a, b in self.terms):
-            raise UnsupportedProduct("adjoint of a two-leg term needs the unmodeled leg commutation")
-        return CharacterSum._wrap(_star(self.terms))
-
-    def mul_by_inverse(self, unit: "CharacterSum") -> "CharacterSum":
-        """self * unit^{-1} for a one-term unit of unitary legs; inner v-legs must cancel.
-
-        unit^{-1} = (1 / c2) pi_v(-b2) pi_u(-a2) stands in anti-normal order, so
-        the product is only defined when the v frequencies agree.  Complex
-        division scales c2, so no |c2|^2 underflows or overflows.
-        """
-        if len(unit.terms) != 1:
-            raise UnsupportedProduct(f"inverse of a {len(unit.terms)}-term sum is not modeled")
-        (((a2, b2), c2),) = unit.terms.items()
-        inv = 1 / c2
-        out = []
-        for (a, b), c in self.terms.items():
-            if b - b2 != 0:
-                raise UnsupportedProduct("v-legs do not cancel; the result leaves the model")
-            out.append(((a - a2, 0.0), c * inv))
-        return CharacterSum._wrap(_accumulate({}, out))
-
-    def deck(self, p: int, q: int) -> "CharacterSum":
-        """Deck element (p, q) of Z^2: p argument shifts on the u-leg, q on the v-leg.
-
-        A term turns by p a + q b, taken as one integer ratio: one rounding,
-        and its coefficient untouched at a whole turn.
-        """
-        return CharacterSum._wrap(_deck(integral(p, "deck p"), integral(q, "deck q"), self.terms, {}))
-
-    def constant_value(self) -> complex:
-        """Scalar part; raises if any oscillating term survives above EQ_TOL."""
-        return _constant(self.terms)
-
-
 def _neg(terms: dict) -> dict:
     # keys stay distinct and nothing becomes zero; 0j + turns a -0.0 part to +0.0, as the merge does
     return {key: 0j + -c for key, c in terms.items()}
 
 
 def _star(terms: dict) -> dict:
+    """The adjoint of a sum of one-leg terms: conj(c) at (-a, -b).  A two-leg term's adjoint stands in anti-normal
+    order and needs the unmodeled leg commutation, so callers pass only the one-leg cos/sin sums."""
     return {(-a, -b): 0j + c.conjugate() for (a, b), c in terms.items()}
 
 
@@ -121,7 +56,7 @@ def _constant(terms: dict) -> complex:
 
 
 def _product(x: dict, y: dict) -> dict:
-    """The terms of x * y, each product merged in (x, y) loop order as the constructor merges."""
+    """The terms of x * y, each product merged in (x, y) loop order as ``_accumulate`` merges."""
     out = {}
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
@@ -164,45 +99,18 @@ def _accumulate(acc: dict, terms: Iterable[tuple[tuple[float, float], complex]])
     return acc
 
 
-def mono(c: complex, a: float, b: float) -> CharacterSum:
-    """The one-term sum c * pi_u(e^{iax}) * pi_v(e^{ibx})."""
-    return CharacterSum._wrap(_accumulate({}, (((a, b), complex(c)),)))
-
-
-def gauge_unitary(c_u: float, c_v: float) -> CharacterSum:
-    """The global pure-gauge unitary pi_u(e^{i c_u x}) pi_v(e^{i c_v x})."""
-    return mono(1, c_u, c_v)
-
-
 def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
     """The scalar (deck(p,q) . U) U^{-1} = exp(2 pi i (p c_u + q c_v)).
 
-    Computed inside the model: deck-act on the gauge unitary, then cancel
-    legs against its inverse.
+    Computed inside the model: deck-act on the one-term gauge unitary U = pi_u(e^{i c_u x}) pi_v(e^{i c_v x}),
+    then cancel its legs against U^{-1} = pi_v(-c_v) pi_u(-c_u), whose coefficient is exactly 1: the term of
+    frequencies (a, b) goes to (a - c_u, b - c_v), and the scalar is the constant part.
     """
-    gauge = gauge_unitary(c_u, c_v)
-    return gauge.deck(p, q).mul_by_inverse(gauge).constant_value()
+    shifted = _deck(integral(p, "deck p"), integral(q, "deck q"), {(c_u, c_v): 1 + 0j}, {})
+    return _constant(_accumulate({}, (((a - c_u, b - c_v), c) for (a, b), c in shifted.items())))
 
 
 # -- the 4x4 block gauge field ---------------------------------------------------
-
-
-def _leg_sums(freq: float, leg: str) -> tuple[dict, dict]:
-    """The terms of cos(freq * x) and of sin(freq * x) on leg "u" or "v", at the keys +-freq."""
-    if leg not in ("u", "v"):
-        raise ValueError(f"leg must be 'u' or 'v', got {leg!r}")
-    keys = ((freq, 0.0), (-freq, 0.0)) if leg == "u" else ((0.0, freq), (0.0, -freq))
-    return _accumulate({}, zip(keys, (0.5, 0.5))), _accumulate({}, zip(keys, (-0.5j, 0.5j)))
-
-
-def cosine_sum(freq: float, leg: str) -> CharacterSum:
-    """cos(freq * x) on leg "u" or "v" as a two-character sum."""
-    return CharacterSum._wrap(_leg_sums(freq, leg)[0])
-
-
-def sine_sum(freq: float, leg: str) -> CharacterSum:
-    """sin(freq * x) on leg "u" or "v" as a two-character sum."""
-    return CharacterSum._wrap(_leg_sums(freq, leg)[1])
 
 
 def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
@@ -218,8 +126,9 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
 
     p, q = integral(p, "deck p"), integral(q, "deck q")
     out = np.zeros((4, 4), dtype=complex)
-    for at, freq, leg in ((0, c_u, "u"), (2, c_v, "v")):
-        (c, s), phases = _leg_sums(freq, leg), {}  # c and s share their keys +-freq: two turns
+    for at, keys in ((0, ((c_u, 0.0), (-c_u, 0.0))), (2, ((0.0, c_v), (0.0, -c_v)))):
+        # cos and sin on the leg share their keys +-f: two turns.  At f = 0 the keys are one and cos adds to 1
+        c, s, phases = _accumulate({}, zip(keys, (0.5, 0.5))), _accumulate({}, zip(keys, (-0.5j, 0.5j))), {}
         dc, ds, cs, ss = _deck(p, q, c, phases), _deck(p, q, s, phases), _star(c), _star(s)
         # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)); entries checked in row-major order
         dc_cs, ds_ss, dc_ss, ds_cs = _product(dc, cs), _product(ds, ss), _product(dc, ss), _product(ds, cs)

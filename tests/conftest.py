@@ -9,6 +9,7 @@ import struct
 import pytest
 
 from nctorus.algebra import (
+    EQ_TOL,
     TorusElement,
     TorusParams,
     Weight,
@@ -21,7 +22,7 @@ from nctorus.algebra import (
     zero,
 )
 from nctorus.connections import Connection, _nabla
-from nctorus.errors import RankMismatch
+from nctorus.errors import RankMismatch, UnsupportedProduct
 
 THETA = 0.3819660113
 ALT_THETA = 0.7182818285
@@ -141,46 +142,14 @@ def reference_apply(op, xs) -> list[TorusElement]:
     return out
 
 
-# -- dense reference for the infinite cover's block Wilson relation ----------
-
-
-def block_gauge_field(c_u: float, c_v: float) -> list:
-    """The 4x4 unitary with cos/sin character entries: u-rotation block + v-rotation block."""
-    from nctorus.infinitecover import CharacterSum, cosine_sum, sine_sum
-
-    cu, su = cosine_sum(c_u, "u"), sine_sum(c_u, "u")
-    cv, sv = cosine_sum(c_v, "v"), sine_sum(c_v, "v")
-    z = CharacterSum()
-    return [
-        [cu, -su, z, z],
-        [su, cu, z, z],
-        [z, z, cv, -sv],
-        [z, z, sv, cv],
-    ]
-
-
-def dense_matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float):
-    """(deck(p,q) . U) U^* by the full 4x4 product over every entry of U, zero blocks included."""
-    import numpy as np
-
-    from nctorus.infinitecover import CharacterSum
-
-    gauge = block_gauge_field(c_u, c_v)
-    n = len(gauge)
-    shifted = [[entry.deck(p, q) for entry in row] for row in gauge]
-    adjoint = [[gauge[j][i].star() for j in range(n)] for i in range(n)]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            acc = CharacterSum()
-            for k in range(n):
-                acc = acc + shifted[i][k] * adjoint[k][j]
-            out[i, j] = acc.constant_value()
-    return out
+# -- term-dict references for the infinite cover ------------------------------
+#
+# Each writes a term dict {(a, b): c} from the definitions, as a list of (a, b, c)
+# triples merged once; nothing here calls nctorus.infinitecover.
 
 
 def reference_merge(triples) -> dict:
-    """The CharacterSum constructor as first written: each (a, b, c) stored as get(key, 0j) + c, zero sums dropped."""
+    """The sum of (a, b, c) triples: each stored as get(key, 0j) + c, zero sums dropped."""
     merged = {}
     for a, b, c in triples:
         key = (a, b)
@@ -192,23 +161,45 @@ def reference_merge(triples) -> dict:
     return merged
 
 
-def reference_product(x, y) -> dict:
-    """The terms of CharacterSum.__mul__ as first written: the list of product triples, then one merge."""
-    from nctorus.errors import UnsupportedProduct
+def reference_leg_sums(freq: float, leg: str) -> tuple[dict, dict]:
+    """cos(freq x) = (e^{i freq x} + e^{-i freq x}) / 2 and sin(freq x) on leg "u" or "v"."""
+    plus, minus = ((freq, 0.0), (-freq, 0.0)) if leg == "u" else ((0.0, freq), (0.0, -freq))
+    return reference_merge([(*plus, 0.5), (*minus, 0.5)]), reference_merge([(*plus, -0.5j), (*minus, 0.5j)])
 
+
+def reference_neg(x: dict) -> dict:
+    """-x: each coefficient negated."""
+    return reference_merge((a, b, -c) for (a, b), c in x.items())
+
+
+def reference_star(x: dict) -> dict:
+    """x^* for one-leg terms: conj(c) at the opposite frequencies."""
+    return reference_merge((-a, -b, c.conjugate()) for (a, b), c in x.items())
+
+
+def reference_constant(x: dict) -> complex:
+    """The coefficient of the trivial character; any other term above EQ_TOL raises UnsupportedProduct."""
+    for key, c in x.items():
+        if key != (0, 0) and abs(c) > EQ_TOL:
+            raise UnsupportedProduct(f"non-constant character of weight {abs(c)} survives")
+    return 0j + x.get((0, 0), 0j)
+
+
+def reference_product(x: dict, y: dict) -> dict:
+    """x * y as the list of product triples, then one merge; v-leg times u-leg raises."""
     out = []
-    for (a1, b1), c1 in x.terms.items():
-        for (a2, b2), c2 in y.terms.items():
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
             if b1 != 0 and a2 != 0:
                 raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
             out.append((a1 + a2, b2, c1 * c2) if b1 == 0 else (a1, b1 + b2, c1 * c2))
     return reference_merge(out)
 
 
-def reference_deck(x, p: int, q: int) -> dict:
-    """The terms of CharacterSum.deck as first written: one turn per term, zero sums dropped."""
+def reference_deck(x: dict, p: int, q: int) -> dict:
+    """x deck-acted by (p, q): one turn per term, zero sums dropped."""
     out = {}
-    for key, c in x.terms.items():
+    for key, c in x.items():
         for frequency in key:
             if not math.isfinite(frequency):
                 raise ValueError(f"character frequency {frequency} is not finite")
@@ -219,10 +210,36 @@ def reference_deck(x, p: int, q: int) -> dict:
     return out
 
 
-def reference_add_product(acc, x, y) -> dict:
-    """The terms of ``acc + x * y`` as first written: acc's triples, then the merged product's, in one merge."""
+def reference_add_product(acc: dict, x: dict, y: dict) -> dict:
+    """acc + x * y: acc's triples, then the merged product's, in one merge."""
     product = reference_product(x, y)
-    return reference_merge([(a, b, c) for terms in (acc.terms, product) for (a, b), c in terms.items()])
+    return reference_merge([(a, b, c) for terms in (acc, product) for (a, b), c in terms.items()])
+
+
+def dense_matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float):
+    """(deck(p,q) . U) U^* by the full 4x4 product over every entry of the cos/sin block gauge field U,
+    zero blocks included."""
+    import numpy as np
+
+    (cu, su), (cv, sv) = reference_leg_sums(c_u, "u"), reference_leg_sums(c_v, "v")
+    z = {}
+    gauge = [
+        [cu, reference_neg(su), z, z],
+        [su, cu, z, z],
+        [z, z, cv, reference_neg(sv)],
+        [z, z, sv, cv],
+    ]
+    n = len(gauge)
+    shifted = [[reference_deck(entry, p, q) for entry in row] for row in gauge]
+    adjoint = [[reference_star(gauge[j][i]) for j in range(n)] for i in range(n)]
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                acc = reference_add_product(acc, shifted[i][k], adjoint[k][j])
+            out[i, j] = reference_constant(acc)
+    return out
 
 
 # -- brute-force normal-ordering oracle ------------------------------------
