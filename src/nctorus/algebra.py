@@ -52,6 +52,8 @@ Weight = tuple[float, float]
 
 def integral(x, what: str) -> int:
     """A finite integral int or float (not a bool) as an int; ValueError otherwise."""
+    if type(x) is int:
+        return x
     # x % 1 is NaN for an infinite or NaN x, so only finite integers pass
     if isinstance(x, bool) or not isinstance(x, (int, float)) or x % 1 != 0:
         raise ValueError(f"{what} must be an integer, got {x!r}")
@@ -341,11 +343,13 @@ def apply_auto(weight: Weight, tau: float, a: TorusElement) -> TorusElement:
     Scales u^m v^n by exp(2 pi i tau (alpha m + beta n)); lambda exponents
     are untouched, so the map is a *-automorphism for every real tau.
     """
+    return TorusElement._wrap(a.params, _twist(weight, tau, a.terms))
+
+
+def _twist(weight: Weight, tau: float, terms: dict) -> dict:
+    """apply_auto on a term dict, in its order; |c e^{i phi}| is |c| to a rounding, so never zero."""
     alpha, beta = weight
-    terms = {}
-    for key, c in a.terms.items():
-        terms[key] = turn(c, tau * (alpha * key[0] + beta * key[1]))
-    return TorusElement._wrap(a.params, terms)  # |c e^{i phi}| is |c| to a rounding: never zero
+    return {key: turn(c, tau * (alpha * key[0] + beta * key[1])) for key, c in terms.items()}
 
 
 def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:
@@ -362,18 +366,27 @@ def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:
 # -- comparison helpers ----------------------------------------------------
 
 
+def _worst(values: Iterable[float]) -> float:
+    """The largest of non-negative values, 0.0 for none, NaN if any is NaN (max keeps whichever comes first)."""
+    out = 0.0
+    for x in values:
+        if x > out or x != x:  # once out is NaN, neither holds for a number
+            out = x
+    return out
+
+
 def distance(a: TorusElement, b: TorusElement) -> float:
-    """Max folded-coefficient difference; operands must share params."""
-    fa, fb = a.folded(), b.folded()
-    keys = set(fa) | set(fb)
-    return max((abs(fa.get(key, 0j) - fb.get(key, 0j)) for key in keys), default=0.0)
+    """Max folded-coefficient difference, NaN if any difference is NaN; operands must share params."""
+    fb = b.folded()
+    diffs = [abs(c - fb.pop(key, 0j)) for key, c in a.folded().items()]
+    return _worst(diffs + [abs(c) for c in fb.values()])  # and b's keys that a lacks
 
 
 def vector_distance(xs: Iterable[TorusElement], ys: Iterable[TorusElement]) -> float:
     xs, ys = list(xs), list(ys)
     if len(xs) != len(ys):
         raise ValueError("vectors of different length")
-    return max((distance(x, y) for x, y in zip(xs, ys)), default=0.0)
+    return _worst(distance(x, y) for x, y in zip(xs, ys))
 
 
 def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:

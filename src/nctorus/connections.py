@@ -16,20 +16,21 @@ Theta entry a complex multiple of 1), where the path-ordered exponential
 collapses to a dense matrix exponential, ``expm``.
 
 A connection of plain numbers holds them as complex rows and builds its
-element matrices on first use.  numpy is imported where an array is built and
-scipy by ``expm`` at rank 2 and up, so curvature and flatness load neither.
+element matrices on first use; a transport holds M as complex rows too.  Only
+a transport of rank 2 and up folds Theta_X with numpy and loads scipy.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import (
-    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, apply_auto,
-    apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
+    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, _twist, _worst,
+    apply_auto, apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _element_entries, curvature_form
@@ -64,8 +65,8 @@ class Connection:
     plain complex scalars (multiples of 1), decided once to be exact
     multiples or not (``scalars``).  Without a TorusElement entry the
     connection holds complex rows only, read in one pass, and the element
-    matrices theta_u, theta_v are built on first access.  The numeric
-    Theta_u, Theta_v of a constant connection are built on the first transport.
+    matrices theta_u, theta_v are built on first access.  The numeric Theta_u,
+    Theta_v of a constant connection are built on its first rank >= 2 transport.
     """
 
     __slots__ = ("params", "rank", "_entries", "_theta", "_scalars", "_fold")
@@ -115,15 +116,18 @@ class Connection:
             for row_u, row_v in zip(self.theta_u, self.theta_v)
         )
 
+    def _coefficients(self):
+        """(Theta_u, Theta_v) as complex rows: ``scalars``, else each entry's folded coefficient of 1."""
+        return self._scalars or tuple(
+            tuple(tuple(map(_scalar_coefficient, row)) for row in mat) for mat in self._elements()
+        )
+
     def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
-        """Numeric alpha Theta_u + beta Theta_v; requires constant coefficients."""
+        """Numeric alpha Theta_u + beta Theta_v as an array, folded once; requires constant coefficients."""
         if self._fold is None:
-            scalars = self.scalars or [
-                [list(map(_scalar_coefficient, row)) for row in mat] for mat in self._elements()
-            ]
             import numpy as np
 
-            self._fold = tuple(np.array(mat, dtype=complex) for mat in scalars)
+            self._fold = tuple(np.array(mat, dtype=complex) for mat in self._coefficients())
         alpha, beta = weight
         tu, tv = self._fold
         return alpha * tu + beta * tv
@@ -204,25 +208,27 @@ def is_flat(conn: Connection) -> bool:
 # -- parallel transport ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransportOperator:
-    """Phi_tau = s -> M . phi_tau(s), with phi_tau applied entrywise."""
+    """Phi_tau = s -> M . phi_tau(s), phi_tau applied entrywise; immutable, M held as complex rows (``matrix``)."""
 
-    matrix: np.ndarray
-    weight: Weight
-    tau: float
+    __slots__ = ("matrix", "rank", "weight", "tau")
 
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix: tuple[tuple[complex, ...], ...], weight: Weight, tau: float):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", len(matrix))
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "tau", tau)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TransportOperator is immutable")
 
     def apply(self, xs) -> list[TorusElement]:
         """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict.
 
         The summation order is a contract, so that every coefficient keeps its
-        bits: each x_j is twisted once; the products t * M[i][0] of the first
-        column's terms t go in first, in term order; each later column's are
-        then added in column and term order, d[key] = d.get(key, 0j) + p.  A
+        bits: each x_j's terms are twisted once; the products t * M[i][0] of the
+        first column's terms t go in first, in term order; each later column's
+        are then added in column and term order, d[key] = d.get(key, 0j) + p.  A
         zero product is skipped and a sum that reaches zero drops its key.
         That is total(x_0 * M[i][0], [x_1 * M[i][1], ...]), key order included,
         which the tests keep as the reference.  Every x_j must share x_0's
@@ -234,9 +240,9 @@ class TransportOperator:
         params = xs[0].params
         for x in xs[1:]:
             _check_params(params, x.params)
-        first, *rest = [apply_auto(self.weight, self.tau, x).terms.items() for x in xs]
+        first, *rest = [_twist(self.weight, self.tau, x.terms).items() for x in xs]
         out = []
-        for c0, *row in self.matrix.astype(complex, copy=False).tolist():
+        for c0, *row in self.matrix:
             terms = {key: p for key, t in first if (p := t * c0)}
             get = terms.get
             for items, c in zip(rest, row):
@@ -254,7 +260,7 @@ class TransportOperator:
     def to_dict(self) -> dict:
         """Matrix entries as [re, im] pairs; rank 1 adds the scalar as "value".  Floats pass r15."""
         out = {
-            "matrix": [[[r15(z.real), r15(z.imag)] for z in row] for row in self.matrix.tolist()],
+            "matrix": [[[r15(z.real), r15(z.imag)] for z in row] for row in self.matrix],
             "weight": [r15(self.weight[0]), r15(self.weight[1])],
             "tau": r15(self.tau),
         }
@@ -263,33 +269,50 @@ class TransportOperator:
         return out
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """The matrix exponential: the one entry point of every transport.
+def expm(a) -> tuple[tuple[complex, ...], ...]:
+    """The matrix exponential of a square matrix, as complex rows: the one entry point of every transport.
 
-    A 1 x 1 matrix gives np.exp(a), scipy.linalg.expm's own scalar case, so
-    rank 1 never loads scipy.  Larger matrices go to scipy.linalg.expm (the
-    scaling-and-squaring method of Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 2009), imported on first use.
+    ``a`` is complex rows or an array.  A 1 x 1 matrix is one cmath.exp, so rank 1
+    loads neither numpy nor scipy.  Larger ones go to scipy.linalg.expm (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use, and are
+    read back as rows.  A non-finite entry raises OverflowError, with no warning.
     """
-    import numpy as np
+    if len(a) == 1:
+        try:
+            z = cmath.exp(a[0][0])
+            if cmath.isfinite(z):
+                return ((z,),)
+        except (OverflowError, ValueError):  # cmath's range error, and its domain error at an infinite phase
+            pass
+    else:
+        import numpy as np
+        from scipy.linalg import expm as scipy_expm
 
-    a = np.asarray(a)
-    if a.shape == (1, 1):
-        return np.exp(a)
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+        with np.errstate(all="ignore"):
+            m = scipy_expm(a)
+        if np.isfinite(m).all():
+            return tuple(map(tuple, m.tolist()))
+    raise OverflowError("transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double")
 
 
 def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:
     """Module parallel transport at time tau along the weight flow.
 
-    M = exp(2 pi tau (alpha Theta_u + beta Theta_v)); raises
-    NonConstantConnection when Theta has non-scalar entries.
+    M = exp(2 pi tau (alpha Theta_u + beta Theta_v)), its exponent in Python
+    complex arithmetic at rank 1 and folded with numpy above.  Raises
+    NonConstantConnection when Theta has non-scalar entries, OverflowError when M
+    is not finite.
     """
-    a = conn.constant_weight_matrix(weight)
-    m = expm(TWO_PI * tau * a)
-    return TransportOperator(matrix=m, weight=tuple(weight), tau=tau)
+    if conn.rank == 1:
+        alpha, beta = weight
+        ((cu,),), ((cv,),) = conn._coefficients()
+        a = ((TWO_PI * tau * (alpha * cu + beta * cv),),)
+    else:
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # an overflow here makes M non-finite, which expm refuses
+            a = TWO_PI * tau * conn.constant_weight_matrix(weight)
+    return TransportOperator(expm(a), tuple(weight), tau)
 
 
 @dataclass(frozen=True)
@@ -303,13 +326,13 @@ class TransportAxiomReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.module_residual, self.identity_residual, self.group_residual)
+        return _worst((self.module_residual, self.identity_residual, self.group_residual))
 
 
 def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
     """Exercise the transport axioms on random vectors, elements and times."""
     rng = random.Random(seed)
-    res_module = res_identity = res_group = 0.0
+    module, identity, group = [], [], []  # each sample's residuals; a NaN one is the maximum
     phi_0 = transport(conn, weight, 0.0) if samples > 0 else None
     for _ in range(samples):
         s = [random_element(rng, conn.params, max_terms=3) for _ in range(conn.rank)]
@@ -320,11 +343,11 @@ def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100,
         phi_tau = transport(conn, weight, tau)
         lhs = phi_tau.apply([x * a for x in s])
         rhs = [x * apply_auto(weight, tau, a) for x in phi_tau.apply(s)]
-        res_module = max(res_module, vector_distance(lhs, rhs))
+        module.append(vector_distance(lhs, rhs))
 
-        res_identity = max(res_identity, vector_distance(phi_0.apply(s), s))
+        identity.append(vector_distance(phi_0.apply(s), s))
 
         both = transport(conn, weight, tau + sigma).apply(s)
         composed = phi_tau.apply(transport(conn, weight, sigma).apply(s))
-        res_group = max(res_group, vector_distance(both, composed))
-    return TransportAxiomReport(samples, res_module, res_identity, res_group)
+        group.append(vector_distance(both, composed))
+    return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))

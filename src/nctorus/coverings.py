@@ -184,7 +184,7 @@ def check_path_independence(
     spec: CoveringSpec, g: DeckElement, conn: Connection, weights
 ) -> PathIndependenceReport:
     """Transport along each weight (all must be closed paths for g) and compare."""
-    import numpy as np
+    import numpy as np  # at every rank: numpy's complex abs can differ from Python's in the last bit
 
     checked = []
     for w in weights:
@@ -195,7 +195,7 @@ def check_path_independence(
             )
         checked.append(report.weight)
     weights = checked
-    mats = [_lib.connections.transport(conn, w, 1.0).matrix for w in weights]
+    mats = [np.array(_lib.connections.transport(conn, w, 1.0).matrix) for w in weights]
     max_distance = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):

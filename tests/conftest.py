@@ -136,7 +136,7 @@ def reference_apply(op, xs) -> list[TorusElement]:
     """TransportOperator.apply as first written: per row, total over the elements x_j * complex(M[i][j])."""
     twisted = [apply_auto(op.weight, op.tau, x) for x in xs]
     out = []
-    for row in op.matrix.tolist():
+    for row in op.matrix:
         scaled = [x * complex(c) for x, c in zip(twisted, row)]
         out.append(total(scaled[0], scaled[1:]))
     return out

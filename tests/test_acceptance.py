@@ -41,8 +41,8 @@ def test_criterion_1_scalar_wilson_values():
         params = TorusParams(theta)
         spec = CoveringSpec(params, (2, 2))
         conn = scalar_connection(params, 0.25, 0.1)
-        w_u = wilson(spec, spec.deck(1, 0), conn).matrix
-        w_v = wilson(spec, spec.deck(0, 1), conn).matrix
+        w_u = np.asarray(wilson(spec, spec.deck(1, 0), conn).matrix)
+        w_v = np.asarray(wilson(spec, spec.deck(0, 1), conn).matrix)
         assert abs(w_u[0, 0] - 1j) < 1e-12
         assert abs(w_v[0, 0] - cmath.exp(0.2j * math.pi)) < 1e-12
         mats[theta] = (w_u, w_v)
@@ -180,7 +180,7 @@ def test_criterion_9_pure_gauge_matches_finite_cover_wilson():
         for degrees in [(2, 2), (3, 5)]:
             spec = CoveringSpec(params, degrees)
             for g in deck_elements(spec):
-                finite = wilson(spec, g, scalar).matrix[0, 0]
+                finite = wilson(spec, g, scalar).matrix[0][0]
                 assert abs(finite - wilson_relation(g.a, g.b, c_u, c_v)) < 1e-12, (c_u, c_v, g)
                 finite = wilson(spec, g, block).matrix
                 gap = np.max(np.abs(finite - matrix_wilson_relation(g.a, g.b, c_u, c_v)))

@@ -22,12 +22,14 @@ from nctorus.algebra import (
     apply_auto,
     apply_derivation,
     distance,
+    integral,
     lam,
     mono,
     one,
     turn,
     u,
     v,
+    vector_distance,
     zero,
 )
 from nctorus.connections import Connection, curvature_commutator, curvature_form
@@ -357,3 +359,26 @@ def test_json_shape(params):
 def test_distance_zero_on_equal(params):
     assert distance(u(params), u(params)) == 0.0
     assert distance(u(params), v(params)) == 1.0
+
+
+def test_a_nan_difference_is_the_distance_in_every_key_order(params):
+    # max keeps the first of a NaN pair, so without a check the verdict hung on dict order
+    nan = TorusElement(params, {(0, 0, 0): math.nan})
+    for first, second in ((nan, u(params)), (u(params), nan)):
+        a = TorusElement(params, {**first.terms, **second.terms})
+        for x, y in ((a, u(params)), (u(params), a)):
+            assert math.isnan(distance(x, y))
+            assert x != y
+        for xs in ([a, u(params)], [u(params), a]):
+            assert math.isnan(vector_distance(xs, [u(params), u(params)]))
+    assert distance(TorusElement(params, {(0, 0, 0): 2.0, (1, 0, 0): 1.0}), u(params)) == 2.0
+
+
+def test_integral_keeps_every_result_and_message():
+    big = 10**400
+    assert integral(big, "m") is big and integral(-3, "m") == -3
+    assert integral(4.0, "m") == 4 and type(integral(4.0, "m")) is int
+    for bad in (True, False, 2.5, math.nan, math.inf, "3", None, 1j):
+        with pytest.raises(ValueError) as info:
+            integral(bad, "deck a")
+        assert str(info.value) == f"deck a must be an integer, got {bad!r}"

@@ -585,11 +585,15 @@ def loaded():
 seen = {"import": loaded()}
 curvature = builtin("paper-4x4")
 curvature["command"] = "curvature"
+transport = {**builtin("paper-scalar"), "command": "transport", "paths": [[1, 0.5]], "params": {"tau": 0.7}}
+independence = {**builtin("paper-scalar"), "command": "independence", "paths": [[1, 0], [1, 2]]}
 for name, scenario in (
     ("paper-infinite", builtin("paper-infinite")),
     ("paper-cover", builtin("paper-cover")),
     ("rank-4 curvature", curvature),
     ("paper-scalar", builtin("paper-scalar")),
+    ("rank-1 transport", transport),
+    ("rank-1 independence", independence),
     ("paper-4x4", builtin("paper-4x4")),
 ):
     cli.run(scenario)
@@ -616,7 +620,9 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used():
         "paper-infinite": [False, False],
         "paper-cover": [False, False],
         "rank-4 curvature": [False, False],
-        "paper-scalar": [True, False],  # rank-1 expm is np.exp
+        "paper-scalar": [False, False],  # rank-1 wilson: one cmath.exp
+        "rank-1 transport": [False, False],
+        "rank-1 independence": [True, False],  # compares with numpy's abs at every rank
         "paper-4x4": [True, True],
     }
 
@@ -659,8 +665,34 @@ def test_cold_start_loads_only_the_modules_a_command_uses():
         "paper-infinite": [["infinitecover"], False, False],
         "rank-4 curvature": [["connections", "forms"], True, False],  # both define dataclasses
         "paper-cover": [["coverings"], True, False],
-        "paper-scalar": [[], True, True],  # numpy's import loads datetime
-        "paper-4x4": [[], True, True],
+        "paper-scalar": [[], True, False],
+        "paper-4x4": [[], True, True],  # numpy's import loads datetime
+    }
+
+
+@pytest.mark.parametrize(
+    "theta_u",
+    [[[[200.0, 0.0]]], [[[200.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]],
+    ids=["rank-1", "rank-2"],
+)
+def test_an_overflowing_transport_is_one_validation_error(tmp_path, theta_u):
+    # under -W error, as tier-1 runs: no warning reaches stderr and none becomes a traceback
+    import nctorus
+
+    n = len(theta_u)
+    connection = {"rank": n, "theta_u": theta_u, "theta_v": [[[0.0, 0.0]] * n] * n}
+    scenario = {"v": 1, "command": "transport", "theta": 0.3, "connection": connection, "paths": [[1, 0]]}
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout) == {
+        "error": "validation",
+        "message": "transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double",
     }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -296,9 +297,9 @@ def test_two_curvature_routes_agree_symbolic(rng, params):
 
 def test_scalar_transport_value(scalar_conn):
     op = transport(scalar_conn, (1, 0), 1.0)
-    assert abs(op.matrix[0, 0] - np.exp(TWO_PI_I * C_U)) < 1e-13
+    assert abs(op.matrix[0][0] - np.exp(TWO_PI_I * C_U)) < 1e-13
     op = transport(scalar_conn, (0, 1), 1.0)
-    assert abs(op.matrix[0, 0] - np.exp(TWO_PI_I * C_V)) < 1e-13
+    assert abs(op.matrix[0][0] - np.exp(TWO_PI_I * C_V)) < 1e-13
 
 
 def test_transport_at_zero_is_identity(scalar_conn, block_conn, params):
@@ -324,8 +325,8 @@ def test_transport_group_law(scalar_conn, block_conn):
         for _ in range(10):
             tau, sigma = rng.uniform(-2, 2), rng.uniform(-2, 2)
             w = (rng.randint(-2, 2), rng.randint(-2, 2))
-            prod = transport(conn, w, tau).matrix @ transport(conn, w, sigma).matrix
-            joint = transport(conn, w, tau + sigma).matrix
+            prod = np.asarray(transport(conn, w, tau).matrix) @ np.asarray(transport(conn, w, sigma).matrix)
+            joint = np.asarray(transport(conn, w, tau + sigma).matrix)
             assert np.max(np.abs(prod - joint)) < 1e-10
 
 
@@ -333,8 +334,65 @@ def test_transport_unitary_for_antihermitian(scalar_conn, block_conn):
     for conn in (scalar_conn, block_conn):
         a = conn.constant_weight_matrix((1, 1))
         assert np.array_equal(a.conj().T, -a)
-        m = transport(conn, (1, 1), 0.77).matrix
+        m = np.asarray(transport(conn, (1, 1), 0.77).matrix)
         assert np.max(np.abs(m @ m.conj().T - np.eye(conn.rank))) < 1e-10
+
+
+def _rank1_definition(cu: complex, cv: complex, weight, tau: float) -> complex:
+    """exp(2 pi tau (alpha c_u + beta c_v)) in Python complex arithmetic, then cmath.exp."""
+    alpha, beta = weight
+    return cmath.exp(TWO_PI * tau * (alpha * cu + beta * cv))
+
+
+def test_rank1_transport_is_the_python_definition(params):
+    # signed zeros, subnormal parts, integer and float weights with (0, 0), tau at 0, -0.0 and a
+    # subnormal; entries are held as 0j + c, the value a fold gives.  numpy's multiply may fuse its
+    # multiply-adds, so only where its old value was finite does it bound the new one, by ==
+    parts = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25, -1.5)
+    entries = [complex(re, im) for re in parts[::2] for im in parts] + [complex(-0.0, 1e300)]
+    weights = ((0, 0), (1, 0), (-2, 3), (0.0, -0.0), (0.5, -1.5), (1e10, 1))
+    taus = (0.0, -0.0, 1e-310, 1.0, -0.37)
+    rng = random.Random(21)
+    checked = 0
+    for _ in range(2000):
+        cu, cv, w, tau = rng.choice(entries), rng.choice(entries), rng.choice(weights), rng.choice(taus)
+        try:
+            want = _rank1_definition(0j + cu, 0j + cv, w, tau)
+        except (OverflowError, ValueError):
+            want = complex(math.inf, 0.0)
+        with np.errstate(all="ignore"):
+            old = np.exp(TWO_PI * tau * (w[0] * np.array([[0j + cu]]) + w[1] * np.array([[0j + cv]])))[0, 0]
+        conn = Connection(params, [[cu]], [[cv]])
+        if not cmath.isfinite(want):
+            assert not np.isfinite(old)
+            with pytest.raises(OverflowError):
+                transport(conn, w, tau)
+            continue
+        (got,), = transport(conn, w, tau).matrix
+        assert _signed(got) == _signed(want), (cu, cv, w, tau)
+        if np.isfinite(old):
+            assert got == old, (cu, cv, w, tau)
+            checked += 1
+    assert checked > 1000
+    # a lambda-power entry gives its folded coefficient, as the rank >= 2 fold does
+    conn = Connection(params, [[0.5j * lam(params, 3)]], [[complex(-0.0, 0.1)]])
+    cu = (0.5j * lam(params, 3)).folded()[(0, 0)]
+    assert transport(conn, (1, 2), 0.3).matrix == ((_rank1_definition(cu, 0j + complex(-0.0, 0.1), (1, 2), 0.3),),)
+
+
+@pytest.mark.parametrize(
+    "theta_u, weight",
+    [
+        ([[200.0]], (1, 0)),  # exp overflows
+        ([[1e308j]], (10, 0)),  # the exponent overflows, so its phase is not finite
+        ([[200.0, 0], [0, 1j]], (1, 0)),
+        ([[1e308, 0], [0, 0]], (10, 0)),
+    ],
+)
+def test_a_non_finite_transport_is_an_overflow_error(params, theta_u, weight):
+    conn = Connection(params, theta_u, [[0] * len(theta_u)] * len(theta_u))
+    with pytest.raises(OverflowError, match="^transport overflows: exp"):
+        transport(conn, weight, 1.0)
 
 
 def test_transport_requires_constant_coefficients(params):
@@ -367,6 +425,18 @@ def test_transport_axioms_paper_connections(scalar_conn, block_conn):
         assert report.max_residual < 1e-10
 
 
+def test_a_nan_residual_is_the_axiom_residual_in_every_order(monkeypatch, params):
+    # module, identity and group residuals of two samples, NaN first or last
+    conn = Connection(params, [[0.5j]], [[0.1j]])
+    for values in ([math.nan] * 3 + [0.5] * 3, [0.5] * 3 + [math.nan] * 3):
+        residuals = iter(values)
+        monkeypatch.setattr(connections, "vector_distance", lambda xs, ys: next(residuals))
+        report = check_transport_axioms(conn, (1, 0), samples=2)
+        assert all(map(math.isnan, (report.module_residual, report.identity_residual, report.group_residual)))
+    for fields in ((math.nan, 0.5, 0.1), (0.5, 0.1, math.nan)):
+        assert math.isnan(connections.TransportAxiomReport(1, *fields).max_residual)
+
+
 def _bits(elements) -> list:
     """Each element's terms in insertion order, every coefficient as its two doubles' bytes."""
     return [[(key, struct.pack("<dd", c.real, c.imag)) for key, c in e.terms.items()] for e in elements]
@@ -374,7 +444,7 @@ def _bits(elements) -> list:
 
 def _operator(rows) -> TransportOperator:
     """An operator with the given matrix and the trivial flow, so phi_tau leaves every term as it is."""
-    return TransportOperator(matrix=np.array(rows, dtype=complex), weight=(0.0, 0.0), tau=0.0)
+    return TransportOperator(matrix=tuple(tuple(map(complex, row)) for row in rows), weight=(0.0, 0.0), tau=0.0)
 
 
 def test_apply_is_the_reference_sum_bit_for_bit(params):
@@ -664,18 +734,19 @@ def test_expm_is_scipy_expm_bit_for_bit(rank):
     rng = np.random.default_rng(20261018 + rank)
     for scale in (1e-3, 0.3, 1.0, 7.0):
         a = _seeded_complex(rng, rank, scale)
-        assert connections.expm(a).tobytes() == scipy_expm(a).tobytes()
+        assert np.array(connections.expm(a)).tobytes() == scipy_expm(a).tobytes()
 
 
 def test_expm_of_builtin_transport_exponents_is_scipy_expm():
-    # 2 pi tau Theta_X exactly as transport forms it for the builtin wilson scenarios
+    # 2 pi tau Theta_X as the numpy fold forms it for the builtin wilson scenarios; paper-4x4's is
+    # transport's own input, and paper-scalar's 1 x 1 is one cmath.exp, which gives numpy's bits
     from scipy.linalg import expm as scipy_expm
 
     for name in ("paper-scalar", "paper-4x4"):
         scenario = builtin(name)
         conn = Connection.from_dict(scenario["connection"], TorusParams(scenario["theta"]))
         a = TWO_PI * 1.0 * conn.constant_weight_matrix(tuple(scenario["params"]["deck"]))
-        assert connections.expm(a).tobytes() == scipy_expm(a).tobytes(), name
+        assert np.array(connections.expm(a)).tobytes() == scipy_expm(a).tobytes(), name
 
 
 def test_transport_operator_json(scalar_conn, block_conn):

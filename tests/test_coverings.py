@@ -332,9 +332,9 @@ def test_report_json_shape(spec):
 
 def test_scalar_wilson_values(spec, params):
     conn = scalar_connection(params, C_U, C_V)
-    got = wilson(spec, spec.deck(1, 0), conn).matrix[0, 0]
+    got = wilson(spec, spec.deck(1, 0), conn).matrix[0][0]
     assert abs(got - cmath.exp(2j * math.pi * C_U)) < 1e-12
-    got = wilson(spec, spec.deck(0, 1), conn).matrix[0, 0]
+    got = wilson(spec, spec.deck(0, 1), conn).matrix[0][0]
     assert abs(got - cmath.exp(2j * math.pi * C_V)) < 1e-12
     assert np.array_equal(wilson(spec, spec.deck(0, 0), conn).matrix, np.eye(1))
 
@@ -344,7 +344,7 @@ def test_scalar_wilson_operator_on_high_degree_elements(spec, params):
     # at every degree; the error of an unreduced phase grows with m, though not monotonically
     conn = scalar_connection(params, C_U, C_V)
     op = wilson(spec, spec.deck(1, 0), conn)
-    w = complex(op.matrix[0, 0])
+    w = complex(op.matrix[0][0])
     for m in (4000, 10**4, 10**5):
         (got,) = op.apply([mono(m, 0, 1, params)])
         assert_close(got, mono(m, 0, w, params), tol=EQ_TOL)
@@ -372,26 +372,26 @@ def test_wilson_values_do_not_depend_on_theta():
         for theta in (THETA, ALT_THETA):
             spec = CoveringSpec(TorusParams(theta), degrees)
             conn = scalar_connection(TorusParams(theta), C_U, C_V)
-            mats.append(wilson(spec, spec.deck(1, 1), conn).matrix)
+            mats.append(np.asarray(wilson(spec, spec.deck(1, 1), conn).matrix))
         assert np.max(np.abs(mats[0] - mats[1])) < 1e-12
 
 
 def test_wilson_homomorphism_without_wraparound(spec, params):
     # canonical weights add exactly when no mod-k reduction happens
     conn = rotation_block_connection(params, C_U, C_V)
-    w_u = wilson(spec, spec.deck(1, 0), conn).matrix
-    w_v = wilson(spec, spec.deck(0, 1), conn).matrix
-    w_uv = wilson(spec, spec.deck(1, 1), conn).matrix
+    w_u = np.asarray(wilson(spec, spec.deck(1, 0), conn).matrix)
+    w_v = np.asarray(wilson(spec, spec.deck(0, 1), conn).matrix)
+    w_uv = np.asarray(wilson(spec, spec.deck(1, 1), conn).matrix)
     assert np.max(np.abs(w_u @ w_v - w_uv)) < 1e-10
     assert np.max(np.abs(w_v @ w_u - w_uv)) < 1e-10
-    e = wilson(spec, spec.deck(0, 0), conn).matrix
+    e = np.asarray(wilson(spec, spec.deck(0, 0), conn).matrix)
     assert np.max(np.abs(w_u @ e - w_u)) < 1e-12
 
 
 def test_wilson_full_homomorphism_at_half_integer_holonomy(spec, params):
     # wraparound g_u + g_u = e needs exp(4 pi i c) = 1, i.e. half-integer c
     conn = scalar_connection(params, 0.5, 0.5)
-    table = {(g.a, g.b): wilson(spec, g, conn).matrix for g in deck_elements(spec)}
+    table = {(g.a, g.b): np.asarray(wilson(spec, g, conn).matrix) for g in deck_elements(spec)}
     for g1 in deck_elements(spec):
         for g2 in deck_elements(spec):
             g3 = g1 + g2

@@ -199,7 +199,7 @@ def test_wilson_relation_consistent_with_finite_cover():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     conn = scalar_connection(params, C_U, C_V)
-    finite = wilson(spec, spec.deck(1, 0), conn).matrix[0, 0]
+    finite = wilson(spec, spec.deck(1, 0), conn).matrix[0][0]
     assert abs(wilson_relation(1, 0, C_U, C_V) - finite) < 1e-12
 
 
