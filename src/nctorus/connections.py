@@ -310,7 +310,7 @@ def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator
     else:
         import numpy as np
 
-        with np.errstate(all="ignore"):  # an overflow here makes M non-finite, which expm refuses
+        with np.errstate(all="ignore"):  # an overflow here is not warned: it shows in M, which expm checks
             a = TWO_PI * tau * conn.constant_weight_matrix(weight)
     return TransportOperator(expm(a), tuple(weight), tau)
 

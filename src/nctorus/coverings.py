@@ -195,7 +195,7 @@ def check_path_independence(
             )
         checked.append(report.weight)
     weights = checked
-    mats = [np.array(_lib.connections.transport(conn, w, 1.0).matrix) for w in weights]
+    mats = np.array([_lib.connections.transport(conn, w, 1.0).matrix for w in weights])
     max_distance = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
