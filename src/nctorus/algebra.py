@@ -168,7 +168,9 @@ class TorusElement:
         raise TypeError(f"cannot combine TorusElement with {type(other).__name__}")
 
     def __add__(self, other) -> "TorusElement":
-        return total(self, (self._coerce(other),))
+        other = self._coerce(other)
+        _check_params(self.params, other.params)
+        return TorusElement._wrap(self.params, _merge(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -294,15 +296,6 @@ def _merge(terms: dict, x: dict, subtract: bool = False) -> dict:
         else:
             del terms[key]
     return terms
-
-
-def total(first: TorusElement, rest: Iterable[TorusElement]) -> TorusElement:
-    """first + rest[0] + rest[1] + ..., summed left to right in one dict."""
-    terms = dict(first.terms)
-    for x in rest:
-        _check_params(first.params, x.params)
-        _merge(terms, x.terms)
-    return TorusElement._wrap(first.params, terms)
 
 
 # -- constructors ---------------------------------------------------------

@@ -168,8 +168,8 @@ class Connection:
 
 def _nabla(theta, weight: Weight, xi: list[TorusElement]) -> list[TorusElement]:
     """nabla_X(xi) from the weight matrix theta = alpha Theta_u + beta Theta_v, each entry one dict:
-    delta_X(xi_i)'s terms, then each product theta_ij xi_j merged in column order, the bits and key
-    order of total(delta_X(xi_i), [theta_i0 * xi_0, ...]).  Each xi_j must share theta's params."""
+    delta_X(xi_i)'s terms, then each product theta_ij xi_j merged in column order: the bits and key order
+    of tests/conftest.py's total(delta_X(xi_i), [theta_i0 * xi_0, ...]).  Each xi_j shares theta's params."""
     for y in xi:
         _check_params(theta[0][0].params, y.params)
     out = []
@@ -231,7 +231,7 @@ class TransportOperator:
         are then added in column and term order, d[key] = d.get(key, 0j) + p.  A
         zero product is skipped and a sum that reaches zero drops its key.
         That is total(x_0 * M[i][0], [x_1 * M[i][1], ...]), key order included,
-        which the tests keep as the reference.  Every x_j must share x_0's
+        the reference that tests/conftest.py keeps.  Every x_j must share x_0's
         theta (ParamMismatch).
         """
         xs = list(xs)
@@ -245,6 +245,7 @@ class TransportOperator:
         for c0, *row in self.matrix:
             terms = {key: p for key, t in first if (p := t * c0)}
             get = terms.get
+            # the merge is algebra._merge inlined: a product dict per column made rank-4 apply a quarter slower
             for items, c in zip(rest, row):
                 for key, t in items:
                     p = t * c

@@ -87,7 +87,7 @@ def project(spec: CoveringSpec, a: TorusElement) -> TorusElement:
     terms = {}
     for (m, n, k), c in a.terms.items():
         terms[(k1 * m, k2 * n, k * k1 * k2)] = c
-    return TorusElement(spec.cover, terms)
+    return TorusElement._wrap(spec.cover, terms)  # the key map is injective: a's canonical terms stay canonical
 
 
 def deck_act(g: DeckElement, a: TorusElement) -> TorusElement:

@@ -14,29 +14,24 @@ computation the model supports cancels legs pairwise, which is all the
 generalized-Wilson and pure-gauge checks need.
 
 Each helper writes its result dict once, term by term in the order, and so
-to the bits, of merging its (a, b, c) triples as ``get(key, 0j) + c``.  Two
+to the bits, of merging its (a, b, c) triples as ``get(key, 0j) + c``: the
+rule of ``algebra._merge``, which adds and subtracts whole dicts here.  Two
 functions use them: ``wilson_relation`` for the one-term gauge unitary, and
 ``matrix_wilson_relation`` for the 4x4 block gauge field U = diag(R_u, R_v),
-R = ((cos, -sin), (sin, cos)) on one leg.  Its Wilson image
-(deck(p,q) . U) U^* is one 2x2 block a leg: four products of the leg's two
-sums, one map for both diagonal entries.
+R = ((cos, -sin), (sin, cos)) on one leg: (deck(p,q) . U) U^* is one 2x2
+block a leg, four products of the leg's two sums.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from .algebra import EQ_TOL, integral, turn
+from .algebra import EQ_TOL, _merge, integral, turn
 from .errors import UnsupportedProduct
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _neg(terms: dict) -> dict:
-    # keys stay distinct and nothing becomes zero; 0j + turns a -0.0 part to +0.0, as the merge does
-    return {key: 0j + -c for key, c in terms.items()}
 
 
 def _star(terms: dict) -> dict:
@@ -56,7 +51,7 @@ def _constant(terms: dict) -> complex:
 
 
 def _product(x: dict, y: dict) -> dict:
-    """The terms of x * y, each product merged in (x, y) loop order as ``_accumulate`` merges."""
+    """The terms of x * y, each product merged in (x, y) loop order as ``algebra._merge`` merges."""
     out = {}
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
@@ -88,17 +83,6 @@ def _deck(p: int, q: int, terms: dict, phases: dict) -> dict:
     return out
 
 
-def _accumulate(acc: dict, terms: Iterable[tuple[tuple[float, float], complex]]) -> dict:
-    """Merge (key, c) pairs into acc in order, as ``get(key, 0j) + c``; a key whose sum is zero leaves acc."""
-    for key, c in terms:
-        s = acc.get(key, 0j) + c
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-    return acc
-
-
 def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
     """The scalar (deck(p,q) . U) U^{-1} = exp(2 pi i (p c_u + q c_v)).
 
@@ -107,7 +91,7 @@ def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
     frequencies (a, b) goes to (a - c_u, b - c_v), and the scalar is the constant part.
     """
     shifted = _deck(integral(p, "deck p"), integral(q, "deck q"), {(c_u, c_v): 1 + 0j}, {})
-    return _constant(_accumulate({}, (((a - c_u, b - c_v), c) for (a, b), c in shifted.items())))
+    return _constant({(a - c_u, b - c_v): c for (a, b), c in shifted.items()})
 
 
 # -- the 4x4 block gauge field ---------------------------------------------------
@@ -119,20 +103,21 @@ def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray
     U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*): the off-diagonal
     blocks stay zero.  Each leg deck-shifts its two sums c and s, one turn per shared key +-f, and
     adjoins them.  Entry (i, j) of a block is one dict that its two products, each merged on its own,
-    are merged into in key order.  _product(-x, y) and _product(x, -y) are _neg(_product(x, y)) bit
-    for bit, and addition commutes, so the diagonal entries are one map: four products per leg.
+    are merged into in key order.  _product(-x, y) and _product(x, -y) are -_product(x, y) bit for bit,
+    so an off-diagonal entry subtracts, and addition commutes, so the diagonal entries are one map.
     """
     import numpy as np
 
     p, q = integral(p, "deck p"), integral(q, "deck q")
     out = np.zeros((4, 4), dtype=complex)
-    for at, keys in ((0, ((c_u, 0.0), (-c_u, 0.0))), (2, ((0.0, c_v), (0.0, -c_v)))):
-        # cos and sin on the leg share their keys +-f: two turns.  At f = 0 the keys are one and cos adds to 1
-        c, s, phases = _accumulate({}, zip(keys, (0.5, 0.5))), _accumulate({}, zip(keys, (-0.5j, 0.5j))), {}
+    for at, plus, minus in ((0, (c_u, 0.0), (-c_u, 0.0)), (2, (0.0, c_v), (0.0, -c_v))):
+        # cos and sin on the leg share their keys +-f: two turns.  At f = 0 the keys are one: cos is 1, sin empty.
+        # No coefficient has a -0.0 part (a bare -0.5j has one), so t - c below is t + (-c) to the bits
+        c, s, phases = _merge({plus: 0.5 + 0j}, {minus: 0.5 + 0j}), _merge({plus: complex(0, -0.5)}, {minus: 0.5j}), {}
         dc, ds, cs, ss = _deck(p, q, c, phases), _deck(p, q, s, phases), _star(c), _star(s)
         # ((dc, -ds), (ds, dc)) times ((cs, ss), (-ss, cs)); entries checked in row-major order
         dc_cs, ds_ss, dc_ss, ds_cs = _product(dc, cs), _product(ds, ss), _product(dc, ss), _product(ds, cs)
-        out[at, at] = out[at + 1, at + 1] = _constant(_accumulate(dc_cs, ds_ss.items()))
-        out[at, at + 1] = _constant(_accumulate(dict(dc_ss), _neg(ds_cs).items()))  # (1, 0) reads dc_ss
-        out[at + 1, at] = _constant(_accumulate(ds_cs, _neg(dc_ss).items()))
+        out[at, at] = out[at + 1, at + 1] = _constant(_merge(dc_cs, ds_ss))
+        out[at, at + 1] = _constant(_merge(dict(dc_ss), ds_cs, subtract=True))  # (1, 0) reads dc_ss
+        out[at + 1, at] = _constant(_merge(ds_cs, dc_ss, subtract=True))
     return out

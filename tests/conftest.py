@@ -13,11 +13,12 @@ from nctorus.algebra import (
     TorusElement,
     TorusParams,
     Weight,
+    _check_params,
+    _merge,
     apply_auto,
     apply_derivation,
     distance,
     one,
-    total,
     turn,
     zero,
 )
@@ -107,6 +108,15 @@ def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
     if len(xi) != conn.rank:
         raise RankMismatch(f"vector length {len(xi)} != rank {conn.rank}")
     return _nabla(conn.weight_matrix(weight), weight, xi)
+
+
+def total(first: TorusElement, rest) -> TorusElement:
+    """first + rest[0] + rest[1] + ..., summed left to right in one dict."""
+    terms = dict(first.terms)
+    for x in rest:
+        _check_params(first.params, x.params)
+        _merge(terms, x.terms)
+    return TorusElement._wrap(first.params, terms)
 
 
 def reference_nabla(theta, weight: Weight, xi) -> list[TorusElement]:

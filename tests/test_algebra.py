@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close, oracle_monomial_product, oracle_monomial_star
+from conftest import THETA, assert_close, element_bits, oracle_monomial_product, oracle_monomial_star, total
 from nctorus.algebra import (
     TorusElement,
     TorusParams,
@@ -33,6 +33,7 @@ from nctorus.algebra import (
     zero,
 )
 from nctorus.connections import Connection, curvature_commutator, curvature_form
+from nctorus.coverings import CoveringSpec, deck_act, project
 from nctorus.errors import ParamMismatch
 
 TWO_PI_I = 2j * math.pi
@@ -181,12 +182,24 @@ def assert_canonical(x: TorusElement):
 
 
 @settings(max_examples=60)
-@given(a=elements(), b=elements(), entries=st.lists(elements(), min_size=8, max_size=8))
-def test_results_are_canonical_by_construction(a, b, entries):
-    """Sums, products, negation, star and curvature hold only nonzero complex coefficients."""
-    for x in (a + b, a - b, a - a, a * b, -a, a.star()):
-        assert_canonical(x)
+@given(
+    a=elements(),
+    b=elements(),
+    entries=st.lists(elements(), min_size=8, max_size=8),
+    degrees=st.tuples(st.integers(1, 1000), st.integers(1, 1000)),
+    deck=st.tuples(st.integers(-(10**5), 10**5), st.integers(-(10**5), 10**5)),
+)
+def test_results_are_canonical_by_construction(a, b, entries, degrees, deck):
+    """Sums, products, negation, star, covering maps and curvature hold only nonzero complex coefficients."""
     params = TorusParams(THETA)
+    spec = CoveringSpec(params, degrees)
+    lifted = project(spec, a)
+    for x in (a + b, a - b, a - a, a * b, -a, a.star(), lifted, deck_act(spec.deck(*deck), lifted)):
+        assert_canonical(x)
+    # project moves keys only: a's coefficients, in a's order
+    assert [bits for _, bits in element_bits(lifted)] == [bits for _, bits in element_bits(a)]
+    # + is one merge into a copy of a's terms: the bits and key order of the left-to-right reference sum
+    assert element_bits(a + b) == element_bits(total(a, [b]))
     conn = Connection(params, [entries[0:2], entries[2:4]], [entries[4:6], entries[6:8]])
     for row in curvature_form(conn).entries:
         for e in row:

@@ -13,14 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reference_leg_sums, reference_merge
-from nctorus.algebra import turn
+from conftest import reference_leg_sums, reference_merge, reference_neg
+from nctorus.algebra import _merge, turn
 from nctorus.errors import UnsupportedProduct
 from nctorus.infinitecover import (
-    _accumulate,
     _constant,
     _deck,
-    _neg,
     _product,
     _star,
     matrix_wilson_relation,
@@ -224,7 +222,7 @@ def rotation(angle: float) -> np.ndarray:
 def test_character_sum_trig_identity():
     # cos^2 + sin^2 = 1 inside the sum model
     cu, su = reference_leg_sums(C_U, "u")
-    assert _constant(_accumulate(_product(cu, cu), _product(su, su).items())) == pytest.approx(1.0)
+    assert _constant(_merge(_product(cu, cu), _product(su, su))) == pytest.approx(1.0)
     # at frequency 0 the two characters share a key (0.0 == -0.0) and must add: cos is 1, sin is 0
     for c_u, c_v in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
         assert matrix_wilson_relation(5, 7, c_u, c_v).tobytes() == np.eye(4, dtype=complex).tobytes()
@@ -233,6 +231,10 @@ def test_character_sum_trig_identity():
 def term_bits(terms: dict) -> list[bytes]:
     """Each term's frequencies and coefficient as bytes, in key order: 0.0 and -0.0 differ here."""
     return [struct.pack("<4d", a, b, c.real, c.imag) for (a, b), c in terms.items()]
+
+
+def has_negative_zero(c: complex) -> bool:
+    return any(part == 0 and math.copysign(1.0, part) < 0 for part in (c.real, c.imag))
 
 
 def value_bits(terms: dict) -> dict:
@@ -258,7 +260,7 @@ def random_sum(rng: random.Random) -> dict:
 
 def test_one_dict_arithmetic_is_bits_of_the_triple_merge():
     """Each one-dict operation gives the terms, key order and raise of merging its triples as the references do."""
-    from conftest import reference_add_product, reference_deck, reference_neg, reference_product, reference_star
+    from conftest import reference_add_product, reference_deck, reference_product, reference_star
 
     rng = random.Random(61)
     cu, su = reference_leg_sums(0.25, "u")
@@ -282,20 +284,50 @@ def test_one_dict_arithmetic_is_bits_of_the_triple_merge():
         product = _product(x, y)
         assert term_bits(product) == term_bits(want)
         # the block Wilson relation's four products rest on these: a negated factor gives the negated
-        # product to the bits and key order, and two merged sums are one map in either order
-        assert term_bits(_product(_neg(x), y)) == term_bits(_neg(product))
-        assert term_bits(_product(x, _neg(y))) == term_bits(_neg(product))
-        merged = _accumulate(dict(acc), product.items())
-        assert value_bits(merged) == value_bits(_accumulate(dict(product), acc.items()))
+        # product to the bits and key order, two merged sums are one map in either order, and subtracting
+        # a sum merges its negation
+        assert term_bits(_product(reference_neg(x), y)) == term_bits(reference_neg(product))
+        assert term_bits(_product(x, reference_neg(y))) == term_bits(reference_neg(product))
+        merged = _merge(dict(acc), product)
+        assert value_bits(merged) == value_bits(_merge(dict(product), acc))
         assert term_bits(merged) == term_bits(want_acc)
         both = [(a, b, c) for terms in (x, y) for (a, b), c in terms.items()]
-        assert term_bits(_accumulate({}, (((a, b), c) for a, b, c in both))) == term_bits(reference_merge(both))
-        assert term_bits(_neg(x)) == term_bits(reference_neg(x))
+        summed = _merge(dict(x), y)
+        assert term_bits(summed) == term_bits(reference_merge(both))
+        difference = _merge(dict(acc), product, subtract=True)
+        minus = [(a, b, c) for terms in (acc, reference_neg(product)) for (a, b), c in terms.items()]
+        assert term_bits(difference) == term_bits(reference_merge(minus))
+        results = [product, merged, summed, difference]
         if all(a == 0 or b == 0 for a, b in x):
-            assert term_bits(_star(x)) == term_bits(reference_star(x))
+            results.append(_star(x))
+            assert term_bits(results[-1]) == term_bits(reference_star(x))
         p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        assert term_bits(_deck(p, q, x, {})) == term_bits(reference_deck(x, p, q))
+        results.append(_deck(p, q, x, {}))
+        assert term_bits(results[-1]) == term_bits(reference_deck(x, p, q))
+        # t - c is t + (-c) to the bits only where t has no -0.0 part: no result stores one
+        for terms in results:
+            assert not any(map(has_negative_zero, terms.values())), terms
     assert tally["raised"] > 100 and tally["cancelled"] > 50, tally
+
+
+def test_leg_sums_are_the_reference_sums_with_no_negative_zero(monkeypatch):
+    """matrix_wilson_relation deck-acts each leg's cos and sin: the reference sums to the bits, no part -0.0."""
+    from nctorus import infinitecover
+
+    seen = []
+
+    def spy(p, q, terms, phases):
+        seen.append(terms)
+        return _deck(p, q, terms, phases)
+
+    monkeypatch.setattr(infinitecover, "_deck", spy)
+    for f in (0.0, -0.0, 0.25, -0.25, 5e-324, 3.7):
+        seen.clear()
+        matrix_wilson_relation(3, -2, f, -f)
+        want = [*reference_leg_sums(f, "u"), *reference_leg_sums(-f, "v")]
+        assert [term_bits(x) for x in seen] == [term_bits(x) for x in want], f
+        for terms in seen:
+            assert not any(map(has_negative_zero, terms.values())), (f, terms)
 
 
 def test_deck_turns_each_frequency_pair_once_to_the_bits_of_a_turn_per_term(monkeypatch):
