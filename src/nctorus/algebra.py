@@ -15,7 +15,8 @@ Every stored coefficient is a nonzero complex.  The public constructor
 enforces that; sums, products, negation and star are canonical by
 construction and skip the check.  Products and sums run through one product
 kernel and one in-place merge over term dicts, which drop a key whose sum
-reaches zero; their callers check theta, and may merge into one dict.
+reaches zero; their callers check theta, and may add many products into one
+dict, pair by pair.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
@@ -270,9 +271,12 @@ def _check_params(mine: TorusParams, theirs: TorusParams):
         raise ParamMismatch(f"theta mismatch: {mine.theta} vs {theirs.theta}")
 
 
-def _product(x: dict, y: dict) -> dict:
-    """The terms of x * y in (x, y) loop order: (u^m v^n)(u^p v^q) = lambda^{-n p} u^{m+p} v^{n+q}, -np exact."""
-    terms: dict[tuple[int, int, int], complex] = {}
+def _product(x: dict, y: dict, terms: dict | None = None) -> dict:
+    """terms += x * y in place (into a fresh dict without terms), returned: each pair's a * b is added to its
+    key as it is made, get(key, 0j) + a * b, in (x, y) loop order, and a sum that reaches zero drops its key.
+    (u^m v^n)(u^p v^q) = lambda^{-n p} u^{m+p} v^{n+q}, -np exact."""
+    if terms is None:
+        terms = {}
     get, right = terms.get, y.items()
     for (m, n, k), a in x.items():
         for (p, q, l), b in right:
@@ -280,7 +284,7 @@ def _product(x: dict, y: dict) -> dict:
             s = get(key, 0j) + a * b
             if s:
                 terms[key] = s
-            else:  # a * b may underflow to zero on a new key
+            else:  # a sum onto a held key can cancel, and a * b can underflow to zero on a new one
                 terms.pop(key, None)
     return terms
 

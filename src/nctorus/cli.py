@@ -105,6 +105,8 @@ FIELDS = {
 
 def _curvature(conn: Connection) -> dict:
     form = _lib.forms.curvature_form(conn)
+    if not form.is_finite():
+        raise OverflowError("curvature overflows: F has a coefficient that is not a finite double")
     return {"flat": form.is_zero(), "curvature": form.to_dict()}
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import (
-    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, _twist, _worst,
+    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _product, _twist, _worst,
     apply_auto, apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
@@ -168,15 +168,16 @@ class Connection:
 
 def _nabla(theta, weight: Weight, xi: list[TorusElement]) -> list[TorusElement]:
     """nabla_X(xi) from the weight matrix theta = alpha Theta_u + beta Theta_v, each entry one dict:
-    delta_X(xi_i)'s terms, then each product theta_ij xi_j merged in column order: the bits and key order
-    of tests/conftest.py's total(delta_X(xi_i), [theta_i0 * xi_0, ...]).  Each xi_j shares theta's params."""
+    delta_X(xi_i)'s terms, into which the kernel adds every pair of theta_ij xi_j, column by column in
+    its loop order; an xi_j with no terms adds nothing and is skipped.  Each xi_j shares theta's params."""
     for y in xi:
         _check_params(theta[0][0].params, y.params)
     out = []
     for row, x in zip(theta, xi):
         terms = apply_derivation(weight, x).terms  # a fresh dict
         for t, y in zip(row, xi):
-            _merge(terms, _product(t.terms, y.terms))
+            if y.terms:
+                _product(t.terms, y.terms, terms)
         out.append(TorusElement._wrap(x.params, terms))
     return out
 
@@ -276,7 +277,9 @@ def expm(a) -> tuple[tuple[complex, ...], ...]:
     ``a`` is complex rows or an array.  A 1 x 1 matrix is one cmath.exp, so rank 1
     loads neither numpy nor scipy.  Larger ones go to scipy.linalg.expm (Al-Mohy &
     Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use, and are
-    read back as rows.  A non-finite entry raises OverflowError, with no warning.
+    read back as rows.  A non-finite entry raises OverflowError.  numpy's
+    floating-point warnings are the caller's: transport ignores them around its
+    fold and this call, in one ``np.errstate``, so an overflow is never warned.
     """
     if len(a) == 1:
         try:
@@ -289,8 +292,9 @@ def expm(a) -> tuple[tuple[complex, ...], ...]:
         import numpy as np
         from scipy.linalg import expm as scipy_expm
 
-        with np.errstate(all="ignore"):
-            m = scipy_expm(a)
+        m = scipy_expm(a)
+        # .all() is a numpy reduction, which also ends a state scipy's expm leaves on an AVX-512 Xeon: there
+        # each cmath.exp after it (apply's twists) ran about 7x slower, and a test of isfinite's bytes kept it
         if np.isfinite(m).all():
             return tuple(map(tuple, m.tolist()))
     raise OverflowError("transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double")
@@ -307,13 +311,11 @@ def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator
     if conn.rank == 1:
         alpha, beta = weight
         ((cu,),), ((cv,),) = conn._coefficients()
-        a = ((TWO_PI * tau * (alpha * cu + beta * cv),),)
-    else:
-        import numpy as np
+        return TransportOperator(expm(((TWO_PI * tau * (alpha * cu + beta * cv),),)), tuple(weight), tau)
+    import numpy as np
 
-        with np.errstate(all="ignore"):  # an overflow here is not warned: it shows in M, which expm checks
-            a = TWO_PI * tau * conn.constant_weight_matrix(weight)
-    return TransportOperator(expm(a), tuple(weight), tau)
+    with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
+        return TransportOperator(expm(TWO_PI * tau * conn.constant_weight_matrix(weight)), tuple(weight), tau)
 
 
 @dataclass(frozen=True)

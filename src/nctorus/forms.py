@@ -17,14 +17,16 @@ in the element loop's order (so bit-identical to it) and held as complex
 rows, which flatness and the report read; TwoForm entries are built on first
 access.  numpy is not used: its vectorized complex multiply may fuse
 multiply-adds, which changes the last bit of some products and the reports.
-Otherwise each entry is one dict fed by the algebra's product kernel, in the
-element loop's order, and flatness reads the entries one at a time.
+Otherwise the algebra's product kernel adds every pair product of an entry
+straight into one of two dicts, and flatness reads the entries one at a time.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add, mul, sub
 
 from .algebra import EQ_TOL, TorusElement, _merge, _product, apply_derivation, mono, r15
@@ -56,6 +58,12 @@ class MatrixForm:
             return all(e.dudv.is_zero() for row in self._entries for e in row)
         return all(abs(c) <= EQ_TOL for row in self._rows for c in row)
 
+    def is_finite(self) -> bool:
+        """True iff every coefficient of every entry is finite, as a strict JSON report needs."""
+        if self._rows is None:
+            return all(isfinite(c) for row in self._entries for e in row for c in e.dudv.terms.values())
+        return all(map(isfinite, chain.from_iterable(self._rows)))
+
     def to_dict(self) -> dict:
         """Entries in TorusElement.to_dict's layout, every float rounded once by r15 (theta once)."""
 
@@ -78,9 +86,8 @@ def curvature_form(conn) -> MatrixForm:
 
     For scalar matrices a, b it is [a, b] as complex rows, in the element loop's order: entry (i, j)
     is 0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as the loop's first sum onto zero.
-    Element entry (i, j) is delta_u(tv_ij) - delta_v(tu_ij) plus one dict: for each k, tv_ik tu_kj is
-    subtracted in place from the kernel's tu_ik tv_kj, which is then merged into the dict, the bits and
-    key order of zero + (tu_ik * tv_kj - tv_ik * tu_kj) + ... over elements.  Only is_flat stops early.
+    Element entry (i, j) is built in _element_entries' order: sum_k tu_ik tv_kj minus sum_k tv_ik tu_kj,
+    then delta_u(tv_ij) - delta_v(tu_ij) added last.  Only is_flat stops early.
     """
     if conn.scalars is not None:
         a, b = conn.scalars
@@ -95,13 +102,27 @@ def curvature_form(conn) -> MatrixForm:
 
 
 def _element_entries(conn):
-    """The TwoForm entries of an element connection's curvature_form, row-major, each built when reached."""
+    """The TwoForm entries of an element connection's curvature_form, row-major, each built when reached.
+
+    Entry (i, j): the kernel adds every pair of sum_k tu_ik tv_kj into one dict uv and every pair of
+    sum_k tv_ik tu_kj into a second, vu, which is subtracted from uv once; each term c of
+    delta_u(tv_ij) - delta_v(tu_ij) comes last, c + t onto a key t the products hold and c itself onto a
+    new key (so its -0.0 parts reach the report).  Two dicts, not one: with Theta_v = Theta_u they hold
+    the same bits, so every product term cancels exactly.
+    """
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
     for i in range(n):
         for j in range(n):
-            acc = {}
+            uv, vu = {}, {}
             for k in range(n):
-                p = _product(tu[i][k].terms, tv[k][j].terms)
-                _merge(acc, _merge(p, _product(tv[i][k].terms, tu[k][j].terms), subtract=True))
+                _product(tu[i][k].terms, tv[k][j].terms, uv)
+                _product(tv[i][k].terms, tu[k][j].terms, vu)
+            terms = _merge(uv, vu, subtract=True)
             d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
-            yield TwoForm(d + TorusElement._wrap(conn.params, acc))
+            for key, c in d.terms.items():
+                s = c + terms[key] if key in terms else c  # c is nonzero: only a sum can be zero
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+            yield TwoForm(TorusElement._wrap(conn.params, terms))

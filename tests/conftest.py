@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import struct
@@ -119,9 +120,33 @@ def total(first: TorusElement, rest) -> TorusElement:
     return TorusElement._wrap(first.params, terms)
 
 
+def add_products(terms: dict, x: dict, y: dict) -> dict:
+    """terms + x * y in place, each pair's a * b added to its key as it is made, in (x, y) loop order.
+
+    Written out from the monomial rule (u^m v^n)(u^p v^q) = lambda^{-np} u^{m+p} v^{n+q}; a sum that
+    reaches zero drops its key.
+    """
+    for (m, n, k), a in x.items():
+        for (p, q, l), b in y.items():
+            key = (m + p, n + q, k + l - n * p)
+            s = terms.get(key, 0j) + a * b
+            if s == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+    return terms
+
+
 def reference_nabla(theta, weight: Weight, xi) -> list[TorusElement]:
-    """_nabla as first written: per row, total over delta_X(xi_i) and the elements theta_ij * xi_j."""
-    return [total(apply_derivation(weight, x), (t * y for t, y in zip(row, xi))) for row, x in zip(theta, xi)]
+    """_nabla's order as a plain loop: per row, delta_X(xi_i)'s terms, then every pair of theta_ij xi_j."""
+    out = []
+    for row, x in zip(theta, xi):
+        terms = dict(apply_derivation(weight, x).terms)
+        for t, y in zip(row, xi):
+            _check_params(t.params, y.params)
+            add_products(terms, t.terms, y.terms)
+        out.append(TorusElement._wrap(x.params, terms))
+    return out
 
 
 def reference_commutator(conn: Connection, X: Weight, Y: Weight):
@@ -137,6 +162,38 @@ def reference_commutator(conn: Connection, X: Weight, Y: Weight):
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
 
+def reference_curvature(conn: Connection) -> list:
+    """curvature_form's element entries as a plain loop, row-major: per entry, the pairs of
+    sum_k tu_ik tv_kj in one dict and of sum_k tv_ik tu_kj in another, their difference key by key,
+    then each term c of delta_u(tv_ij) - delta_v(tu_ij): c + t on a key t the products hold, else c."""
+    tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            uv, vu = {}, {}
+            for k in range(n):
+                add_products(uv, tu[i][k].terms, tv[k][j].terms)
+                add_products(vu, tv[i][k].terms, tu[k][j].terms)
+            for key, c in vu.items():
+                s = uv.get(key, 0j) - c
+                if s == 0:
+                    uv.pop(key, None)
+                else:
+                    uv[key] = s
+            d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
+            for key, c in d.terms.items():
+                if key not in uv:
+                    uv[key] = c
+                elif c + uv[key] == 0:
+                    del uv[key]
+                else:
+                    uv[key] = c + uv[key]
+            row.append(TorusElement._wrap(conn.params, uv))
+        entries.append(row)
+    return entries
+
+
 def element_bits(e: TorusElement) -> list:
     """Each term's key and the struct bytes of its coefficient, in key order: -0.0 and NaN payloads show."""
     return [(key, struct.pack("<2d", c.real, c.imag)) for key, c in e.terms.items()]
@@ -150,6 +207,35 @@ def reference_apply(op, xs) -> list[TorusElement]:
         scaled = [x * complex(c) for x, c in zip(twisted, row)]
         out.append(total(scaled[0], scaled[1:]))
     return out
+
+
+# -- clock-and-shift representation ------------------------------------------------
+#
+# At a dyadic theta = p/q the algebra has the q-dimensional *-representation u -> U = diag(omega^j),
+# v -> V the cyclic shift V e_j = e_{j+1}, omega = e^{2 pi i p/q}: U V = omega V U, the relation
+# u v = lambda v u (Rieffel, Pacific J. Math. 93, 1981).  Products become q x q matrix products that
+# share no code with nctorus.algebra.  Derivations have no finite-dimensional representation:
+# [X, U] = c U with U^q = 1 forces c = 0, so curvature's derivation terms keep their own oracles.
+
+
+def clock_shift(e: TorusElement):
+    """The q x q matrix of e: entry (r, r - n mod q) of lambda^k u^m v^n is omega^{k + r m}, one rounding.
+
+    (U^m V^n) e_c = omega^{m (c + n)} e_{c + n}; the exponent (k + r m) p is reduced mod q in integers.
+    """
+    import numpy as np
+
+    p, q = e.params.theta.as_integer_ratio()
+    out = np.zeros((q, q), dtype=complex)
+    for (m, n, k), c in e.terms.items():
+        for r in range(q):
+            out[r, (r - n) % q] += c * cmath.exp(2j * math.pi * ((k + r * m) * p % q) / q)
+    return out
+
+
+def l1(e: TorusElement) -> float:
+    """The sum of |c| over e's terms, which bounds every entry of clock_shift(e)."""
+    return sum(map(abs, e.terms.values()))
 
 
 # -- term-dict references for the infinite cover ------------------------------

@@ -9,13 +9,23 @@ import math
 import pickle
 import random
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close, element_bits, oracle_monomial_product, oracle_monomial_star, total
+from conftest import (
+    THETA,
+    assert_close,
+    clock_shift,
+    element_bits,
+    l1,
+    oracle_monomial_product,
+    oracle_monomial_star,
+    total,
+)
 from nctorus.algebra import (
     TorusElement,
     TorusParams,
@@ -120,6 +130,35 @@ def test_uv_squared_frozen_and_oracle(params):
     # oracle: bubble-sort reordering of the word u v u v
     assert oracle_monomial_product(1, 1, 1, 1) == (2, 2, -1)
     assert sq.terms == {(2, 2, -1): 1}
+
+
+#: dyadic theta = p/q, so TorusParams reads q exactly; q = 2 is lambda = -1
+DYADIC_THETAS = (0.5, 0.25, 0.375, 0.3125, 0.34375)
+
+
+def test_product_kernel_is_the_clock_and_shift_product():
+    """_product into a fresh dict, and into a non-empty one, against q x q clock-and-shift matrices.
+
+    Derivations have no finite-dimensional representation, so this oracle checks products only.  Each
+    matrix entry is within 2 q eps of sum |a||b| over the pairs (plus sum |c| over the accumulator).
+    """
+    import numpy as np
+
+    from nctorus.algebra import _product, random_element
+
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261024)
+    for theta in DYADIC_THETAS:
+        params, q = TorusParams(theta), theta.as_integer_ratio()[1]
+        uv, vu = clock_shift(u(params)) @ clock_shift(v(params)), clock_shift(v(params)) @ clock_shift(u(params))
+        assert np.allclose(uv, params.lam() * vu) and not np.allclose(uv, vu)  # the relation, faithfully
+        for _ in range(200):
+            x, y, acc = (random_element(rng, params, max_terms=6, max_exp=5) for _ in range(3))
+            xy = clock_shift(x) @ clock_shift(y)
+            got = clock_shift(TorusElement._wrap(params, _product(x.terms, y.terms)))
+            assert np.abs(got - xy).max() <= 2 * q * eps * l1(x) * l1(y)
+            got = clock_shift(TorusElement._wrap(params, _product(x.terms, y.terms, dict(acc.terms))))
+            assert np.abs(got - clock_shift(acc) - xy).max() <= 2 * q * eps * (l1(acc) + l1(x) * l1(y))
 
 
 @given(m=exps, n=exps, p=exps, q=exps)

@@ -95,7 +95,7 @@ def test_flat_command_stops_at_the_first_curved_entry(monkeypatch):
 
     calls = []
     product = forms._product
-    monkeypatch.setattr(forms, "_product", lambda x, y: calls.append(1) or product(x, y))
+    monkeypatch.setattr(forms, "_product", lambda x, y, terms: calls.append(1) or product(x, y, terms))
     scenario = builtin("paper-4x4")
     v = {"theta": scenario["theta"], "terms": [{"m": 0, "n": 1, "re": 1.0, "im": 0.0, "lk": 0}]}
     scenario["connection"]["theta_u"][0][0] = v  # -delta_v(v) = -2 pi i v at (0, 0)
@@ -693,6 +693,38 @@ def test_an_overflowing_transport_is_one_validation_error(tmp_path, theta_u):
     assert json.loads(proc.stdout) == {
         "error": "validation",
         "message": "transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double",
+    }
+
+
+def _element(m: int, n: int, c: float) -> dict:
+    return {"theta": 0.3, "terms": [{"m": m, "n": n, "re": c, "im": 0.0, "lk": 0}]}
+
+
+@pytest.mark.parametrize(
+    "theta_u, theta_v",
+    [
+        ([[_element(1, 0, 1e200)]], [[_element(0, 1, 1e200)]]),  # 1e400 (u v - v u)
+        ([[1e200, 1e200], [1e200, 0.0]], [[0.0, 1e200], [1e200, 1e200]]),  # scalar products overflow
+    ],
+    ids=["element", "scalar"],
+)
+def test_an_overflowing_curvature_is_one_validation_error(tmp_path, theta_u, theta_v):
+    # under -W error, as tier-1 runs: the error names the curvature, not the JSON encoder
+    import nctorus
+
+    connection = {"rank": len(theta_u), "theta_u": theta_u, "theta_v": theta_v}
+    scenario = {"v": 1, "command": "curvature", "theta": 0.3, "connection": connection}
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout) == {
+        "error": "validation",
+        "message": "curvature overflows: F has a coefficient that is not a finite double",
     }
 
 

@@ -26,9 +26,12 @@ from conftest import (
     reference_nabla,
     rotation_block_connection,
     scalar_connection,
+    total,
 )
 from nctorus import connections
-from nctorus.algebra import TWO_PI, TorusElement, TorusParams, lam, mono, one, real, u, v, vector_distance, zero
+from nctorus.algebra import (
+    TWO_PI, TorusElement, TorusParams, apply_derivation, lam, mono, one, real, u, v, vector_distance, zero,
+)
 from nctorus.connections import (
     Connection,
     TransportOperator,
@@ -115,8 +118,15 @@ def test_nabla_rank_mismatch(scalar_conn, params):
 
 
 def test_nabla_and_commutator_are_bits_of_the_total_over_products(params):
-    # keys, key order and coefficient bytes against total(delta_X(x), [t * y, ...]) per row
+    # keys, key order and coefficient bytes against conftest's plain loop per row: delta_X(x)'s terms,
+    # then every pair of t * y added in, column by column
     from nctorus.algebra import random_element
+
+    # t * x puts two pairs on delta_X(x)'s key u: 2 pi i + (p + p) rounds other than (2 pi i + p) + p
+    t, x = (one(params) + u(params)) * 5e-16j, u(params) + one(params)
+    (got,), (want,) = connections._nabla(((t,),), (1, 0), [x]), reference_nabla(((t,),), (1, 0), [x])
+    assert element_bits(got) == element_bits(want)
+    assert got.terms[(1, 0, 0)] != total(apply_derivation((1, 0), x), [t * x]).terms[(1, 0, 0)]
 
     rng = random.Random(20261020)
     for rank in range(1, 6):
@@ -220,7 +230,7 @@ def test_is_flat_stops_at_the_first_curved_entry(monkeypatch, params):
 
     calls = []
     product = forms._product
-    monkeypatch.setattr(forms, "_product", lambda x, y: calls.append(1) or product(x, y))
+    monkeypatch.setattr(forms, "_product", lambda x, y, terms: calls.append(1) or product(x, y, terms))
     rng = random.Random(20261022)
     for rank in range(1, 6):
         conn = element_connection(params, rng, rank)
@@ -796,4 +806,4 @@ def test_symbolic_bytes_are_pinned():
         conn = Connection(params, a, (0.3 * np.array(a)).tolist())
         weight = (rng.randint(-2, 2), rng.randint(1, 2))
         digest.update(repr(check_transport_axioms(conn, weight, samples=5, seed=rng.getrandbits(32))).encode())
-    assert digest.hexdigest() == "059ae8bc58e8374fc730e2f1264561525f017f7798bb7b95eb88f20b01df6fe9"
+    assert digest.hexdigest() == "74524377093b2cc52503412b752aa650f1300c63b2bfa6582a8d5cf9e6fd1980"

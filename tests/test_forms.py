@@ -5,16 +5,29 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import THETA, assert_close, element_bits, element_connection, exact_form_dict, rotation_block_connection
-from nctorus.algebra import EQ_TOL, TorusParams, apply_derivation, lam, mono, one, u, v, zero
-from nctorus.connections import Connection
+from conftest import (
+    THETA,
+    assert_close,
+    clock_shift,
+    element_bits,
+    element_connection,
+    exact_form_dict,
+    l1,
+    reference_curvature,
+    rotation_block_connection,
+)
+from nctorus.algebra import (
+    EQ_TOL, TorusElement, TorusParams, apply_derivation, lam, mono, one, random_element, u, v, zero,
+)
+from nctorus.connections import Connection, is_flat
 from nctorus.forms import MatrixForm, TwoForm, curvature_form
-from test_algebra import elements
+from test_algebra import DYADIC_THETAS, elements
 
 TWO_PI_I = 2j * math.pi
 
@@ -117,11 +130,12 @@ def test_matrix_form_is_zero_at_tolerance(params):
     assert small.is_zero() and not large.is_zero()
 
 
-# -- the element loop as the reference of both paths -----------------------------
+# -- the element loop: the scalar path's reference; element entries follow conftest.reference_curvature --
 
 
 def element_loop(conn) -> list:
-    """Reference copy of the generic element loop, run on every connection: the F_ij elements."""
+    """The element loop as first written, run on every connection: the F_ij elements, whose sums the
+    scalar path follows bit for bit."""
     tu, tv, n = conn.theta_u, conn.theta_v, conn.rank
     entries = []
     for i in range(n):
@@ -244,7 +258,8 @@ def test_lambda_power_entries_keep_exact_exponents(params):
 
 
 def test_element_curvature_is_bits_of_the_element_loop(params):
-    # keys, key order and coefficient bytes of every entry, against acc + (tu tv - tv tu) over elements
+    # keys, key order and coefficient bytes of every entry, against conftest's plain loop in the kernel's
+    # order: sum_k tu tv and sum_k tv tu pair by pair in two dicts, their difference, then d Theta
     rng = random.Random(20261019)
     z, e = zero(params), one(params)
     conns = [
@@ -258,9 +273,9 @@ def test_element_curvature_is_bits_of_the_element_loop(params):
     for conn in conns:
         assert conn.scalars is None
         got = [[element_bits(f.dudv) for f in row] for row in curvature_form(conn).entries]
-        want = [[element_bits(f) for f in row] for row in element_loop(conn)]
-        assert got == want
-        coefficients = [c for row in element_loop(conn) for f in row for c in f.terms.values()]
+        reference = reference_curvature(conn)
+        assert got == [[element_bits(f) for f in row] for row in reference]
+        coefficients = [c for row in reference for f in row for c in f.terms.values()]
         seen["nan"] |= any(math.isnan(c.real) or math.isnan(c.imag) for c in coefficients)
         seen["inf"] |= any(math.isinf(c.real) or math.isinf(c.imag) for c in coefficients)
         seen["signed zero"] |= any(math.copysign(1, c.real) < 0 and c.real == 0 for c in coefficients)
@@ -270,3 +285,58 @@ def test_element_curvature_is_bits_of_the_element_loop(params):
     for row, frow in zip(conn.theta_u, curvature_form(conn).entries):
         for a, f in zip(row, frow):
             assert element_bits(f.dudv) == element_bits(apply_derivation((1, 0), a) - apply_derivation((0, 1), a))
+
+
+#: parts 0.01 to 2 in magnitude and signed zeros: sums round, and no product underflows or overflows
+cancel_parts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+
+
+@st.composite
+def element_matrices(draw, lambda_powers: bool = False):
+    """A square matrix of rank 1-4 over THETA, entries of up to three terms (only 1 and lambda^k if asked)."""
+    rank = draw(st.integers(1, 4))
+    powers = st.just(0) if lambda_powers else st.integers(-2, 2)
+    keys = st.tuples(powers, powers, st.integers(-2, 2))
+    params = TorusParams(THETA)
+    entry = st.dictionaries(keys, st.builds(complex, cancel_parts, cancel_parts), max_size=3)
+    row = st.lists(entry.map(lambda terms: TorusElement(params, terms)), min_size=rank, max_size=rank)
+    return draw(st.lists(row, min_size=rank, max_size=rank))
+
+
+@given(a=element_matrices(), powers=element_matrices(lambda_powers=True))
+def test_equal_product_sums_cancel_exactly(a, powers):
+    # Theta_v = Theta_u, and Theta_v = 2 Theta_u over lambda powers (a (2 b) = (2 a) b exactly):
+    # sum_k tu tv and sum_k tv tu are the same bits, so each entry is d Theta alone, key for key
+    for theta_u, theta_v in ((a, a), (powers, [[2 * e for e in row] for row in powers])):
+        conn = Connection(TorusParams(THETA), theta_u, theta_v)
+        form = curvature_form(conn)
+        d = [
+            [apply_derivation((1, 0), y) - apply_derivation((0, 1), x) for x, y in zip(row_u, row_v)]
+            for row_u, row_v in zip(theta_u, theta_v)
+        ]
+        assert [[element_bits(f.dudv) for f in row] for row in form.entries] == [list(map(element_bits, r)) for r in d]
+        assert is_flat(conn) is form.is_zero() is all(e.is_zero() for row in d for e in row)
+
+
+def test_curvature_products_are_the_clock_and_shift_commutator():
+    """The product part sum_k (tu_ik tv_kj - tv_ik tu_kj) of each element entry, as q x q matrices.
+
+    Derivations have no finite-dimensional representation, so d = delta_u(tv_ij) - delta_v(tu_ij), which
+    the entry adds last, is taken off through the library's own apply_derivation.  Block (i, j) of
+    [Theta_u, Theta_v] in the clock-and-shift representation is then within 2 q eps of
+    sum_k (|tu_ik||tv_kj| + |tv_ik||tu_kj|) + |d|, |x| being the sum of x's |c|.
+    """
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261025)
+    for theta in DYADIC_THETAS:
+        params, q = TorusParams(theta), theta.as_integer_ratio()[1]
+        for rank in (1, 2, 3, 3):
+            tu, tv = ([[random_element(rng, params) for _ in range(rank)] for _ in range(rank)] for _ in range(2))
+            big_u, big_v = (np.block([[clock_shift(e) for e in row] for row in m]) for m in (tu, tv))
+            commutator = big_u @ big_v - big_v @ big_u
+            form = curvature_form(Connection(params, tu, tv))
+            for i, j in np.ndindex(rank, rank):
+                d = apply_derivation((1, 0), tv[i][j]) - apply_derivation((0, 1), tu[i][j])
+                got = clock_shift(form.entries[i][j].dudv) - clock_shift(d)
+                bound = sum(l1(tu[i][k]) * l1(tv[k][j]) + l1(tv[i][k]) * l1(tu[k][j]) for k in range(rank)) + l1(d)
+                assert np.abs(got - commutator[i * q : (i + 1) * q, j * q : (j + 1) * q]).max() <= 2 * q * eps * bound
