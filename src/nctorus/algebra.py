@@ -23,7 +23,8 @@ safe to share across threads.  The per-TorusParams memo of lambda**k only
 ever stores the value turn computes, so concurrent fills agree.
 
 Every root of unity in the package, lambda**k, the flows and the deck
-actions of both covers, is one call of turn, so one rounding per term.
+actions of both covers, is one call of turn (inlined in the flows' _twist),
+so one rounding per term.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from typing import Iterable, Mapping
 from .errors import ParamMismatch
 
 TWO_PI = 2.0 * math.pi
+_TWO_PI_I = TWO_PI * 1j  # 2 pi i, the factor of turn, _twist and apply_derivation, formed once
+
+#: The largest 15-digit double; r15 keeps a finite x whose rounding overflows at +-this.
+R15_TOP = 1.79769313486231e308
+_FORMAT = float.__format__  # called unbound, r15 makes no bound method per call as f"{x:.15g}" does
 
 #: Per-coefficient tolerance for element equality and zero tests, and so for
 #: flatness (folded coefficients), the scalar test of a transport entry and
@@ -70,8 +76,15 @@ def real(x, what: str) -> float:
 
 
 def r15(x):
-    """A float rounded to 15 significant digits, as every report prints it; anything else as given."""
-    return float(f"{x:.15g}") if isinstance(x, float) else x
+    """A float rounded to 15 significant digits, float(f"{x:.15g}"), as every report prints it; anything else
+    as given.  A finite x whose rounding overflows (within half a step of the largest double) gives +-R15_TOP.
+    """
+    if isinstance(x, float):
+        y = float(_FORMAT(x, ".15g"))
+        if y - y and -sys.float_info.max <= x <= sys.float_info.max:  # y - y is 0.0 for a finite y
+            return math.copysign(R15_TOP, x)
+        return y
+    return x
 
 
 def turn(c: complex, x, den: int = 1) -> complex:
@@ -85,7 +98,7 @@ def turn(c: complex, x, den: int = 1) -> complex:
     r = x % den
     if not r:
         return c
-    return c * cmath.exp(TWO_PI * 1j * (r / den))
+    return c * cmath.exp(_TWO_PI_I * (r / den))
 
 
 class TorusParams:
@@ -210,10 +223,10 @@ class TorusElement:
     def folded(self) -> dict[tuple[int, int], complex]:
         """Coefficients of u^m v^n with lambda exponents folded in numerically."""
         out: dict[tuple[int, int], complex] = {}
-        lam = self.params.lam
+        get, params = out.get, self.params
+        powers = params._powers  # lam's memo, read here first
         for (m, n, k), c in self.terms.items():
-            value = c if k == 0 else c * lam(k)
-            out[(m, n)] = out.get((m, n), 0j) + value
+            out[(m, n)] = get((m, n), 0j) + (c * (powers.get(k) or params.lam(k)) if k else c)
         return out
 
     def is_zero(self) -> bool:
@@ -289,6 +302,11 @@ def _product(x: dict, y: dict, terms: dict | None = None) -> dict:
     return terms
 
 
+def _scale(x: dict, s) -> dict:
+    """x * s for a real s, in x's order, without the products that are zero: the terms of TorusElement * s."""
+    return {key: p for key, c in x.items() if (p := c * s)}
+
+
 def _merge(terms: dict, x: dict, subtract: bool = False) -> dict:
     """terms += x (or -= x) in place, key by key, dropping a sum that reaches zero; returns terms."""
     get = terms.get
@@ -346,7 +364,11 @@ def apply_auto(weight: Weight, tau: float, a: TorusElement) -> TorusElement:
 def _twist(weight: Weight, tau: float, terms: dict) -> dict:
     """apply_auto on a term dict, in its order; |c e^{i phi}| is |c| to a rounding, so never zero."""
     alpha, beta = weight
-    return {key: turn(c, tau * (alpha * key[0] + beta * key[1])) for key, c in terms.items()}
+    out = {}
+    for key, c in terms.items():
+        r = tau * (alpha * key[0] + beta * key[1]) % 1  # turn(c, x), inlined
+        out[key] = c * cmath.exp(_TWO_PI_I * r) if r else c
+    return out
 
 
 def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:
@@ -355,9 +377,9 @@ def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:
     terms = {}
     for (m, n, k), c in a.terms.items():
         w = alpha * m + beta * n
-        if w != 0:
-            terms[(m, n, k)] = c * (TWO_PI * 1j * w)
-    return TorusElement(a.params, terms)
+        if w != 0 and (p := c * (_TWO_PI_I * w)):
+            terms[(m, n, k)] = p
+    return TorusElement._wrap(a.params, terms)
 
 
 # -- comparison helpers ----------------------------------------------------
@@ -374,9 +396,17 @@ def _worst(values: Iterable[float]) -> float:
 
 def distance(a: TorusElement, b: TorusElement) -> float:
     """Max folded-coefficient difference, NaN if any difference is NaN; operands must share params."""
-    fb = b.folded()
-    diffs = [abs(c - fb.pop(key, 0j)) for key, c in a.folded().items()]
-    return _worst(diffs + [abs(c) for c in fb.values()])  # and b's keys that a lacks
+    fb, out = b.folded(), 0.0
+    pop = fb.pop
+    for key, c in a.folded().items():
+        x = abs(c - pop(key, 0j))
+        if x > out or x != x:  # _worst's rule, inlined
+            out = x
+    for c in fb.values():  # b's keys that a lacks
+        x = abs(c)
+        if x > out or x != x:
+            out = x
+    return out
 
 
 def vector_distance(xs: Iterable[TorusElement], ys: Iterable[TorusElement]) -> float:
@@ -392,12 +422,9 @@ def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 
     ``rng`` is a random.Random; coefficients have |Re|,|Im| <= 1 and lambda
     exponents |k| <= 2.
     """
+    randrange, uniform, top = rng.randrange, rng.uniform, max_exp + 1  # randint(a, b) is randrange(a, b + 1)
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        key = (
-            rng.randint(-max_exp, max_exp),
-            rng.randint(-max_exp, max_exp),
-            rng.randint(-2, 2),
-        )
-        terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for _ in range(randrange(1, max_terms + 1)):
+        key = (randrange(-max_exp, top), randrange(-max_exp, top), randrange(-2, 3))
+        terms[key] = complex(uniform(-1, 1), uniform(-1, 1))
     return TorusElement(params, terms)

@@ -164,12 +164,7 @@ def run(scenario: dict) -> dict:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    return {
-        "v": 1,
-        "command": command,
-        "scenario": scenario,
-        "result": handler(*inputs),
-    }
+    return {"v": 1, "command": command, "scenario": scenario, "result": handler(*inputs)}
 
 
 def main(argv=None) -> int:
@@ -180,11 +175,7 @@ def main(argv=None) -> int:
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario", help="path to a JSON scenario file")
-    source.add_argument(
-        "--builtin",
-        choices=sorted(BUILTIN_SCENARIOS),
-        help="run one of the bundled scenarios",
-    )
+    source.add_argument("--builtin", choices=sorted(BUILTIN_SCENARIOS), help="run one of the bundled scenarios")
     parser.add_argument("--out", help="report path (default: stdout)")
     parser.add_argument("--pretty", action="store_true", help="indent the report")
     args = parser.parse_args(argv)
@@ -213,9 +204,7 @@ def main(argv=None) -> int:
             scenario = builtin(args.builtin)
         else:
             with open(args.scenario, encoding="utf-8") as fh:
-                scenario = json.load(
-                    fh, parse_float=_finite_json_number, parse_constant=_finite_json_number
-                )
+                scenario = json.load(fh, parse_float=_finite_json_number, parse_constant=_finite_json_number)
         report = run(scenario)
         text = render(report)
     except NCTorusError as exc:
@@ -230,10 +219,7 @@ def main(argv=None) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     seconds, ns = divmod(time.time_ns(), 10**9)  # ISO 8601 UTC, without loading datetime
     stamp = f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}.{ns // 1000:06d}+00:00"
-    print(
-        f"nctorus: command={report['command']} elapsed_ms={elapsed_ms:.2f} finished={stamp}",
-        file=sys.stderr,
-    )
+    print(f"nctorus: command={report['command']} elapsed_ms={elapsed_ms:.2f} finished={stamp}", file=sys.stderr)
     return 0
 
 

@@ -17,7 +17,8 @@ collapses to a dense matrix exponential, ``expm``.
 
 A connection of plain numbers holds them as complex rows and builds its
 element matrices on first use; a transport holds M as complex rows too.  Only
-a transport of rank 2 and up folds Theta_X with numpy and loads scipy.
+a transport of rank 2 and up, or the axiom check's stack of them, folds Theta_X
+with numpy and loads scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .algebra import (
-    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _product, _twist, _worst,
-    apply_auto, apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
+    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, _scale, _twist,
+    _worst, apply_auto, apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _element_entries, curvature_form
@@ -109,11 +110,11 @@ class Connection:
         return self._theta
 
     def weight_matrix(self, weight: Weight) -> tuple[tuple[TorusElement, ...], ...]:
-        """alpha Theta_u + beta Theta_v as a matrix of algebra elements."""
+        """alpha Theta_u + beta Theta_v as a matrix of algebra elements: alpha * a + beta * b on term dicts."""
         alpha, beta = weight
         return tuple(
-            tuple(alpha * a + beta * b for a, b in zip(row_u, row_v))
-            for row_u, row_v in zip(self.theta_u, self.theta_v)
+            tuple(TorusElement._wrap(self.params, _merge(_scale(a.terms, alpha), _scale(b.terms, beta))) for a, b in r)
+            for r in map(zip, self.theta_u, self.theta_v)
         )
 
     def _coefficients(self):
@@ -271,15 +272,17 @@ class TransportOperator:
         return out
 
 
-def expm(a) -> tuple[tuple[complex, ...], ...]:
+def expm(a):
     """The matrix exponential of a square matrix, as complex rows: the one entry point of every transport.
 
-    ``a`` is complex rows or an array.  A 1 x 1 matrix is one cmath.exp, so rank 1
-    loads neither numpy nor scipy.  Larger ones go to scipy.linalg.expm (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use, and are
-    read back as rows.  A non-finite entry raises OverflowError.  numpy's
-    floating-point warnings are the caller's: transport ignores them around its
-    fold and this call, in one ``np.errstate``, so an overflow is never warned.
+    ``a`` is complex rows or an array, or a (k, n, n) array stacking k >= 2 matrices,
+    which gives a list of k row tuples.  A 1 x 1 matrix is one cmath.exp, so rank 1
+    loads neither numpy nor scipy.  Larger ones and stacks go to scipy.linalg.expm
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use,
+    in one call that gives each slice the bits of its own, and are read back as
+    rows.  A non-finite entry raises OverflowError.  numpy's floating-point
+    warnings are the caller's: transport and the axiom check ignore them around
+    their fold and this call, in one ``np.errstate``, so an overflow is never warned.
     """
     if len(a) == 1:
         try:
@@ -296,7 +299,8 @@ def expm(a) -> tuple[tuple[complex, ...], ...]:
         # .all() is a numpy reduction, which also ends a state scipy's expm leaves on an AVX-512 Xeon: there
         # each cmath.exp after it (apply's twists) ran about 7x slower, and a test of isfinite's bytes kept it
         if np.isfinite(m).all():
-            return tuple(map(tuple, m.tolist()))
+            rows = m.tolist()
+            return [tuple(map(tuple, r)) for r in rows] if m.ndim == 3 else tuple(map(tuple, rows))
     raise OverflowError("transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double")
 
 
@@ -332,25 +336,37 @@ class TransportAxiomReport:
         return _worst((self.module_residual, self.identity_residual, self.group_residual))
 
 
-def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
-    """Exercise the transport axioms on random vectors, elements and times."""
-    rng = random.Random(seed)
-    module, identity, group = [], [], []  # each sample's residuals; a NaN one is the maximum
-    phi_0 = transport(conn, weight, 0.0) if samples > 0 else None
-    for _ in range(samples):
-        s = [random_element(rng, conn.params, max_terms=3) for _ in range(conn.rank)]
-        a = random_element(rng, conn.params, max_terms=3)
-        tau = rng.uniform(-1.5, 1.5)
-        sigma = rng.uniform(-1.5, 1.5)
+def _transports(conn: Connection, weight: Weight, times: list[float]) -> list[TransportOperator]:
+    """transport(conn, weight, t) for each t, bit for bit: one transport a time at rank 1, above it Theta_X
+    folded once and one expm call on the stack of 2 pi t Theta_X."""
+    if conn.rank == 1:
+        return [transport(conn, weight, t) for t in times]
+    import numpy as np
 
-        phi_tau = transport(conn, weight, tau)
+    weight = tuple(weight)
+    with np.errstate(all="ignore"):  # as in transport: an overflow shows in the stack, which expm checks
+        stack = expm(TWO_PI * np.array(times)[:, None, None] * conn.constant_weight_matrix(weight))
+    return [TransportOperator(m, weight, t) for m, t in zip(stack, times)]
+
+
+def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
+    """Exercise the transport axioms on random vectors, elements and times.
+
+    Every sample is drawn first: its vector s (rank elements), then a, tau and sigma.  All
+    3 samples + 1 transports then come from _transports, at times [0, tau_1, tau_1 + sigma_1,
+    sigma_1, ...], so above rank 1 from one expm call.  A residual that is NaN is the maximum.
+    """
+    rng, params, draws = random.Random(seed), conn.params, []
+    for _ in range(samples):
+        s = [random_element(rng, params, max_terms=3) for _ in range(conn.rank)]
+        draws.append((s, random_element(rng, params, max_terms=3), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+    times = [0.0, *(t for _, _, tau, sigma in draws for t in (tau, tau + sigma, sigma))]
+    phi_0, *ops = _transports(conn, weight, times) if draws else [None]  # no sample, no transport
+    module, identity, group = [], [], []
+    for (s, a, tau, _), phi_tau, phi_both, phi_sigma in zip(draws, ops[::3], ops[1::3], ops[2::3]):
         lhs = phi_tau.apply([x * a for x in s])
         rhs = [x * apply_auto(weight, tau, a) for x in phi_tau.apply(s)]
         module.append(vector_distance(lhs, rhs))
-
         identity.append(vector_distance(phi_0.apply(s), s))
-
-        both = transport(conn, weight, tau + sigma).apply(s)
-        composed = phi_tau.apply(transport(conn, weight, sigma).apply(s))
-        group.append(vector_distance(both, composed))
+        group.append(vector_distance(phi_both.apply(s), phi_tau.apply(phi_sigma.apply(s))))
     return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))

@@ -136,15 +136,8 @@ def classify_path(spec: CoveringSpec, weight) -> ClosedPathReport:
         raise ZeroWeight("weight (0,0) is the constant path")
     g = math.gcd(abs(alpha), abs(beta))
     if g <= 1:
-        return ClosedPathReport(
-            weight=(alpha, beta),
-            is_closed=True,
-            associated=spec.deck(alpha, beta),
-            witness=None,
-        )
-    return ClosedPathReport(
-        weight=(alpha, beta), is_closed=False, associated=None, witness=1.0 / g
-    )
+        return ClosedPathReport(weight=(alpha, beta), is_closed=True, associated=spec.deck(alpha, beta), witness=None)
+    return ClosedPathReport(weight=(alpha, beta), is_closed=False, associated=None, witness=1.0 / g)
 
 
 def wilson(spec: CoveringSpec, g: DeckElement, conn: Connection) -> TransportOperator:
@@ -180,9 +173,7 @@ class PathIndependenceReport:
         }
 
 
-def check_path_independence(
-    spec: CoveringSpec, g: DeckElement, conn: Connection, weights
-) -> PathIndependenceReport:
+def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection, weights) -> PathIndependenceReport:
     """Transport along each weight (all must be closed paths for g) and compare."""
     import numpy as np  # at every rank: numpy's complex abs can differ from Python's in the last bit
 
@@ -190,9 +181,7 @@ def check_path_independence(
     for w in weights:
         report = classify_path(spec, w)
         if not report.is_closed or report.associated != g:
-            raise PathNotAssociated(
-                f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})"
-            )
+            raise PathNotAssociated(f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})")
         checked.append(report.weight)
     weights = checked
     mats = np.array([_lib.connections.transport(conn, w, 1.0).matrix for w in weights])
@@ -200,9 +189,4 @@ def check_path_independence(
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             max_distance = max(max_distance, float(np.max(np.abs(mats[i] - mats[j]))))
-    return PathIndependenceReport(
-        deck=g,
-        weights=tuple(weights),
-        max_distance=max_distance,
-        certified=max_distance < CERTIFY_TOL,
-    )
+    return PathIndependenceReport(g, tuple(weights), max_distance, certified=max_distance < CERTIFY_TOL)

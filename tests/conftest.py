@@ -16,14 +16,16 @@ from nctorus.algebra import (
     Weight,
     _check_params,
     _merge,
+    _worst,
     apply_auto,
     apply_derivation,
     distance,
     one,
     turn,
+    vector_distance,
     zero,
 )
-from nctorus.connections import Connection, _nabla
+from nctorus.connections import Connection, TransportAxiomReport, _nabla, transport
 from nctorus.errors import RankMismatch, UnsupportedProduct
 
 THETA = 0.3819660113
@@ -197,6 +199,50 @@ def reference_curvature(conn: Connection) -> list:
 def element_bits(e: TorusElement) -> list:
     """Each term's key and the struct bytes of its coefficient, in key order: -0.0 and NaN payloads show."""
     return [(key, struct.pack("<2d", c.real, c.imag)) for key, c in e.terms.items()]
+
+
+def reference_weight_matrix(conn: Connection, weight: Weight) -> list:
+    """Connection.weight_matrix as first written: alpha * a + beta * b, per entry, over TorusElement."""
+    alpha, beta = weight
+    return [[alpha * a + beta * b for a, b in zip(ru, rv)] for ru, rv in zip(conn.theta_u, conn.theta_v)]
+
+
+def reference_random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:
+    """random_element as first written, with randint and a draw per line."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        key = (
+            rng.randint(-max_exp, max_exp),
+            rng.randint(-max_exp, max_exp),
+            rng.randint(-2, 2),
+        )
+        terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return TorusElement(params, terms)
+
+
+def reference_transport_axioms(conn: Connection, weight: Weight, samples: int, seed: int):
+    """check_transport_axioms as first written: one loop over the samples, drawing each as it goes, and one
+    transport per time."""
+    rng = random.Random(seed)
+    module, identity, group = [], [], []
+    phi_0 = transport(conn, weight, 0.0) if samples > 0 else None
+    for _ in range(samples):
+        s = [reference_random_element(rng, conn.params, max_terms=3) for _ in range(conn.rank)]
+        a = reference_random_element(rng, conn.params, max_terms=3)
+        tau = rng.uniform(-1.5, 1.5)
+        sigma = rng.uniform(-1.5, 1.5)
+
+        phi_tau = transport(conn, weight, tau)
+        lhs = phi_tau.apply([x * a for x in s])
+        rhs = [x * apply_auto(weight, tau, a) for x in phi_tau.apply(s)]
+        module.append(vector_distance(lhs, rhs))
+
+        identity.append(vector_distance(phi_0.apply(s), s))
+
+        both = transport(conn, weight, tau + sigma).apply(s)
+        composed = phi_tau.apply(transport(conn, weight, sigma).apply(s))
+        group.append(vector_distance(both, composed))
+    return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))
 
 
 def reference_apply(op, xs) -> list[TorusElement]:

@@ -18,17 +18,21 @@ from hypothesis import strategies as st
 
 from conftest import (
     THETA,
+    EDGE_COEFFICIENTS,
     assert_close,
     clock_shift,
     element_bits,
     l1,
     oracle_monomial_product,
     oracle_monomial_star,
+    reference_random_element,
     total,
 )
 from nctorus.algebra import (
+    TWO_PI,
     TorusElement,
     TorusParams,
+    _twist,
     apply_auto,
     apply_derivation,
     distance,
@@ -36,6 +40,8 @@ from nctorus.algebra import (
     lam,
     mono,
     one,
+    r15,
+    random_element,
     turn,
     u,
     v,
@@ -434,3 +440,66 @@ def test_integral_keeps_every_result_and_message():
         with pytest.raises(ValueError) as info:
             integral(bad, "deck a")
         assert str(info.value) == f"deck a must be an integer, got {bad!r}"
+
+
+def test_r15_keeps_a_finite_double_finite():
+    # within half a 15-digit step of the largest double the rounding overflows: a finite x stays finite
+    import numpy as np
+
+    top, r15_top = sys.float_info.max, 1.79769313486231e308
+    for x in (top, math.nextafter(top, 0), 1.797693134862315e308, np.float64(top)):
+        assert (r15(x), r15(-x)) == (r15_top, -r15_top)
+    assert r15(r15_top) == r15_top and r15(-r15_top) == -r15_top
+    for x in (math.inf, -math.inf, np.float64(-math.inf)):  # inf and NaN keep their rounding, with no warning
+        assert r15(x) == x
+    assert math.isnan(r15(math.nan)) and math.isnan(r15(np.float64(math.nan)))
+    # every other float, and a float subclass, rounds as float(f"{x:.15g}") does, bit for bit
+    rng = random.Random(20261019)
+    xs = [0.0, -0.0, 5e-324, 1 / 3, -2.5e-300, 1e308, -1.7976931348623e308, r15_top]
+    xs += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-323, 307) for _ in range(2000)]
+    for x in xs + [np.float64(x) for x in xs[:200]]:
+        assert struct.pack("<d", r15(x)) == struct.pack("<d", float(f"{x:.15g}")), x
+    assert type(r15(3)) is int and r15(3) == 3 and r15(None) is None and r15(True) is True
+
+
+def test_twist_is_turn_per_term():
+    # _twist inlines turn's reduction mod 1: each coefficient keeps turn's bits, c itself at a whole turn
+    terms = {(0, 0, 0): 1 + 2j, (1, 0, 1): complex(-0.0, 0.5), (-2, 3, 0): 5e-324, (3, -1, -2): -1e200j}
+    for weight in ((1, 0), (0, 1), (-2, 3), (0.5, -1.25), (0, 0), (1e300, 1)):
+        for tau in (0, 0.0, -0.0, 1, 1.0, -0.37, 1e-310, 2.0**40 + 0.5, 1e300, math.inf, math.nan):
+            alpha, beta = weight
+            want = {key: turn(c, tau * (alpha * key[0] + beta * key[1])) for key, c in terms.items()}
+            got = _twist(weight, tau, terms)
+            assert [(k, struct.pack("<2d", c.real, c.imag)) for k, c in got.items()] == [
+                (k, struct.pack("<2d", c.real, c.imag)) for k, c in want.items()
+            ]
+
+
+def test_derivation_and_fold_keep_their_bits(params):
+    # apply_derivation drops a zero product inline, as the public constructor did; folded reads lam's memo
+    rng = random.Random(20261019)
+    for _ in range(200):
+        keys = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice([0, 1, -2, 65, -90])) for _ in range(4)]
+        a = TorusElement(params, {key: rng.choice(EDGE_COEFFICIENTS) for key in keys})
+        for alpha, beta in ((1, 0), (0, 1), (0.5, -2), (1e-320, 1), (0, 0)):
+            terms = {}
+            for (m, n, k), c in a.terms.items():
+                if alpha * m + beta * n != 0:
+                    terms[(m, n, k)] = c * (TWO_PI * 1j * (alpha * m + beta * n))
+            assert element_bits(apply_derivation((alpha, beta), a)) == element_bits(TorusElement(params, terms))
+        fold = {}
+        for (m, n, k), c in a.terms.items():
+            fold[(m, n)] = fold.get((m, n), 0j) + (c if k == 0 else c * params.lam(k))
+        assert [(key, struct.pack("<2d", c.real, c.imag)) for key, c in a.folded().items()] == [
+            (key, struct.pack("<2d", c.real, c.imag)) for key, c in fold.items()
+        ]
+
+
+def test_random_element_draws_the_randint_stream(params):
+    # randrange(a, b + 1) is randint(a, b): the same elements, and the generator left in the same state
+    for seed in range(20):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for max_terms, max_exp in ((1, 0), (3, 3), (4, 3), (6, 1)):
+            got = random_element(mine, params, max_terms=max_terms, max_exp=max_exp)
+            assert element_bits(got) == element_bits(reference_random_element(theirs, params, max_terms, max_exp))
+        assert mine.random() == theirs.random()

@@ -728,6 +728,32 @@ def test_an_overflowing_curvature_is_one_validation_error(tmp_path, theta_u, the
     }
 
 
+def test_a_curvature_at_the_largest_double_reports_it_finite(tmp_path):
+    # F_01 = -max: its 15-digit rounding overflows, so the report keeps the largest 15-digit double
+    import nctorus
+
+    connection = {"rank": 2, "theta_u": [[0, sys.float_info.max], [0, 0]], "theta_v": [[1, 0], [0, 0]]}
+    scenario = {"v": 1, "command": "curvature", "theta": 0.3, "connection": connection}
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert re.fullmatch(r"nctorus: command=curvature elapsed_ms=\d+\.\d\d finished=\S+\n", proc.stderr), proc.stderr
+
+    def strict(name):
+        raise AssertionError(f"{name} is not RFC 8259 JSON")
+
+    report = json.loads(proc.stdout, parse_constant=strict)
+    assert '"re":-1.79769313486231e+308' in proc.stdout
+    assert report["result"]["flat"] is False
+    terms = [[e["dudv"]["terms"] for e in row] for row in report["result"]["curvature"]["entries"]]
+    assert terms == [[[], [{"m": 0, "n": 0, "re": -1.79769313486231e308, "im": 0.0, "lk": 0}]], [[], []]]
+
+
 def test_cover_classification_loads_no_connection_module():
     # classify first: coverings reaches connections only when wilson or independence runs
     assert _fresh_interpreter(_MODULE_PROBE, "paper-cover", "paper-4x4") == {

@@ -24,6 +24,8 @@ from conftest import (
     reference_apply,
     reference_commutator,
     reference_nabla,
+    reference_transport_axioms,
+    reference_weight_matrix,
     rotation_block_connection,
     scalar_connection,
     total,
@@ -34,6 +36,7 @@ from nctorus.algebra import (
 )
 from nctorus.connections import (
     Connection,
+    TransportAxiomReport,
     TransportOperator,
     check_transport_axioms,
     curvature_commutator,
@@ -447,6 +450,80 @@ def test_a_nan_residual_is_the_axiom_residual_in_every_order(monkeypatch, params
         assert math.isnan(connections.TransportAxiomReport(1, *fields).max_residual)
 
 
+def _axiom_connection(params, rank: int, seed: int) -> Connection:
+    """A constant antihermitian connection with Theta_v = 0.3 Theta_u, as the symbolic workload draws them."""
+    gen = random.Random(seed)
+    h = np.array([[complex(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(rank)] for _ in range(rank)])
+    a = (0.5j * (h + h.conj().T)).tolist()
+    return Connection(params, a, (0.3 * np.array(a)).tolist())
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8])
+def test_axiom_check_is_the_loop_of_single_transports(monkeypatch, params, rank):
+    # every sample drawn first, then one expm call on the stack of all 3 samples + 1 exponents above
+    # rank 1 (none without a sample); the report is that of the loop with one transport per time
+    scalars = [[mono(0, 0, complex(-0.0, 0.25 * (i - j)), params, i + j) for j in range(rank)] for i in range(rank)]
+    cases = [(_axiom_connection(params, rank, seed), weight) for seed, weight in ((0, (1, 0)), (7, (-2, 1)))]
+    cases.append((Connection(params, scalars, [[2 * e for e in row] for row in scalars]), (0.5, -1.25)))
+    expm = connections.expm
+    for samples in (0, 1, 5):
+        for seed, (conn, weight) in enumerate(cases):
+            calls = []
+            monkeypatch.setattr(connections, "expm", lambda a: calls.append(a) or expm(a))
+            got = check_transport_axioms(conn, weight, samples=samples, seed=seed)
+            monkeypatch.undo()
+            assert repr(got) == repr(reference_transport_axioms(conn, weight, samples, seed))
+            assert len(calls) == (0 if samples == 0 else 1 if rank > 1 else 3 * samples + 1)
+
+
+@pytest.mark.parametrize("theta_u", [[[300.0]], [[300.0, 0], [0, 1j]], [[0, 300.0], [-300.0, 1e308]]])
+def test_an_overflowing_axiom_check_is_the_loops_overflow_error(params, theta_u):
+    # exp(2 pi tau 300) overflows above tau = 0.377 but not at tau = 0, so only some of the times overflow
+    conn = Connection(params, theta_u, [[0] * len(theta_u)] * len(theta_u))
+    for check in (check_transport_axioms, reference_transport_axioms):
+        with pytest.raises(OverflowError, match=r"^transport overflows: exp\(2 pi tau Theta_X\) has an entry"):
+            check(conn, (1, 0), 5, 3)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_non_constant_axiom_check_raises_as_the_loop_does(params, rank):
+    theta_u = [[u(params) if i == j == 0 else 0 for j in range(rank)] for i in range(rank)]
+    conn = Connection(params, theta_u, [[0] * rank] * rank)
+    for check in (check_transport_axioms, reference_transport_axioms):
+        with pytest.raises(NonConstantConnection):
+            check(conn, (1, 0), 2, 0)
+        assert check(conn, (1, 0), 0, 0) == TransportAxiomReport(0, 0.0, 0.0, 0.0)  # no sample, no transport
+
+
+def test_stacked_transports_are_single_transports_bit_for_bit(params):
+    # the fold 2 pi t Theta_X broadcast over the times, and scipy's stacked expm, give each time the bits of
+    # its own transport: signed zeros, subnormal and huge parts, integer and float weights
+    values = (0, -0.0, 1, -2.5, 0.5j, complex(-0.0, 1), complex(1, -0.0), 5e-324, 1e-300, 3.75 - 1.25j)
+    rng = random.Random(20261019)
+    for rank in (2, 3, 4, 8):
+        for _ in range(8):
+            conn = Connection(params, *[[[rng.choice(values) for _ in range(rank)] for _ in range(rank)] for _ in "uv"])
+            weight = rng.choice([(1, 0), (0, 1), (-2, 1), (0.5, -1.25), (0, 0)])
+            times = [0.0, -0.0, 1.0, -1.5, 1e-310, 2.0**-30] + [rng.uniform(-1.5, 1.5) for _ in range(6)]
+            got = connections._transports(conn, weight, times)
+            want = [transport(conn, weight, t) for t in times]
+            assert [(op.weight, op.tau) for op in got] == [(op.weight, op.tau) for op in want]
+            bits = [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in op.matrix] for op in got]
+            assert bits == [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in op.matrix] for op in want]
+
+
+def test_weight_matrix_is_bits_of_the_element_sum(params):
+    # alpha c without its zeros, then beta c merged in: the key order and bits of alpha * a + beta * b,
+    # zero signs, underflowed products and cancelled sums included
+    rng = random.Random(20261019)
+    for rank in (1, 2, 3):
+        for _ in range(40):
+            conn = element_connection(params, rng, rank, same=rng.random() < 0.25)
+            for weight in ((1, 0), (0, 1), (0.5, -2), (0, 0), (1, -1)):
+                got = [[element_bits(e) for e in row] for row in conn.weight_matrix(weight)]
+                assert got == [[element_bits(e) for e in row] for row in reference_weight_matrix(conn, weight)]
+
+
 def _bits(elements) -> list:
     """Each element's terms in insertion order, every coefficient as its two doubles' bytes."""
     return [[(key, struct.pack("<dd", c.real, c.imag)) for key, c in e.terms.items()] for e in elements]
@@ -757,6 +834,18 @@ def test_expm_of_builtin_transport_exponents_is_scipy_expm():
         conn = Connection.from_dict(scenario["connection"], TorusParams(scenario["theta"]))
         a = TWO_PI * 1.0 * conn.constant_weight_matrix(tuple(scenario["params"]["deck"]))
         assert np.array(connections.expm(a)).tobytes() == scipy_expm(a).tobytes(), name
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8])
+def test_expm_of_a_stack_is_scipy_expm_of_each_slice(rank):
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(20261019 + rank)
+    stack = np.array([_seeded_complex(rng, rank, scale) for scale in (0.0, 1e-3, 0.3, 1.0, 7.0)])
+    got = connections.expm(stack)
+    assert isinstance(got, list) and len(got) == len(stack)
+    for rows, a in zip(got, stack):
+        assert isinstance(rows, tuple) and np.array(rows).tobytes() == scipy_expm(a).tobytes()
 
 
 def test_transport_operator_json(scalar_conn, block_conn):

@@ -1,0 +1,33 @@
+"""tools/interleave.py: one round of one src/ tree against itself."""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_interleave_runs_a_round_of_one_tree_against_itself():
+    src = str(ROOT / "src")
+    argv = [sys.executable, "-W", "error", str(ROOT / "tools" / "interleave.py"), src, src]
+    argv += ["--workload", "symbolic", "--kind", "check_transport_axioms/r4", "--cycles", "1", "--rounds", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "symbolic: 2 operations (check_transport_axioms/r4), 1 rounds"
+    for line, name in zip(lines[1:3], ("base", "new")):
+        assert re.fullmatch(rf"{name}: median \d+\.\d{{3}} ms  \({re.escape(src)}\)", line), line
+    assert re.fullmatch(r"new/base: \d+\.\d{3}  new faster in [01] of 1 rounds", lines[3]), lines[3]
+    assert len(lines) == 4
+
+
+def test_interleave_names_the_kinds_when_none_match():
+    src = str(ROOT / "src")
+    argv = [sys.executable, str(ROOT / "tools" / "interleave.py"), src, src, "--workload", "symbolic"]
+    proc = subprocess.run(argv + ["--kind", "wilson", "--cycles", "1", "--rounds", "1"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "no symbolic operation of kind wilson" in proc.stderr and "check_transport_axioms/r4" in proc.stderr

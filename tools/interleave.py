@@ -1,0 +1,102 @@
+"""Time seeded operations of one workload from two ``src/`` trees, in alternating in-process blocks.
+
+Usage, from any directory:
+
+    python3 tools/interleave.py BASE_SRC NEW_SRC --workload symbolic \\
+        [--kind check_transport_axioms/r4 ...] [--seed 1] [--cycles 4] [--rounds 15]
+
+The operations are the first ``--cycles`` cycles of ``perfbench/workloads.py``'s
+stream at ``--seed``, each prepared through ``perfbench/calls.py``, as
+``tools/result_digest.py`` does.  A kind is an operation's ``call``, or
+``call/r<rank>`` for one on a connection; ``--kind`` (repeatable) keeps only
+the operations of the kinds named, by either form.
+
+Each round times one block per tree.  A block purges ``nctorus`` and ``calls``
+from ``sys.modules``, imports them with the tree first on ``sys.path``,
+prepares every operation and then runs them all once, timed as a whole; an
+operation that raises counts as run, since its error is its result.  The
+tree that runs first alternates between rounds, and one untimed round of both
+warms up first.  The output gives each tree's median block time, NEW/BASE and
+the rounds in which NEW was faster.  Run it with ``OPENBLAS_NUM_THREADS=1``,
+as the benchmark's children do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import Stream  # noqa: E402
+
+
+def kind(spec: dict) -> str:
+    rank = spec.get("connection", {}).get("rank")
+    return spec["call"] if rank is None else f"{spec['call']}/r{rank}"
+
+
+def operations(workload: str, seed: int, cycles: int, kinds: list[str]) -> list[dict]:
+    stream = Stream(workload, seed)
+    specs = [spec for _ in range(cycles) for spec in stream.cycle()]
+    kept = [spec for spec in specs if not kinds or spec["call"] in kinds or kind(spec) in kinds]
+    if not kept:
+        known = ", ".join(sorted({kind(spec) for spec in specs}))
+        raise SystemExit(f"no {workload} operation of kind {', '.join(kinds)} (kinds: {known})")
+    return kept
+
+
+def block(src: str, specs: list[dict]) -> float:
+    """Seconds to run every operation once on the nctorus under src, imported afresh."""
+    for name in [m for m in sys.modules if m in ("calls", "nctorus") or m.startswith("nctorus.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        import calls
+
+        ops = [calls.prepare(spec) for spec in specs]
+        gc.collect()
+        start = time.perf_counter()
+        for op in ops:
+            try:
+                op()
+            except Exception:  # noqa: BLE001 - an error is the operation's result
+                pass
+        return time.perf_counter() - start
+    finally:
+        sys.path.remove(src)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="the src/ directory of the base tree")
+    parser.add_argument("new", help="the src/ directory of the tree compared with it")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--kind", action="append", default=[], help="keep only this kind (repeatable)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=4)
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args(argv)
+    trees = {"base": str(Path(args.base).resolve()), "new": str(Path(args.new).resolve())}
+    specs = operations(args.workload, args.seed, args.cycles, args.kind)
+    for name in trees:  # warm-up: first imports and first calls
+        block(trees[name], specs)
+    times: dict[str, list[float]] = {"base": [], "new": []}
+    for r in range(args.rounds):
+        for name in ("base", "new") if r % 2 == 0 else ("new", "base"):
+            times[name].append(block(trees[name], specs))
+    medians = {name: statistics.median(t) for name, t in times.items()}
+    wins = sum(n < b for b, n in zip(times["base"], times["new"]))
+    print(f"{args.workload}: {len(specs)} operations ({', '.join(args.kind) or 'every kind'}), {args.rounds} rounds")
+    for name, src in trees.items():
+        print(f"{name}: median {medians[name] * 1e3:.3f} ms  ({src})")
+    print(f"new/base: {medians['new'] / medians['base']:.3f}  new faster in {wins} of {args.rounds} rounds")
+
+
+if __name__ == "__main__":
+    main()
