@@ -16,9 +16,10 @@ Theta entry a complex multiple of 1), where the path-ordered exponential
 collapses to a dense matrix exponential, ``expm``.
 
 A connection of plain numbers holds them as complex rows and builds its
-element matrices on first use; a transport holds M as complex rows too.  Only
-a transport of rank 2 and up, or the axiom check's stack of them, folds Theta_X
-with numpy and loads scipy.
+element matrices on first use; a transport holds M as complex rows too.  Every
+transport comes from one ``_transports`` call, which folds the exponents of a
+list of (weight, tau) paths (with numpy above rank 1) and makes one ``expm``
+call on their stack.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import cmath
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .algebra import (
     EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, _scale, _twist,
@@ -35,9 +35,6 @@ from .algebra import (
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _element_entries, curvature_form
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _TOP = sys.float_info.max  # the largest finite double
 
@@ -66,14 +63,13 @@ class Connection:
     plain complex scalars (multiples of 1), decided once to be exact
     multiples or not (``scalars``).  Without a TorusElement entry the
     connection holds complex rows only, read in one pass, and the element
-    matrices theta_u, theta_v are built on first access.  The numeric Theta_u,
-    Theta_v of a constant connection are built on its first rank >= 2 transport.
+    matrices theta_u, theta_v are built on first access.
     """
 
-    __slots__ = ("params", "rank", "_entries", "_theta", "_scalars", "_fold")
+    __slots__ = ("params", "rank", "_entries", "_theta", "_scalars")
 
     def __init__(self, params: TorusParams, theta_u, theta_v):
-        self.params, self._theta, self._fold = params, None, None
+        self.params, self._theta = params, None
         try:  # plain numbers: complex rows, the elements are built from them on first access
             self._entries = mats = [[[complex(e) for e in row] for row in mat] for mat in (theta_u, theta_v)]
         except (TypeError, ValueError, OverflowError):  # an element or a bad entry: checked below, in order
@@ -122,16 +118,6 @@ class Connection:
         return self._scalars or tuple(
             tuple(tuple(map(_scalar_coefficient, row)) for row in mat) for mat in self._elements()
         )
-
-    def constant_weight_matrix(self, weight: Weight) -> np.ndarray:
-        """Numeric alpha Theta_u + beta Theta_v as an array, folded once; requires constant coefficients."""
-        if self._fold is None:
-            import numpy as np
-
-            self._fold = tuple(np.array(mat, dtype=complex) for mat in self._coefficients())
-        alpha, beta = weight
-        tu, tv = self._fold
-        return alpha * tu + beta * tv
 
     @classmethod
     def from_dict(cls, data: dict, params: TorusParams) -> "Connection":
@@ -273,24 +259,25 @@ class TransportOperator:
 
 
 def expm(a):
-    """The matrix exponential of a square matrix, as complex rows: the one entry point of every transport.
+    """The exponential of each matrix of a stack of k >= 1 (1 x 1 complex rows, or a (k, n, n) array), as row tuples.
 
-    ``a`` is complex rows or an array, or a (k, n, n) array stacking k >= 2 matrices,
-    which gives a list of k row tuples.  A 1 x 1 matrix is one cmath.exp, so rank 1
-    loads neither numpy nor scipy.  Larger ones and stacks go to scipy.linalg.expm
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use,
-    in one call that gives each slice the bits of its own, and are read back as
-    rows.  A non-finite entry raises OverflowError.  numpy's floating-point
-    warnings are the caller's: transport and the axiom check ignore them around
-    their fold and this call, in one ``np.errstate``, so an overflow is never warned.
+    A 1 x 1 matrix is one cmath.exp, so rank 1 loads neither numpy nor scipy.  Larger ones go to
+    scipy.linalg.expm (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), imported on first use, in one
+    call that gives each slice the bits of its own.  A non-finite entry raises OverflowError.  numpy's
+    warnings are the caller's: _transports ignores them around its fold and this call, in one ``np.errstate``.
     """
-    if len(a) == 1:
-        try:
-            z = cmath.exp(a[0][0])
-            if cmath.isfinite(z):
-                return ((z,),)
-        except (OverflowError, ValueError):  # cmath's range error, and its domain error at an infinite phase
-            pass
+    if len(a[0]) == 1:
+        rows = []
+        for ((x,),) in a:
+            try:
+                z = cmath.exp(x)
+            except (OverflowError, ValueError):  # cmath's range error, and its domain error at an infinite phase
+                break
+            if not cmath.isfinite(z):
+                break
+            rows.append(((z,),))
+        else:
+            return rows
     else:
         import numpy as np
         from scipy.linalg import expm as scipy_expm
@@ -299,27 +286,40 @@ def expm(a):
         # .all() is a numpy reduction, which also ends a state scipy's expm leaves on an AVX-512 Xeon: there
         # each cmath.exp after it (apply's twists) ran about 7x slower, and a test of isfinite's bytes kept it
         if np.isfinite(m).all():
-            rows = m.tolist()
-            return [tuple(map(tuple, r)) for r in rows] if m.ndim == 3 else tuple(map(tuple, rows))
+            return [tuple(map(tuple, rows)) for rows in m.tolist()]
     raise OverflowError("transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double")
 
 
-def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:
-    """Module parallel transport at time tau along the weight flow.
+def _transports(conn: Connection, paths) -> list[TransportOperator]:
+    """The transport along each (weight, tau) of ``paths``, from one expm call; none without a path.
 
-    M = exp(2 pi tau (alpha Theta_u + beta Theta_v)), its exponent in Python
-    complex arithmetic at rank 1 and folded with numpy above.  Raises
-    NonConstantConnection when Theta has non-scalar entries, OverflowError when M
-    is not finite.
+    Theta_u, Theta_v are read once; each exponent 2 pi tau (alpha Theta_u + beta Theta_v) keeps the
+    bits of its own fold, in Python complex arithmetic at rank 1 and on one numpy stack above.
     """
+    if not paths:
+        return []
+    theta_u, theta_v = conn._coefficients()
     if conn.rank == 1:
-        alpha, beta = weight
-        ((cu,),), ((cv,),) = conn._coefficients()
-        return TransportOperator(expm(((TWO_PI * tau * (alpha * cu + beta * cv),),)), tuple(weight), tau)
-    import numpy as np
+        ((cu,),), ((cv,),) = theta_u, theta_v
+        mats = expm([((TWO_PI * tau * (alpha * cu + beta * cv),),) for (alpha, beta), tau in paths])
+    else:
+        import numpy as np
 
-    with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
-        return TransportOperator(expm(TWO_PI * tau * conn.constant_weight_matrix(weight)), tuple(weight), tau)
+        # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
+        c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
+        tu, tv = np.array(theta_u, dtype=complex), np.array(theta_v, dtype=complex)
+        with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
+            mats = expm(c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv))
+    return [TransportOperator(m, tuple(w), t) for m, (w, t) in zip(mats, paths)]
+
+
+def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:
+    """Module parallel transport at time tau along the weight flow: the one path of ``_transports``.
+
+    M = exp(2 pi tau (alpha Theta_u + beta Theta_v)).  Raises NonConstantConnection
+    when Theta has non-scalar entries, OverflowError when M is not finite.
+    """
+    return _transports(conn, [(weight, tau)])[0]
 
 
 @dataclass(frozen=True)
@@ -336,32 +336,19 @@ class TransportAxiomReport:
         return _worst((self.module_residual, self.identity_residual, self.group_residual))
 
 
-def _transports(conn: Connection, weight: Weight, times: list[float]) -> list[TransportOperator]:
-    """transport(conn, weight, t) for each t, bit for bit: one transport a time at rank 1, above it Theta_X
-    folded once and one expm call on the stack of 2 pi t Theta_X."""
-    if conn.rank == 1:
-        return [transport(conn, weight, t) for t in times]
-    import numpy as np
-
-    weight = tuple(weight)
-    with np.errstate(all="ignore"):  # as in transport: an overflow shows in the stack, which expm checks
-        stack = expm(TWO_PI * np.array(times)[:, None, None] * conn.constant_weight_matrix(weight))
-    return [TransportOperator(m, weight, t) for m, t in zip(stack, times)]
-
-
 def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
     """Exercise the transport axioms on random vectors, elements and times.
 
     Every sample is drawn first: its vector s (rank elements), then a, tau and sigma.  All
-    3 samples + 1 transports then come from _transports, at times [0, tau_1, tau_1 + sigma_1,
-    sigma_1, ...], so above rank 1 from one expm call.  A residual that is NaN is the maximum.
+    3 samples + 1 transports then come from one _transports call, at times [0, tau_1,
+    tau_1 + sigma_1, sigma_1, ...].  A residual that is NaN is the maximum.
     """
     rng, params, draws = random.Random(seed), conn.params, []
     for _ in range(samples):
         s = [random_element(rng, params, max_terms=3) for _ in range(conn.rank)]
         draws.append((s, random_element(rng, params, max_terms=3), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
     times = [0.0, *(t for _, _, tau, sigma in draws for t in (tau, tau + sigma, sigma))]
-    phi_0, *ops = _transports(conn, weight, times) if draws else [None]  # no sample, no transport
+    phi_0, *ops = _transports(conn, [(weight, t) for t in times]) if draws else [None]  # no sample, no transport
     module, identity, group = [], [], []
     for (s, a, tau, _), phi_tau, phi_both, phi_sigma in zip(draws, ops[::3], ops[1::3], ops[2::3]):
         lhs = phi_tau.apply([x * a for x in s])

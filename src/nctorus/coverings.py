@@ -140,16 +140,21 @@ def classify_path(spec: CoveringSpec, weight) -> ClosedPathReport:
     return ClosedPathReport(weight=(alpha, beta), is_closed=False, associated=None, witness=1.0 / g)
 
 
+def _check_cover(spec: CoveringSpec, g: DeckElement, conn: Connection) -> None:
+    """ParamMismatch unless conn lives over the base theta and g belongs to this covering."""
+    if conn.params != spec.base:
+        raise ParamMismatch("connection does not live over the base parameter")
+    if g.degrees != spec.degrees:
+        raise ParamMismatch("deck element belongs to a different covering")
+
+
 def wilson(spec: CoveringSpec, g: DeckElement, conn: Connection) -> TransportOperator:
     """Transport along the canonical closed path of g: weight (a, b) at time 1.
 
     Requires a flat connection with constant coefficients; the identity deck
     element yields the identity operator.
     """
-    if conn.params != spec.base:
-        raise ParamMismatch("connection does not live over the base parameter")
-    if g.degrees != spec.degrees:
-        raise ParamMismatch("deck element belongs to a different covering")
+    _check_cover(spec, g, conn)
     if not _lib.connections.is_flat(conn):
         raise NotFlat("generalized Wilson lines are defined for flat connections")
     return _lib.connections.transport(conn, (g.a, g.b), 1.0)
@@ -174,19 +179,20 @@ class PathIndependenceReport:
 
 
 def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection, weights) -> PathIndependenceReport:
-    """Transport along each weight (all must be closed paths for g) and compare."""
+    """Transport along each weight (all must be closed paths for g) and compare: the cover is checked as in
+    wilson, then each weight, and one _transports call gives every transport."""
     import numpy as np  # at every rank: numpy's complex abs can differ from Python's in the last bit
 
+    _check_cover(spec, g, conn)
     checked = []
     for w in weights:
         report = classify_path(spec, w)
         if not report.is_closed or report.associated != g:
             raise PathNotAssociated(f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})")
         checked.append(report.weight)
-    weights = checked
-    mats = np.array([_lib.connections.transport(conn, w, 1.0).matrix for w in weights])
+    mats = np.array([op.matrix for op in _lib.connections._transports(conn, [(w, 1.0) for w in checked])])
     max_distance = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             max_distance = max(max_distance, float(np.max(np.abs(mats[i] - mats[j]))))
-    return PathIndependenceReport(g, tuple(weights), max_distance, certified=max_distance < CERTIFY_TOL)
+    return PathIndependenceReport(g, tuple(checked), max_distance, certified=max_distance < CERTIFY_TOL)

@@ -10,6 +10,7 @@ import struct
 import pytest
 
 from nctorus.algebra import (
+    CERTIFY_TOL,
     EQ_TOL,
     TorusElement,
     TorusParams,
@@ -26,7 +27,8 @@ from nctorus.algebra import (
     zero,
 )
 from nctorus.connections import Connection, TransportAxiomReport, _nabla, transport
-from nctorus.errors import RankMismatch, UnsupportedProduct
+from nctorus.coverings import PathIndependenceReport, classify_path
+from nctorus.errors import PathNotAssociated, RankMismatch, UnsupportedProduct
 
 THETA = 0.3819660113
 ALT_THETA = 0.7182818285
@@ -103,6 +105,16 @@ def element_connection(params, rng, rank: int, same: bool = False, coefficients=
     theta_u[0][0] = theta_u[0][0] + TorusElement(params, {(1, 2, 0): 1})
     theta_v = theta_u if same else [[entry() for _ in range(rank)] for _ in range(rank)]
     return Connection(params, theta_u, theta_v)
+
+
+def antihermitian_connection(params: TorusParams, rank: int, seed: int) -> Connection:
+    """A constant antihermitian connection with Theta_v = 0.3 Theta_u, as the symbolic workload draws them."""
+    import numpy as np
+
+    gen = random.Random(seed)
+    h = np.array([[complex(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(rank)] for _ in range(rank)])
+    a = (0.5j * (h + h.conj().T)).tolist()
+    return Connection(params, a, (0.3 * np.array(a)).tolist())
 
 
 def nabla(conn: Connection, weight: Weight, xi) -> list[TorusElement]:
@@ -243,6 +255,25 @@ def reference_transport_axioms(conn: Connection, weight: Weight, samples: int, s
         composed = phi_tau.apply(transport(conn, weight, sigma).apply(s))
         group.append(vector_distance(both, composed))
     return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))
+
+
+def reference_path_independence(spec, g, conn: Connection, weights) -> PathIndependenceReport:
+    """check_path_independence as first written: each weight classified in order, then one transport per
+    weight and numpy's largest entrywise |M_i - M_j| over the pairs."""
+    import numpy as np
+
+    checked = []
+    for w in weights:
+        report = classify_path(spec, w)
+        if not report.is_closed or report.associated != g:
+            raise PathNotAssociated(f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})")
+        checked.append(report.weight)
+    mats = np.array([transport(conn, w, 1.0).matrix for w in checked])
+    max_distance = 0.0
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            max_distance = max(max_distance, float(np.max(np.abs(mats[i] - mats[j]))))
+    return PathIndependenceReport(g, tuple(checked), max_distance, certified=max_distance < CERTIFY_TOL)
 
 
 def reference_apply(op, xs) -> list[TorusElement]:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     THETA,
+    antihermitian_connection,
     assert_close,
     element_bits,
     element_connection,
@@ -345,7 +346,7 @@ def test_transport_group_law(scalar_conn, block_conn):
 
 def test_transport_unitary_for_antihermitian(scalar_conn, block_conn):
     for conn in (scalar_conn, block_conn):
-        a = conn.constant_weight_matrix((1, 1))
+        a = np.array(conn.scalars[0]) + np.array(conn.scalars[1])
         assert np.array_equal(a.conj().T, -a)
         m = np.asarray(transport(conn, (1, 1), 0.77).matrix)
         assert np.max(np.abs(m @ m.conj().T - np.eye(conn.rank))) < 1e-10
@@ -450,20 +451,12 @@ def test_a_nan_residual_is_the_axiom_residual_in_every_order(monkeypatch, params
         assert math.isnan(connections.TransportAxiomReport(1, *fields).max_residual)
 
 
-def _axiom_connection(params, rank: int, seed: int) -> Connection:
-    """A constant antihermitian connection with Theta_v = 0.3 Theta_u, as the symbolic workload draws them."""
-    gen = random.Random(seed)
-    h = np.array([[complex(gen.uniform(-1, 1), gen.uniform(-1, 1)) for _ in range(rank)] for _ in range(rank)])
-    a = (0.5j * (h + h.conj().T)).tolist()
-    return Connection(params, a, (0.3 * np.array(a)).tolist())
-
-
 @pytest.mark.parametrize("rank", [1, 2, 4, 8])
 def test_axiom_check_is_the_loop_of_single_transports(monkeypatch, params, rank):
-    # every sample drawn first, then one expm call on the stack of all 3 samples + 1 exponents above
-    # rank 1 (none without a sample); the report is that of the loop with one transport per time
+    # every sample drawn first, then one expm call on the stack of all 3 samples + 1 exponents at
+    # every rank (none without a sample); the report is that of the loop with one transport per time
     scalars = [[mono(0, 0, complex(-0.0, 0.25 * (i - j)), params, i + j) for j in range(rank)] for i in range(rank)]
-    cases = [(_axiom_connection(params, rank, seed), weight) for seed, weight in ((0, (1, 0)), (7, (-2, 1)))]
+    cases = [(antihermitian_connection(params, rank, seed), weight) for seed, weight in ((0, (1, 0)), (7, (-2, 1)))]
     cases.append((Connection(params, scalars, [[2 * e for e in row] for row in scalars]), (0.5, -1.25)))
     expm = connections.expm
     for samples in (0, 1, 5):
@@ -473,7 +466,7 @@ def test_axiom_check_is_the_loop_of_single_transports(monkeypatch, params, rank)
             got = check_transport_axioms(conn, weight, samples=samples, seed=seed)
             monkeypatch.undo()
             assert repr(got) == repr(reference_transport_axioms(conn, weight, samples, seed))
-            assert len(calls) == (0 if samples == 0 else 1 if rank > 1 else 3 * samples + 1)
+            assert len(calls) == (0 if samples == 0 else 1)
 
 
 @pytest.mark.parametrize("theta_u", [[[300.0]], [[300.0, 0], [0, 1j]], [[0, 300.0], [-300.0, 1e308]]])
@@ -496,20 +489,32 @@ def test_a_non_constant_axiom_check_raises_as_the_loop_does(params, rank):
 
 
 def test_stacked_transports_are_single_transports_bit_for_bit(params):
-    # the fold 2 pi t Theta_X broadcast over the times, and scipy's stacked expm, give each time the bits of
-    # its own transport: signed zeros, subnormal and huge parts, integer and float weights
+    # the fold 2 pi tau Theta_X broadcast over the paths, and scipy's stacked expm, give each path the bits of
+    # its own transport and of the exponent folded alone: signed zeros, subnormal and huge parts, integer and
+    # float weights, mixed in one call; (0.0, 1) beside (-0.0, 1), whose folds differ in zero signs
+    from scipy.linalg import expm as scipy_expm
+
     values = (0, -0.0, 1, -2.5, 0.5j, complex(-0.0, 1), complex(1, -0.0), 5e-324, 1e-300, 3.75 - 1.25j)
+    weights = [(1, 0), (0, 1), (-2, 1), (0.5, -1.25), (0, 0), (0.0, 1), (-0.0, 1), (-0.0, -0.0)]
     rng = random.Random(20261019)
-    for rank in (2, 3, 4, 8):
+    for rank in (1, 2, 3, 4, 8):
         for _ in range(8):
             conn = Connection(params, *[[[rng.choice(values) for _ in range(rank)] for _ in range(rank)] for _ in "uv"])
-            weight = rng.choice([(1, 0), (0, 1), (-2, 1), (0.5, -1.25), (0, 0)])
             times = [0.0, -0.0, 1.0, -1.5, 1e-310, 2.0**-30] + [rng.uniform(-1.5, 1.5) for _ in range(6)]
-            got = connections._transports(conn, weight, times)
-            want = [transport(conn, weight, t) for t in times]
-            assert [(op.weight, op.tau) for op in got] == [(op.weight, op.tau) for op in want]
-            bits = [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in op.matrix] for op in got]
-            assert bits == [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in op.matrix] for op in want]
+            paths = [(rng.choice(weights), t) for t in times] + [((0.0, 1), 1.0), ((-0.0, 1), 1.0)]
+            got = connections._transports(conn, paths)
+            want = [transport(conn, w, t) for w, t in paths]
+            assert [(op.weight, op.tau) for op in got] == [(tuple(w), t) for w, t in paths]
+            assert [(op.weight, op.tau) for op in want] == [(tuple(w), t) for w, t in paths]
+            tu, tv = (np.array(m, dtype=complex) for m in conn.scalars)
+            alone = [scipy_expm(TWO_PI * t * (a * tu + b * tv)) for (a, b), t in paths]
+            if rank == 1:
+                ((cu,),), ((cv,),) = conn.scalars
+                alone = [[[cmath.exp(TWO_PI * t * (a * cu + b * cv))]] for (a, b), t in paths]
+            bits = [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in m] for m in alone]
+            for ops in (got, want):
+                assert [[[struct.pack("<2d", z.real, z.imag) for z in row] for row in op.matrix] for op in ops] == bits
+    assert connections._transports(conn, []) == []
 
 
 def test_weight_matrix_is_bits_of_the_element_sum(params):
@@ -619,7 +624,7 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
     for payload, conn in ((scalar, scalar_conn), (block, block_conn)):
         back = Connection.from_dict(payload, params)
         assert back.rank == conn.rank
-        assert np.array_equal(back.constant_weight_matrix((1, 1)), conn.constant_weight_matrix((1, 1)))
+        assert back.scalars == conn.scalars
         for mat_a, mat_b in ((back.theta_u, conn.theta_u), (back.theta_v, conn.theta_v)):
             for row_a, row_b in zip(mat_a, mat_b):
                 for a, b in zip(row_a, row_b):
@@ -633,7 +638,7 @@ def test_connection_from_scenario_payload(params, scalar_conn, block_conn):
     assert back.theta_u[0][0].terms == {(1, 0, 0): 1}
     assert back.theta_v[0][0].terms == {(0, 0, 0): 0.5}
     with pytest.raises(NonConstantConnection):
-        back.constant_weight_matrix((1, 0))
+        transport(back, (1, 0), 1.0)
     with pytest.raises(RankMismatch):
         Connection.from_dict({**scalar, "rank": 2}, params)
 
@@ -708,15 +713,12 @@ def test_constructor_checks_shape_before_entries(params):
             Connection(params, theta_u, [[0]])
 
 
-def test_cached_fold_is_not_exposed(block_conn):
-    # every weight matrix is a fresh array, so writing to one leaves later transports intact
-    before = transport(block_conn, (1, 2), 0.5).matrix
-    block_conn.constant_weight_matrix((1, 2))[:] = 7.0
-    assert np.array_equal(transport(block_conn, (1, 2), 0.5).matrix, before)
-    nonconstant = Connection(block_conn.params, [[u(block_conn.params)]], [[0]])
+def test_non_constant_transport_raises_every_time(params):
+    # a failed fold leaves nothing behind: each transport reads the coefficients again
+    nonconstant = Connection(params, [[u(params)]], [[0]])
     for _ in range(2):
         with pytest.raises(NonConstantConnection):
-            nonconstant.constant_weight_matrix((1, 0))
+            transport(nonconstant, (1, 0), 1.0)
 
 
 def test_scalars_are_decided_once_from_exact_multiples_of_one(params):
@@ -735,8 +737,10 @@ def test_scalars_are_decided_once_from_exact_multiples_of_one(params):
 
 
 def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
-    # lambda powers: the scalar test and the coefficient of 1 come from one fold per entry, bit
-    # for bit as before; plain numbers fold no entry and give 0j + c, the value a fold gives
+    # lambda powers: the scalar test and the coefficient of 1 come from one fold per entry and
+    # transport, bit for bit as before; plain numbers fold no entry and give 0j + c, the value a fold gives
+    from scipy.linalg import expm as scipy_expm
+
     mixed = Connection(params, [[0.5j, lam(params, 2)], [1, 0]], [[0, lam(params, -1)], [2j, 1 - 0.5j]])
     plain = [[0.5j, complex(-0.0, 1)], [1, -0.0]], [[0, complex(2, -0.0)], [2j, 1 - 0.5j]]
     folded = [[[e.folded().get((0, 0), 0j) for e in row] for row in mat] for mat in (mixed.theta_u, mixed.theta_v)]
@@ -746,12 +750,14 @@ def test_weight_matrix_folds_each_entry_once(monkeypatch, params):
     ]
     original = TorusElement.folded
     for conn, fold_count, scalars in cases:
-        expected = [np.array(mat, dtype=complex) for mat in scalars]
+        tu, tv = (np.array(mat, dtype=complex) for mat in scalars)
         folds = []
         monkeypatch.setattr(TorusElement, "folded", lambda e: folds.append(e) or original(e))
-        got = [conn.constant_weight_matrix(w) for w in ((1, 0), (0, 1))]
-        assert len(folds) == fold_count
-        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        for alpha, beta in ((1, 0), (0, 1)):
+            folds.clear()
+            got = transport(conn, (alpha, beta), 1.0).matrix
+            assert len(folds) == fold_count
+            assert np.array(got).tobytes() == scipy_expm(TWO_PI * 1.0 * (alpha * tu + beta * tv)).tobytes()
         monkeypatch.undo()
 
 
@@ -821,19 +827,27 @@ def test_expm_is_scipy_expm_bit_for_bit(rank):
     rng = np.random.default_rng(20261018 + rank)
     for scale in (1e-3, 0.3, 1.0, 7.0):
         a = _seeded_complex(rng, rank, scale)
-        assert np.array(connections.expm(a)).tobytes() == scipy_expm(a).tobytes()
+        (got,) = connections.expm(a[None])  # a one-slice stack
+        assert np.array(got).tobytes() == scipy_expm(a).tobytes()
 
 
 def test_expm_of_builtin_transport_exponents_is_scipy_expm():
-    # 2 pi tau Theta_X as the numpy fold forms it for the builtin wilson scenarios; paper-4x4's is
-    # transport's own input, and paper-scalar's 1 x 1 is one cmath.exp, which gives numpy's bits
+    # 2 pi tau Theta_X as _transports forms it for the builtin wilson scenarios: paper-4x4's a one-slice
+    # numpy stack, paper-scalar's 1 x 1 complex rows, whose one cmath.exp gives numpy's bits
     from scipy.linalg import expm as scipy_expm
 
     for name in ("paper-scalar", "paper-4x4"):
         scenario = builtin(name)
         conn = Connection.from_dict(scenario["connection"], TorusParams(scenario["theta"]))
-        a = TWO_PI * 1.0 * conn.constant_weight_matrix(tuple(scenario["params"]["deck"]))
-        assert np.array(connections.expm(a)).tobytes() == scipy_expm(a).tobytes(), name
+        (alpha, beta), tau = scenario["params"]["deck"], 1.0
+        if conn.rank == 1:
+            ((cu,),), ((cv,),) = conn.scalars
+            a = [((TWO_PI * tau * (alpha * cu + beta * cv),),)]
+        else:
+            alpha, beta, scale = (np.array([x], dtype=float)[:, None, None] for x in (alpha, beta, TWO_PI * tau))
+            tu, tv = (np.array(m, dtype=complex) for m in conn.scalars)
+            a = scale * (alpha * tu + beta * tv)
+        assert np.array(connections.expm(a)).tobytes() == scipy_expm(np.array(a)).tobytes(), name
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4, 8])
@@ -842,10 +856,11 @@ def test_expm_of_a_stack_is_scipy_expm_of_each_slice(rank):
 
     rng = np.random.default_rng(20261019 + rank)
     stack = np.array([_seeded_complex(rng, rank, scale) for scale in (0.0, 1e-3, 0.3, 1.0, 7.0)])
-    got = connections.expm(stack)
-    assert isinstance(got, list) and len(got) == len(stack)
-    for rows, a in zip(got, stack):
-        assert isinstance(rows, tuple) and np.array(rows).tobytes() == scipy_expm(a).tobytes()
+    for k in (1, len(stack)):
+        got = connections.expm(stack[:k])
+        assert isinstance(got, list) and len(got) == k
+        for rows, a in zip(got, stack):
+            assert isinstance(rows, tuple) and np.array(rows).tobytes() == scipy_expm(a).tobytes()
 
 
 def test_transport_operator_json(scalar_conn, block_conn):

@@ -10,12 +10,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ALT_THETA, THETA, assert_close, deck_elements, rotation_block_connection, scalar_connection
+from conftest import (
+    ALT_THETA,
+    THETA,
+    antihermitian_connection,
+    assert_close,
+    deck_elements,
+    reference_path_independence,
+    rotation_block_connection,
+    scalar_connection,
+)
+from nctorus import connections
 from nctorus.algebra import EQ_TOL, TorusElement, TorusParams, apply_auto, lam, mono, one, random_element, u, v
 from nctorus.connections import Connection
 from nctorus.coverings import (
     CoveringSpec,
     DeckElement,
+    PathIndependenceReport,
     check_path_independence,
     classify_path,
     deck_act,
@@ -451,3 +462,53 @@ def test_path_independence_rejects_wrong_deck_element(spec, params):
     with pytest.raises(PathNotAssociated):
         check_path_independence(spec, spec.deck(1, 0), conn, [(2, 0)])
 
+
+def test_independence_checks_the_cover_as_wilson_does(spec, params):
+    # a connection over another theta, and a deck element of another covering, raise ParamMismatch in
+    # both, before any weight is classified
+    elsewhere = scalar_connection(TorusParams(0.25), C_U, C_V)
+    conn = scalar_connection(params, C_U, C_V)
+    foreign = CoveringSpec(params, (3, 2)).deck(1, 0)
+    checks = (
+        lambda g, c: wilson(spec, g, c),
+        lambda g, c: check_path_independence(spec, g, c, [(1, 0), (1, 2)]),
+        lambda g, c: check_path_independence(spec, g, c, [(0, 0)]),
+    )
+    for check in checks:
+        with pytest.raises(ParamMismatch, match="^connection does not live over the base parameter$"):
+            check(spec.deck(1, 0), elsewhere)
+        with pytest.raises(ParamMismatch, match="^deck element belongs to a different covering$"):
+            check(foreign, conn)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8])
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 5)])
+def test_path_independence_is_the_loop_of_single_transports(monkeypatch, params, degrees, rank):
+    # one expm call on the stack of every weight's exponent (none without a weight); the report is that
+    # of one transport per weight, repr for repr
+    spec = CoveringSpec(params, degrees)
+    conn = antihermitian_connection(params, rank, 20261019 + rank)
+    k1, k2 = degrees
+    expm = connections.expm
+    for g in deck_elements(spec):
+        shifts = [(i, j) for i in (-1, 0, 1, 2) for j in (-1, 0, 1)]
+        weights = [(g.a + k1 * i, g.b + k2 * j) for i, j in shifts if math.gcd(g.a + k1 * i, g.b + k2 * j) == 1]
+        calls = []
+        monkeypatch.setattr(connections, "expm", lambda a: calls.append(a) or expm(a))
+        got = check_path_independence(spec, g, conn, weights)
+        monkeypatch.undo()
+        assert repr(got) == repr(reference_path_independence(spec, g, conn, weights))
+        assert len(calls) == (1 if weights else 0)
+
+
+def test_path_independence_of_no_weight_makes_no_transport(monkeypatch, spec, params):
+    # as the loop of one transport per weight gave it: distance 0.0, certified, and no transport, so even
+    # a connection that cannot be transported passes
+    calls = []
+    expm = connections.expm
+    monkeypatch.setattr(connections, "expm", lambda a: calls.append(a) or expm(a))
+    for conn in (scalar_connection(params, C_U, C_V), Connection(params, [[u(params)]], [[0]])):
+        report = check_path_independence(spec, spec.deck(1, 0), conn, [])
+        assert report == PathIndependenceReport(spec.deck(1, 0), (), 0.0, True)
+        assert report == reference_path_independence(spec, spec.deck(1, 0), conn, [])
+    assert calls == []

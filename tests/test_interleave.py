@@ -31,3 +31,21 @@ def test_interleave_names_the_kinds_when_none_match():
     proc = subprocess.run(argv + ["--kind", "wilson", "--cycles", "1", "--rounds", "1"], capture_output=True, text=True)
     assert proc.returncode == 1
     assert "no symbolic operation of kind wilson" in proc.stderr and "check_transport_axioms/r4" in proc.stderr
+
+
+def test_interleave_kinds_name_the_cli_command_and_its_rank():
+    # cli.run:<command>/r<rank> keeps one command at one rank, cli.run:<command> it at every rank, and the
+    # plain call cli.run still keeps every cli.run operation: all of paper-mix
+    src = str(ROOT / "src")
+    argv = [sys.executable, "-W", "error", str(ROOT / "tools" / "interleave.py"), src, src, "--workload", "paper-mix"]
+    env, counts = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}, {}
+    for kinds in (["cli.run:independence/r4"], ["cli.run:independence"], ["cli.run"], []):
+        args = [arg for k in kinds for arg in ("--kind", k)] + ["--cycles", "4", "--rounds", "1"]
+        proc = subprocess.run(argv + args, capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        line, named = proc.stdout.splitlines()[0], re.escape(", ".join(kinds) or "every kind")
+        match = re.fullmatch(rf"paper-mix: (\d+) operations \({named}\), 1 rounds", line)
+        assert match, line
+        counts[tuple(kinds)] = int(match[1])
+    want = [counts[("cli.run:independence/r4",)], counts[("cli.run:independence",)], counts[("cli.run",)]]
+    assert 0 < want[0] < want[1] < want[2] == counts[()]

@@ -7,9 +7,13 @@ Usage, from any directory:
 
 The operations are the first ``--cycles`` cycles of ``perfbench/workloads.py``'s
 stream at ``--seed``, each prepared through ``perfbench/calls.py``, as
-``tools/result_digest.py`` does.  A kind is an operation's ``call``, or
-``call/r<rank>`` for one on a connection; ``--kind`` (repeatable) keeps only
-the operations of the kinds named, by either form.
+``tools/result_digest.py`` does.  An operation's kind is its ``call``, which
+for a ``cli.run`` operation is ``cli.run:<command>`` (as result_digest.py names
+its lines), followed by ``/r<rank>`` when it has a connection:
+``check_transport_axioms/r4``, ``cli.run:independence/r4``.  ``--kind``
+(repeatable) keeps only the operations of the kinds named, with or without
+the rank, or by the plain call: ``--kind cli.run`` keeps every ``cli.run``
+operation.
 
 Each round times one block per tree.  A block purges ``nctorus`` and ``calls``
 from ``sys.modules``, imports them with the tree first on ``sys.path``,
@@ -36,40 +40,54 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import Stream  # noqa: E402
 
 
-def kind(spec: dict) -> str:
-    rank = spec.get("connection", {}).get("rank")
-    return spec["call"] if rank is None else f"{spec['call']}/r{rank}"
-
-
-def operations(workload: str, seed: int, cycles: int, kinds: list[str]) -> list[dict]:
-    stream = Stream(workload, seed)
-    specs = [spec for _ in range(cycles) for spec in stream.cycle()]
-    kept = [spec for spec in specs if not kinds or spec["call"] in kinds or kind(spec) in kinds]
-    if not kept:
-        known = ", ".join(sorted({kind(spec) for spec in specs}))
-        raise SystemExit(f"no {workload} operation of kind {', '.join(kinds)} (kinds: {known})")
-    return kept
-
-
-def block(src: str, specs: list[dict]) -> float:
-    """Seconds to run every operation once on the nctorus under src, imported afresh."""
+def load(src: str):
+    """perfbench's ``calls`` module on the nctorus under src, imported afresh with every submodule it uses."""
     for name in [m for m in sys.modules if m in ("calls", "nctorus") or m.startswith("nctorus.")]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
         import calls
-
-        ops = [calls.prepare(spec) for spec in specs]
-        gc.collect()
-        start = time.perf_counter()
-        for op in ops:
-            try:
-                op()
-            except Exception:  # noqa: BLE001 - an error is the operation's result
-                pass
-        return time.perf_counter() - start
     finally:
         sys.path.remove(src)
+    return calls
+
+
+def kind(spec: dict, scenario_of) -> str:
+    """``call`` or ``cli.run:<command>``, and ``/r<rank>`` for an operation on a connection."""
+    name, fields = spec["call"], spec
+    if name == "cli.run":
+        fields = scenario_of(spec)
+        name = f"cli.run:{fields['command']}"
+    rank = fields.get("connection", {}).get("rank")
+    return name if rank is None else f"{name}/r{rank}"
+
+
+def operations(workload: str, seed: int, cycles: int, kinds: list[str], scenario_of) -> list[dict]:
+    stream = Stream(workload, seed)
+    specs = [spec for _ in range(cycles) for spec in stream.cycle()]
+    names = [kind(spec, scenario_of) for spec in specs]
+    kept = [
+        spec
+        for spec, name in zip(specs, names)
+        if not kinds or {spec["call"], name, name.partition("/")[0]} & set(kinds)
+    ]
+    if not kept:
+        raise SystemExit(f"no {workload} operation of kind {', '.join(kinds)} (kinds: {', '.join(sorted(set(names)))})")
+    return kept
+
+
+def block(src: str, specs: list[dict]) -> float:
+    """Seconds to run every operation once on the nctorus under src, imported afresh."""
+    calls = load(src)
+    ops = [calls.prepare(spec) for spec in specs]
+    gc.collect()
+    start = time.perf_counter()
+    for op in ops:
+        try:
+            op()
+        except Exception:  # noqa: BLE001 - an error is the operation's result
+            pass
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> None:
@@ -83,7 +101,7 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
     trees = {"base": str(Path(args.base).resolve()), "new": str(Path(args.new).resolve())}
-    specs = operations(args.workload, args.seed, args.cycles, args.kind)
+    specs = operations(args.workload, args.seed, args.cycles, args.kind, load(trees["base"]).scenario_of)
     for name in trees:  # warm-up: first imports and first calls
         block(trees[name], specs)
     times: dict[str, list[float]] = {"base": [], "new": []}
