@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "errors": (
         "NCTorusError", "ParamMismatch", "RankMismatch", "NonConstantConnection",
-        "NotFlat", "ZeroWeight", "PathNotAssociated", "UnsupportedProduct",
+        "NotFlat", "ZeroWeight", "PathNotAssociated",
     ),
     "infinitecover": (),
     "cli": (),

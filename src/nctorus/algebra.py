@@ -44,8 +44,7 @@ R15_TOP = 1.79769313486231e308
 _FORMAT = float.__format__  # called unbound, r15 makes no bound method per call as f"{x:.15g}" does
 
 #: Per-coefficient tolerance for element equality and zero tests, and so for
-#: flatness (folded coefficients), the scalar test of a transport entry and
-#: the surviving characters of the infinite cover.
+#: flatness (folded coefficients) and the scalar test of a transport entry.
 EQ_TOL = 1e-12
 
 #: Largest transport difference at which path independence is "certified".

@@ -11,9 +11,11 @@ d Theta + Theta ^ Theta, and as the commutator of covariant derivatives on
 the standard basis.  Parallel transport along the weight-X flow is
 Phi_tau = exp(2 pi tau Theta_X) o phi_tau; the 2 pi normalization is fixed
 here so that holonomies of closed unit-time paths come out as
-exp(2 pi i c)-type values.  Transport requires constant coefficients (each
-Theta entry a complex multiple of 1), where the path-ordered exponential
-collapses to a dense matrix exponential, ``expm``.
+exp(2 pi i c)-type values.  So transport is the parallel transport of
+delta + 2 pi Theta, whose curvature for constant coefficients is 4 pi^2
+times the one ``curvature_form`` reports.  Transport requires constant
+coefficients (each Theta entry a complex multiple of 1), where the
+path-ordered exponential collapses to a dense matrix exponential, ``expm``.
 
 A connection of plain numbers holds them as complex rows and builds its
 element matrices on first use; a transport holds M as complex rows too.  Every

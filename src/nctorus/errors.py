@@ -27,7 +27,3 @@ class ZeroWeight(NCTorusError):
 
 class PathNotAssociated(NCTorusError):
     """A weight is not a closed path associated with the given deck element."""
-
-
-class UnsupportedProduct(NCTorusError):
-    """Product leaves the normal-ordered character model."""

@@ -28,7 +28,7 @@ from nctorus.algebra import (
 )
 from nctorus.connections import Connection, TransportAxiomReport, _nabla, transport
 from nctorus.coverings import PathIndependenceReport, classify_path
-from nctorus.errors import PathNotAssociated, RankMismatch, UnsupportedProduct
+from nctorus.errors import PathNotAssociated, RankMismatch
 
 THETA = 0.3819660113
 ALT_THETA = 0.7182818285
@@ -351,20 +351,20 @@ def reference_star(x: dict) -> dict:
 
 
 def reference_constant(x: dict) -> complex:
-    """The coefficient of the trivial character; any other term above EQ_TOL raises UnsupportedProduct."""
+    """The coefficient of the trivial character; any other term above EQ_TOL means the model is wrong."""
     for key, c in x.items():
         if key != (0, 0) and abs(c) > EQ_TOL:
-            raise UnsupportedProduct(f"non-constant character of weight {abs(c)} survives")
+            raise AssertionError(f"non-constant character of weight {abs(c)} survives")
     return 0j + x.get((0, 0), 0j)
 
 
 def reference_product(x: dict, y: dict) -> dict:
-    """x * y as the list of product triples, then one merge; v-leg times u-leg raises."""
+    """x * y as the list of product triples, then one merge; v-leg times u-leg leaves the model and fails."""
     out = []
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
             if b1 != 0 and a2 != 0:
-                raise UnsupportedProduct("v-leg times u-leg needs the unmodeled leg commutation")
+                raise AssertionError("v-leg times u-leg needs the unmodeled leg commutation")
             out.append((a1 + a2, b2, c1 * c2) if b1 == 0 else (a1, b1 + b2, c1 * c2))
     return reference_merge(out)
 

@@ -167,6 +167,24 @@ def test_product_kernel_is_the_clock_and_shift_product():
             assert np.abs(got - clock_shift(acc) - xy).max() <= 2 * q * eps * (l1(acc) + l1(x) * l1(y))
 
 
+def test_star_and_lambda_powers_are_the_clock_and_shift_adjoint_and_scalars():
+    """star is the conjugate transpose and lambda^k is omega^k times the identity, within 2 q eps sum |c|."""
+    import numpy as np
+
+    from nctorus.algebra import random_element
+
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261026)
+    for theta in DYADIC_THETAS:
+        params, q = TorusParams(theta), theta.as_integer_ratio()[1]
+        for _ in range(200):
+            x = random_element(rng, params, max_terms=6, max_exp=5)
+            assert np.abs(clock_shift(x.star()) - clock_shift(x).conj().T).max() <= 2 * q * eps * l1(x)
+        for k in (*range(-5, 6), 63, 64, 65, -64, -65, 1000, -(10**6) - 1):
+            omega_k = cmath.exp(2j * math.pi * float(k * Fraction(theta) % 1))
+            assert np.abs(clock_shift(lam(params, k)) - omega_k * np.eye(q)).max() <= 2 * q * eps, (theta, k)
+
+
 @given(m=exps, n=exps, p=exps, q=exps)
 def test_monomial_product_matches_reordering_oracle(m, n, p, q):
     params = TorusParams(THETA)

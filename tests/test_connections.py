@@ -352,6 +352,36 @@ def test_transport_unitary_for_antihermitian(scalar_conn, block_conn):
         assert np.max(np.abs(m @ m.conj().T - np.eye(conn.rank))) < 1e-10
 
 
+def test_transport_is_the_flow_of_delta_plus_two_pi_theta(params):
+    """For Theta = (i c_u, i c_v), Phi_tau(u^m v^n) = exp(2 pi i tau (alpha m + beta n + alpha c_u + beta c_v)) u^m v^n.
+
+    So dPhi_tau/dtau at tau = 0 is delta_X + 2 pi Theta_X, not nabla_X = delta_X + Theta_X: transport is
+    the parallel transport of the connection 2 pi Theta, whose curvature is not the one curvature_form reports.
+    """
+    rng = random.Random(71)
+    eps = sys.float_info.epsilon
+    for _ in range(40):
+        c_u, c_v = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        (alpha, beta), (m, n) = (rng.randint(-3, 3) for _ in range(2)), (rng.randint(-3, 3) for _ in range(2))
+        conn = scalar_connection(params, c_u, c_v)
+        s = mono(m, n, 1, params)
+        for tau in (0.0, 1e-3, 0.3, -0.77, 1.0, 2.5):
+            ((key, got),) = transport(conn, (alpha, beta), tau).apply([s])[0].terms.items()
+            phase = TWO_PI * tau * (alpha * m + beta * n + alpha * c_u + beta * c_v)
+            # a few roundings of the phase, scaled by its largest part; 3,000 random cases peaked at 2.2 of 8
+            bound = 8 * eps * (1 + TWO_PI * abs(tau) * (abs(alpha) * (abs(m) + abs(c_u)) + abs(beta) * (abs(n) + abs(c_v))))
+            assert key == (m, n, 0)
+            assert abs(got - cmath.exp(1j * phase)) <= bound, (c_u, c_v, alpha, beta, m, n, tau)
+        # the derivative at 0, by a central difference: 2 pi i (alpha m + beta n) + 2 pi i (alpha c_u + beta c_v)
+        h = 1e-6
+        (ahead,), (behind,) = (transport(conn, (alpha, beta), t).apply([s])[0].terms.values() for t in (h, -h))
+        slope = (ahead - behind) / (2 * h)
+        theta_x = 1j * (alpha * c_u + beta * c_v)
+        assert abs(slope - TWO_PI * (1j * (alpha * m + beta * n) + theta_x)) < 1e-6
+        (covariant,) = nabla(conn, (alpha, beta), [s])[0].terms.values() or (0j,)
+        assert abs(slope - covariant - (TWO_PI - 1) * theta_x) < 1e-6
+
+
 def _rank1_definition(cu: complex, cv: complex, weight, tau: float) -> complex:
     """exp(2 pi tau (alpha c_u + beta c_v)) in Python complex arithmetic, then cmath.exp."""
     alpha, beta = weight

@@ -21,8 +21,9 @@ prepares every operation and then runs them all once, timed as a whole; an
 operation that raises counts as run, since its error is its result.  The
 tree that runs first alternates between rounds, and one untimed round of both
 warms up first.  The output gives each tree's median block time, NEW/BASE and
-the rounds in which NEW was faster.  Run it with ``OPENBLAS_NUM_THREADS=1``,
-as the benchmark's children do.
+the rounds in which NEW was faster, then the quartiles of the per-round
+NEW/BASE ratios: a reading whose interquartile range straddles 1 is noise.
+Run it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark's children do.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def main(argv=None) -> None:
     for name, src in trees.items():
         print(f"{name}: median {medians[name] * 1e3:.3f} ms  ({src})")
     print(f"new/base: {medians['new'] / medians['base']:.3f}  new faster in {wins} of {args.rounds} rounds")
+    ratios = [n / b for b, n in zip(times["base"], times["new"])]
+    quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    print("new/base by round: quartiles " + " ".join(f"{x:.3f}" for x in quartiles))
 
 
 if __name__ == "__main__":
