@@ -5,10 +5,11 @@ values; ``run`` checks theta and every field before it computes anything.
 Exit codes: 0 success, 2 scenario validation error (including numbers too
 large for a double in the computation or the report, JSON nested deeper than
 the recursion limit and an --out path that cannot be written), 3 math-domain
-error (not flat, non-constant connection, ...).  Reports carry no timestamps;
-run metadata goes to stderr so identical scenarios produce byte-identical
-reports.  Each float of a result is rounded to 15 significant digits once, by
-the report object that emits it (``r15``); the echoed scenario is verbatim.
+error (not flat, non-constant connection, ...).  Reports carry no timestamps
+and a successful run writes nothing to stderr, so identical scenarios produce
+byte-identical output.  Each float of a result is rounded to 15 significant
+digits once, by the report object that emits it (``r15``); the echoed
+scenario is verbatim.
 
 Only ``algebra``, ``errors`` and ``scenarios`` load with this module.  The
 readers and handlers reach ``connections``, ``coverings``, ``forms`` and
@@ -24,7 +25,6 @@ import json
 import math
 import re
 import sys
-import time
 from typing import TYPE_CHECKING
 
 import nctorus as _lib
@@ -198,15 +198,13 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return code
 
-    started = time.perf_counter()
     try:
         if args.builtin:
             scenario = builtin(args.builtin)
         else:
             with open(args.scenario, encoding="utf-8") as fh:
                 scenario = json.load(fh, parse_float=_finite_json_number, parse_constant=_finite_json_number)
-        report = run(scenario)
-        text = render(report)
+        text = render(run(scenario))
     except NCTorusError as exc:
         error = re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()  # NotFlat -> not-flat
         return emit(render({"error": error, "message": str(exc)}), 3)
@@ -214,13 +212,7 @@ def main(argv=None) -> int:
         # JSONDecodeError is a ValueError; RecursionError is JSON nested too deep to load or render
         return emit(render({"error": "validation", "message": str(exc)}), 2)
 
-    if emit(text, 0):
-        return 2  # --out could not be written
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    seconds, ns = divmod(time.time_ns(), 10**9)  # ISO 8601 UTC, without loading datetime
-    stamp = f"{time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(seconds))}.{ns // 1000:06d}+00:00"
-    print(f"nctorus: command={report['command']} elapsed_ms={elapsed_ms:.2f} finished={stamp}", file=sys.stderr)
-    return 0
+    return emit(text, 0)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ closed path when its lift first meets the deck group exactly at time 1.
 The generalized Wilson line transports a flat constant-coefficient
 connection along the canonical representative path of a deck element
 (weight (a, b) for g = (a, b)); path independence is a hypothesis, not a
-theorem, so check_path_independence exposes the comparison.
+theorem, so check_path_independence exposes the comparison, in Python
+complex arithmetic like every other report value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import nctorus as _lib  # connections is read at call time, so classify never loads it
 
-from .algebra import CERTIFY_TOL, TorusElement, TorusParams, integral, r15, turn
+from .algebra import CERTIFY_TOL, TorusElement, TorusParams, _worst, integral, r15, turn
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
 if TYPE_CHECKING:
@@ -180,9 +181,8 @@ class PathIndependenceReport:
 
 def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection, weights) -> PathIndependenceReport:
     """Transport along each weight (all must be closed paths for g) and compare: the cover is checked as in
-    wilson, then each weight, and one _transports call gives every transport."""
-    import numpy as np  # at every rank: numpy's complex abs can differ from Python's in the last bit
-
+    wilson, then each weight, and one _transports call gives every transport.  max_distance is the largest
+    entrywise |M_i - M_j| over the pairs."""
     _check_cover(spec, g, conn)
     checked = []
     for w in weights:
@@ -190,9 +190,7 @@ def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection
         if not report.is_closed or report.associated != g:
             raise PathNotAssociated(f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})")
         checked.append(report.weight)
-    mats = np.array([op.matrix for op in _lib.connections._transports(conn, [(w, 1.0) for w in checked])])
-    max_distance = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            max_distance = max(max_distance, float(np.max(np.abs(mats[i] - mats[j]))))
+    mats = [op.matrix for op in _lib.connections._transports(conn, [(w, 1.0) for w in checked])]
+    pairs = [(m, n) for i, m in enumerate(mats) for n in mats[i + 1 :]]
+    max_distance = _worst(abs(x - y) for m, n in pairs for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
     return PathIndependenceReport(g, tuple(checked), max_distance, certified=max_distance < CERTIFY_TOL)

@@ -15,7 +15,8 @@ is (deck(p,q) . U) U^* for the 4x4 block gauge field U = diag(R_u, R_v),
 R = ((cos, -sin), (sin, cos)) on one leg, cos and sin each a sum of the two
 characters +-f: the in-model product specialised to two keys a leg.  The
 +-2f parts of its products cancel exactly, since 0.25 z meets -0.25 z and
-both are exact scalings, so each entry is two constant-key sums.  The dict
+both are exact scalings, so each entry is two constant-key sums; the block
+comes back as four complex rows, 0j off the two 2x2 blocks.  The dict
 route lives on as ``tests/conftest.py::dense_matrix_wilson_relation``, which
 the block matches byte for byte.
 """
@@ -23,12 +24,8 @@ the block matches byte for byte.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .algebra import integral, turn
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _deck(p: int, q: int, terms: dict) -> dict:
@@ -57,27 +54,25 @@ def wilson_relation(p: int, q: int, c_u: float, c_v: float) -> complex:
 # -- the 4x4 block gauge field ---------------------------------------------------
 
 
-def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> np.ndarray:
-    """(deck(p,q) . U) U^* for the 4x4 block gauge field, as a complex matrix.
+def matrix_wilson_relation(p: int, q: int, c_u: float, c_v: float) -> tuple[tuple[complex, ...], ...]:
+    """(deck(p,q) . U) U^* for the 4x4 block gauge field, as four complex rows.
 
     U = diag(R_u, R_v), so the product is diag((deck R_u) R_u^*, (deck R_v) R_v^*): the off-diagonal
-    blocks stay zero.  A leg's cos is h e+ + h e- and its sin mhj e+ + hj e-, over the characters e+-
+    blocks are 0j.  A leg's cos is h e+ + h e- and its sin mhj e+ + hj e-, over the characters e+-
     of frequency +-f; deck-acted, they are a e+ + b e- and c e+ + d e-.  Their adjoints conjugate
     the coefficients onto -+f.  Block ((dc, -ds), (ds, dc)) ((cs, ss), (-ss, cs)) then keeps, of each
     product, its two constant-key terms in the product's loop order: the diagonal is dc cs + ds ss and
     the off-diagonals +-(dc ss - ds cs).
     """
-    import numpy as np
-
     p, q = integral(p, "deck p"), integral(q, "deck q")
     h, hj, mhj = 0.5 + 0j, 0.5j, complex(0, -0.5)  # a bare -0.5j has a -0.0 real part
-    out = np.zeros((4, 4), dtype=complex)
-    for at, plus, minus in ((0, (c_u, 0.0), (-c_u, 0.0)), (2, (0.0, c_v), (0.0, -c_v))):
+    blocks = []
+    for plus, minus in (((c_u, 0.0), (-c_u, 0.0)), ((0.0, c_v), (0.0, -c_v))):
         # one turn per key: two a leg, and at f = 0 one key, whose phase both e+ and e- read
         phases = _deck(p, q, {plus: 1 + 0j, minus: 1 + 0j})
         a, b, c, d = h * phases[plus], h * phases[minus], mhj * phases[plus], hj * phases[minus]
         dc_ss, ds_cs = a * hj + b * mhj, c * h + d * h
-        out[at, at] = out[at + 1, at + 1] = 0j + ((a * h + b * h) + (c * hj + d * mhj))
-        out[at, at + 1] = 0j + (dc_ss - ds_cs)
-        out[at + 1, at] = 0j + (ds_cs - dc_ss)
-    return out
+        diagonal = 0j + ((a * h + b * h) + (c * hj + d * mhj))
+        blocks.append(((diagonal, 0j + (dc_ss - ds_cs)), (0j + (ds_cs - dc_ss), diagonal)))
+    (u0, u1), (v0, v1) = blocks
+    return (*u0, 0j, 0j), (*u1, 0j, 0j), (0j, 0j, *v0), (0j, 0j, *v1)

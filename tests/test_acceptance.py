@@ -183,6 +183,6 @@ def test_criterion_9_pure_gauge_matches_finite_cover_wilson():
                 finite = wilson(spec, g, scalar).matrix[0][0]
                 assert abs(finite - wilson_relation(g.a, g.b, c_u, c_v)) < 1e-12, (c_u, c_v, g)
                 finite = wilson(spec, g, block).matrix
-                gap = np.max(np.abs(finite - matrix_wilson_relation(g.a, g.b, c_u, c_v)))
+                gap = np.max(np.abs(finite - np.asarray(matrix_wilson_relation(g.a, g.b, c_u, c_v), dtype=complex)))
                 assert gap < 1e-12, (c_u, c_v, g)
     _report(9, "finite-cover Wilson lines equal the pure-gauge deck relation on (2,2) and (3,5)")

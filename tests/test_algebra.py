@@ -185,6 +185,36 @@ def test_star_and_lambda_powers_are_the_clock_and_shift_adjoint_and_scalars():
             assert np.abs(clock_shift(lam(params, k)) - omega_k * np.eye(q)).max() <= 2 * q * eps, (theta, k)
 
 
+def test_flows_at_multiples_of_one_over_q_are_clock_and_shift_conjugations():
+    """At tau = r/q, weight (1, 0) is X -> V^-s X V^s and weight (0, 1) is X -> U^s X U^-s, s = r p^-1 mod q.
+
+    V^-s U V^s = omega^s U and U^s V U^-s = omega^s V, with omega^s = e^{2 pi i r/q}.  V^s is a permutation
+    and U^s = diag(omega^{s j}) has its exponents reduced mod q in integers, so each side carries the
+    roundings of one clock_shift: within 2 q eps sum |c|.
+    """
+    import numpy as np
+
+    from nctorus.algebra import random_element
+
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261028)
+    for theta in DYADIC_THETAS:
+        params = TorusParams(theta)
+        p, q = theta.as_integer_ratio()
+        for r in range(q):
+            s = r * pow(p, -1, q) % q
+            shift = np.zeros((q, q), dtype=complex)  # V^s e_c = e_{c+s}
+            shift[(np.arange(q) + s) % q, np.arange(q)] = 1
+            clock = np.diag([cmath.exp(2j * math.pi * (s * j * p % q) / q) for j in range(q)])
+            for _ in range(20):
+                x = random_element(rng, params, max_terms=6, max_exp=5)
+                mx, bound = clock_shift(x), 2 * q * eps * l1(x)
+                got = clock_shift(apply_auto((1, 0), r / q, x))
+                assert np.abs(got - shift.T @ mx @ shift).max() <= bound, (theta, r)
+                got = clock_shift(apply_auto((0, 1), r / q, x))
+                assert np.abs(got - clock @ mx @ clock.conj().T).max() <= bound, (theta, r)
+
+
 @given(m=exps, n=exps, p=exps, q=exps)
 def test_monomial_product_matches_reordering_oracle(m, n, p, q):
     params = TorusParams(THETA)

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import tempfile
@@ -257,8 +256,7 @@ def test_stdout_default(capsys):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["command"] == "wilson"
-    assert "elapsed_ms" in captured.err
-    assert "finished=" not in captured.out  # timestamps only on stderr
+    assert captured.err == ""  # a successful run writes nothing to stderr
 
 
 # -- validation and error handling --------------------------------------------------
@@ -622,13 +620,32 @@ def test_cold_start_loads_numpy_and_scipy_only_where_used():
         "rank-4 curvature": [False, False],
         "paper-scalar": [False, False],  # rank-1 wilson: one cmath.exp
         "rank-1 transport": [False, False],
-        "rank-1 independence": [True, False],  # compares with numpy's abs at every rank
+        "rank-1 independence": [False, False],  # compares with Python's abs at every rank
         "paper-4x4": [True, True],
     }
 
 
+_LIBRARY_PROBE = """
+import json, sys
+from nctorus.algebra import TorusParams
+from nctorus.connections import Connection
+from nctorus.coverings import CoveringSpec, check_path_independence
+from nctorus.infinitecover import matrix_wilson_relation
+
+matrix_wilson_relation(3, -2, 0.25, 0.1)
+spec = CoveringSpec(TorusParams(0.3), (2, 2))
+report = check_path_independence(spec, spec.deck(1, 0), Connection(spec.base, [[0.25j]], [[0.1j]]), [(1, 0), (1, 2)])
+print(json.dumps([report.max_distance > 0, "numpy" in sys.modules]))
+"""
+
+
+def test_constant_matrices_load_no_numpy_at_rank_1():
+    # the block Wilson relation and a rank-1 path comparison are complex rows and Python arithmetic
+    assert _fresh_interpreter(_LIBRARY_PROBE) == [True, False]
+
+
 _MODULE_PROBE = """
-import contextlib, io, json, os, sys
+import json, os, sys
 from nctorus import cli
 from nctorus.scenarios import builtin
 
@@ -639,9 +656,8 @@ def loaded():
     before.update(now)
     return [new, "dataclasses" in sys.modules, "datetime" in sys.modules]
 
-def one_shot(name):  # the whole main path, the stderr stamp included
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["--builtin", name, "--out", os.devnull]) == 0
+def one_shot(name):  # the whole main path
+    assert cli.main(["--builtin", name, "--out", os.devnull]) == 0
 
 seen = {"import": loaded()}
 curvature = builtin("paper-4x4")
@@ -742,7 +758,7 @@ def test_a_curvature_at_the_largest_double_reports_it_finite(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stdout
-    assert re.fullmatch(r"nctorus: command=curvature elapsed_ms=\d+\.\d\d finished=\S+\n", proc.stderr), proc.stderr
+    assert proc.stderr == ""
 
     def strict(name):
         raise AssertionError(f"{name} is not RFC 8259 JSON")
@@ -761,22 +777,6 @@ def test_cover_classification_loads_no_connection_module():
         "paper-cover": [["coverings"], True, False],  # coverings defines dataclasses
         "paper-4x4": [["connections", "forms"], True, True],
     }
-
-
-def test_stderr_line_is_command_time_and_utc_stamp(capsys):
-    import datetime
-
-    assert main(["--builtin", "paper-infinite"]) == 0
-    err = capsys.readouterr().err
-    match = re.fullmatch(
-        r"nctorus: command=infinite-wilson elapsed_ms=\d+\.\d\d "
-        r"finished=(\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00)\n",
-        err,
-    )
-    assert match, err
-    finished = datetime.datetime.fromisoformat(match[1])
-    now = datetime.datetime.now(datetime.timezone.utc)
-    assert abs((now - finished).total_seconds()) < 60
 
 
 def test_every_builtin_runs_clean(tmp_path):

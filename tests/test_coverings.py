@@ -499,6 +499,11 @@ def test_path_independence_is_the_loop_of_single_transports(monkeypatch, params,
         monkeypatch.undo()
         assert repr(got) == repr(reference_path_independence(spec, g, conn, weights))
         assert len(calls) == (1 if weights else 0)
+        # numpy's complex abs may differ from Python's in the last bits, never by more
+        mats = np.array([connections.transport(conn, w, 1.0).matrix for w in weights])
+        pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+        want = max((float(np.max(np.abs(mats[i] - mats[j]))) for i, j in pairs), default=0.0)
+        assert abs(got.max_distance - want) <= 2 * math.ulp(want)
 
 
 def test_path_independence_of_no_weight_makes_no_transport(monkeypatch, spec, params):
@@ -512,3 +517,46 @@ def test_path_independence_of_no_weight_makes_no_transport(monkeypatch, spec, pa
         assert report == PathIndependenceReport(spec.deck(1, 0), (), 0.0, True)
         assert report == reference_path_independence(spec, spec.deck(1, 0), conn, [])
     assert calls == []
+
+
+def commuting_connection(params: TorusParams, d_u, d_v, seed: int) -> Connection:
+    """Theta_u = i Q D_u Q^*, Theta_v = i Q D_v Q^* for a seeded unitary Q: commuting, antihermitian, flat."""
+    gen = np.random.default_rng(seed)
+    rank = len(d_u)
+    q, _ = np.linalg.qr(gen.normal(size=(rank, rank)) + 1j * gen.normal(size=(rank, rank)))
+    theta_u, theta_v = (1j * q @ np.diag(d) @ q.conj().T for d in (d_u, d_v))
+    return Connection(params, theta_u.tolist(), theta_v.tolist())
+
+
+@pytest.mark.parametrize("rank", [1, 4, 8])
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 5)])
+def test_wilson_lines_are_a_representation_where_the_lattice_holonomy_is_trivial(params, degrees, rank):
+    # W(a, b) = exp(2 pi a Theta_u) exp(2 pi b Theta_v) for commuting Theta, so the closed paths of one deck
+    # element differ by the holonomies H_u = exp(2 pi k1 Theta_u) and H_v = exp(2 pi k2 Theta_v): where
+    # k1 d_u and k2 d_v are integers both are I and g -> W(g) is a representation of Z_k1 x Z_k2; elsewhere
+    # the path one lap of the u-lattice further is H_u W(a, b)
+    spec = CoveringSpec(params, degrees)
+    k1, k2 = degrees
+    rng = random.Random(20261030 + rank)
+    decks = deck_elements(spec)
+
+    def gap(x, y) -> float:
+        return float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+
+    trivial = commuting_connection(
+        params, [rng.randint(-3, 3) / k1 for _ in range(rank)], [rng.randint(-3, 3) / k2 for _ in range(rank)], rank
+    )
+    w = {g: np.array(wilson(spec, g, trivial).matrix) for g in decks}
+    for g in decks:
+        for h in decks:
+            assert gap(w[g + h], w[g] @ w[h]) < 1e-12, (g, h)
+
+    generic = commuting_connection(
+        params, [rng.uniform(-1, 1) for _ in range(rank)], [rng.uniform(-1, 1) for _ in range(rank)], rank
+    )
+    h_u = np.array(connections.transport(generic, (k1, 0), 1.0).matrix)
+    w = {g: np.array(wilson(spec, g, generic).matrix) for g in decks}
+    assert gap(h_u, np.eye(rank)) > 1e-3  # no k1 d_u is an integer here
+    for g in decks:
+        assert gap(connections.transport(generic, (g.a + k1, g.b), 1.0).matrix, h_u @ w[g]) < 1e-12, g
+    assert max(gap(w[g + h], w[g] @ w[h]) for g in decks for h in decks) > 1e-3  # and W is no representation

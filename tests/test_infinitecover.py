@@ -107,7 +107,10 @@ def test_deck_coordinates_are_integers():
                 call()
     # integral floats act as their ints
     assert wilson_relation(3.0, -2.0, C_U, C_V) == wilson_relation(3, -2, C_U, C_V)
-    assert matrix_wilson_relation(3.0, -2.0, C_U, C_V).tobytes() == matrix_wilson_relation(3, -2, C_U, C_V).tobytes()
+    assert (
+        np.asarray(matrix_wilson_relation(3.0, -2.0, C_U, C_V), dtype=complex).tobytes()
+        == np.asarray(matrix_wilson_relation(3, -2, C_U, C_V), dtype=complex).tobytes()
+    )
 
 
 # -- Wilson relation --------------------------------------------------------------
@@ -206,10 +209,11 @@ def rotation(angle: float) -> np.ndarray:
 
 def test_character_sum_trig_identity():
     # at the trivial deck element the block is U U^*: cos^2 + sin^2 = 1 and cos sin - sin cos = 0, exactly
-    assert matrix_wilson_relation(0, 0, C_U, C_V).tobytes() == np.eye(4, dtype=complex).tobytes()
+    eye = np.eye(4, dtype=complex).tobytes()
+    assert np.asarray(matrix_wilson_relation(0, 0, C_U, C_V), dtype=complex).tobytes() == eye
     # at frequency 0 the two characters share a key (0.0 == -0.0) and must add: cos is 1, sin is 0
     for c_u, c_v in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
-        assert matrix_wilson_relation(5, 7, c_u, c_v).tobytes() == np.eye(4, dtype=complex).tobytes()
+        assert np.asarray(matrix_wilson_relation(5, 7, c_u, c_v), dtype=complex).tobytes() == eye
 
 
 def term_bits(terms: dict) -> list[bytes]:
@@ -327,14 +331,27 @@ def test_deck_turns_each_frequency_pair_once_to_the_bits_of_a_turn_per_term(monk
         assert len(turns) == 4
 
 
+def test_matrix_wilson_is_four_complex_rows():
+    # a constant matrix of the library is a tuple of complex rows, as TransportOperator.matrix is
+    for p, q, c_u, c_v in [(3, -2, 0.25, 0.1), (0, 0, 0.0, -0.0), (10**4, -7, 0.5, 1e308)]:
+        got = matrix_wilson_relation(p, q, c_u, c_v)
+        assert type(got) is tuple and len(got) == 4
+        for i, row in enumerate(got):
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(z) is complex for z in row)
+            off = row[2:] if i < 2 else row[:2]
+            assert [(z.real, z.imag) for z in off] == [(0.0, 0.0)] * 2
+            assert all(math.copysign(1.0, x) == 1.0 for z in off for x in (z.real, z.imag))  # 0j, not -0j
+
+
 def test_matrix_wilson_images_of_deck_generators():
-    got = matrix_wilson_relation(1, 0, C_U, C_V)
+    got = np.asarray(matrix_wilson_relation(1, 0, C_U, C_V), dtype=complex)
     expect = np.zeros((4, 4), dtype=complex)
     expect[:2, :2] = rotation(2 * math.pi * C_U)
     expect[2:, 2:] = np.eye(2)
     assert np.max(np.abs(got - expect)) < 1e-12
 
-    got = matrix_wilson_relation(0, 1, C_U, C_V)
+    got = np.asarray(matrix_wilson_relation(0, 1, C_U, C_V), dtype=complex)
     expect = np.zeros((4, 4), dtype=complex)
     expect[:2, :2] = np.eye(2)
     expect[2:, 2:] = rotation(2 * math.pi * C_V)
@@ -356,7 +373,7 @@ def test_matrix_wilson_matches_exact_phase_at_large_deck():
         expect = np.zeros((4, 4), dtype=complex)
         expect[:2, :2] = exact_rotation(p * Fraction(c_u))
         expect[2:, 2:] = exact_rotation(q * Fraction(c_v))
-        assert np.max(np.abs(matrix_wilson_relation(p, q, c_u, c_v) - expect)) < 1e-12
+        assert np.max(np.abs(np.asarray(matrix_wilson_relation(p, q, c_u, c_v), dtype=complex) - expect)) < 1e-12
 
 
 def test_matrix_wilson_matches_finite_cover_blocks():
@@ -367,16 +384,18 @@ def test_matrix_wilson_matches_finite_cover_blocks():
     params = TorusParams(THETA)
     spec = CoveringSpec(params, (2, 2))
     conn = rotation_block_connection(params, C_U, C_V)
-    assert np.max(np.abs(matrix_wilson_relation(1, 0, C_U, C_V) - wilson(spec, spec.deck(1, 0), conn).matrix)) < 1e-12
-    assert np.max(np.abs(matrix_wilson_relation(0, 1, C_U, C_V) - wilson(spec, spec.deck(0, 1), conn).matrix)) < 1e-12
+    block = np.asarray(matrix_wilson_relation(1, 0, C_U, C_V), dtype=complex)
+    assert np.max(np.abs(block - wilson(spec, spec.deck(1, 0), conn).matrix)) < 1e-12
+    block = np.asarray(matrix_wilson_relation(0, 1, C_U, C_V), dtype=complex)
+    assert np.max(np.abs(block - wilson(spec, spec.deck(0, 1), conn).matrix)) < 1e-12
 
 
 def test_matrix_wilson_is_homomorphic_on_z2():
-    a = matrix_wilson_relation(1, 0, C_U, C_V)
-    b = matrix_wilson_relation(0, 1, C_U, C_V)
-    ab = matrix_wilson_relation(1, 1, C_U, C_V)
+    a = np.asarray(matrix_wilson_relation(1, 0, C_U, C_V), dtype=complex)
+    b = np.asarray(matrix_wilson_relation(0, 1, C_U, C_V), dtype=complex)
+    ab = np.asarray(matrix_wilson_relation(1, 1, C_U, C_V), dtype=complex)
     assert np.max(np.abs(a @ b - ab)) < 1e-12
-    sq = matrix_wilson_relation(2, 0, C_U, C_V)
+    sq = np.asarray(matrix_wilson_relation(2, 0, C_U, C_V), dtype=complex)
     assert np.max(np.abs(a @ a - sq)) < 1e-12
 
 
@@ -396,7 +415,7 @@ def test_matrix_wilson_is_bytes_of_dense_product():
     for c_u in couplings:
         for c_v in couplings:
             for p, q in decks:
-                got = matrix_wilson_relation(p, q, c_u, c_v).tobytes()
+                got = np.asarray(matrix_wilson_relation(p, q, c_u, c_v), dtype=complex).tobytes()
                 assert got == dense_matrix_wilson_relation(p, q, c_u, c_v).tobytes(), (p, q, c_u, c_v)
 
     bad = [math.inf, -math.inf, math.nan]
@@ -425,5 +444,5 @@ def test_wilson_bytes_are_pinned():
             for p, q in decks(rng, 10**5, 3):
                 digest.update(repr(wilson_relation(p, q, c_u, c_v)).encode())
             for p, q in decks(rng, 10**4, 1):
-                digest.update(matrix_wilson_relation(p, q, c_u, c_v).tobytes())
+                digest.update(np.asarray(matrix_wilson_relation(p, q, c_u, c_v), dtype=complex).tobytes())
     assert digest.hexdigest() == "0ea0a0c5e7592330e3b24253e5ef2c5f48c818b872ab5bf48a9f77d824e086c4"

@@ -12,8 +12,9 @@ lines give byte-identical results on all of these operations; a moved kind
 line tells which entry point, or which CLI command, changed them.
 
 A result is serialized as sorted-key ``to_dict()`` JSON when it has
-``to_dict``, as ``tobytes()`` for an array, elementwise for a tuple or list,
-as ``repr`` otherwise, and as ``"<class name>: <message>"`` when the call raised.
+``to_dict``, elementwise for a tuple or list (a constant matrix is a tuple of
+complex rows), as ``repr`` otherwise, and as ``"<class name>: <message>"``
+when the call raised.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ def chunks(value):
     """The bytes that stand for one result, in hashing order."""
     if hasattr(value, "to_dict"):
         yield json.dumps(value.to_dict(), sort_keys=True).encode()
-    elif hasattr(value, "tobytes"):
-        yield value.tobytes()
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from chunks(item)
