@@ -16,7 +16,10 @@ enforces that; sums, products, negation and star are canonical by
 construction and skip the check.  Products and sums run through one product
 kernel and one in-place merge over term dicts, which drop a key whose sum
 reaches zero; their callers check theta, and may add many products into one
-dict, pair by pair.
+dict, pair by pair.  folded and distance wrap the term-dict kernels _fold and
+_distance, so the transport-axiom check builds no element.  random_element
+draws as CPython's randrange and uniform do (getrandbits(k) until below the
+width; a + (b - a) * random()), so its stream is randint's.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
@@ -221,12 +224,7 @@ class TorusElement:
 
     def folded(self) -> dict[tuple[int, int], complex]:
         """Coefficients of u^m v^n with lambda exponents folded in numerically."""
-        out: dict[tuple[int, int], complex] = {}
-        get, params = out.get, self.params
-        powers = params._powers  # lam's memo, read here first
-        for (m, n, k), c in self.terms.items():
-            out[(m, n)] = get((m, n), 0j) + (c * (powers.get(k) or params.lam(k)) if k else c)
-        return out
+        return _fold(self.params, self.terms)
 
     def is_zero(self) -> bool:
         return all(abs(c) <= EQ_TOL for c in self.folded().values())
@@ -299,6 +297,15 @@ def _product(x: dict, y: dict, terms: dict | None = None) -> dict:
             else:  # a sum onto a held key can cancel, and a * b can underflow to zero on a new one
                 terms.pop(key, None)
     return terms
+
+
+def _fold(params: TorusParams, terms: dict) -> dict[tuple[int, int], complex]:
+    """folded on a term dict: c lambda**k summed onto (m, n) from 0j, in term order (k = 0 adds c itself)."""
+    out = {}
+    get, powers = out.get, params._powers  # lam's memo, read here first
+    for (m, n, k), c in terms.items():
+        out[(m, n)] = get((m, n), 0j) + (c * (powers.get(k) or params.lam(k)) if k else c)
+    return out
 
 
 def _scale(x: dict, s) -> dict:
@@ -395,16 +402,21 @@ def _worst(values: Iterable[float]) -> float:
 
 def distance(a: TorusElement, b: TorusElement) -> float:
     """Max folded-coefficient difference, NaN if any difference is NaN; operands must share params."""
-    fb, out = b.folded(), 0.0
+    return _distance(a.params, a.terms, b.terms)
+
+
+def _distance(params: TorusParams, x: dict, y: dict) -> float:
+    """distance on two term dicts over params: y folded first, then x's folded keys in order, then y's rest."""
+    fb, out = _fold(params, y), 0.0
     pop = fb.pop
-    for key, c in a.folded().items():
-        x = abs(c - pop(key, 0j))
-        if x > out or x != x:  # _worst's rule, inlined
-            out = x
-    for c in fb.values():  # b's keys that a lacks
-        x = abs(c)
-        if x > out or x != x:
-            out = x
+    for key, c in _fold(params, x).items():
+        d = abs(c - pop(key, 0j))
+        if d > out or d != d:  # _worst's rule, inlined
+            out = d
+    for c in fb.values():  # y's keys that x lacks
+        d = abs(c)
+        if d > out or d != d:
+            out = d
     return out
 
 
@@ -418,12 +430,27 @@ def vector_distance(xs: Iterable[TorusElement], ys: Iterable[TorusElement]) -> f
 def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:
     """Sparse random element for diagnostics and property checks.
 
-    ``rng`` is a random.Random; coefficients have |Re|,|Im| <= 1 and lambda
-    exponents |k| <= 2.
+    ``rng`` is a random.Random, left as randint and uniform leave it;
+    coefficients have |Re|,|Im| <= 1 and lambda exponents |k| <= 2.
     """
-    randrange, uniform, top = rng.randrange, rng.uniform, max_exp + 1  # randint(a, b) is randrange(a, b + 1)
+    return TorusElement._wrap(params, _random_terms(rng, max_terms, max_exp))
+
+
+def _random_terms(rng, max_terms: int, max_exp: int) -> dict:
+    """random_element's term dict: each key drawn as randrange draws, each part as uniform does."""
+    if max_terms < 1 or max_exp < 0:
+        raise ValueError(f"random_element needs max_terms >= 1 and max_exp >= 0, got {max_terms}, {max_exp}")
+    getrandbits, random, width = rng.getrandbits, rng.random, 2 * max_exp + 1
+    k, k_terms = width.bit_length(), max_terms.bit_length()
+
+    def below(n: int, k: int) -> int:  # randrange(n): k = n.bit_length() random bits, drawn again until below n
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     terms = {}
-    for _ in range(randrange(1, max_terms + 1)):
-        key = (randrange(-max_exp, top), randrange(-max_exp, top), randrange(-2, 3))
-        terms[key] = complex(uniform(-1, 1), uniform(-1, 1))
-    return TorusElement(params, terms)
+    for _ in range(1 + below(max_terms, k_terms)):
+        key = (below(width, k) - max_exp, below(width, k) - max_exp, below(5, 3) - 2)
+        terms[key] = complex(-1 + 2 * random(), -1 + 2 * random())  # uniform(-1, 1): a + (b - a) * random()
+    return {key: c for key, c in terms.items() if c}  # a key drawn twice keeps its first place, as in the constructor

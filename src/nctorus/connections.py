@@ -21,7 +21,11 @@ A connection of plain numbers holds them as complex rows and builds its
 element matrices on first use; a transport holds M as complex rows too.  Every
 transport comes from one ``_transports`` call, which folds the exponents of a
 list of (weight, tau) paths (with numpy above rank 1) and makes one ``expm``
-call on their stack.
+call on their stack (one path folded with Python scalars, with the bits of a
+slice).  ``TransportOperator.apply`` checks rank and theta and wraps the
+accumulate ``_apply`` on term dicts; the transport-axiom check runs on term
+dicts from each draw to its residual (``_product``, ``_apply``, ``_distance``),
+so it builds no element.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import (
-    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _merge, _product, _scale, _twist,
-    _worst, apply_auto, apply_derivation, integral, mono, one, r15, random_element, real, vector_distance, zero,
+    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _distance, _merge, _product, _random_terms,
+    _scale, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _element_entries, curvature_form
@@ -188,11 +192,18 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
 
 
 def is_flat(conn: Connection) -> bool:
-    """True iff every curvature-form coefficient is at most EQ_TOL.  Only an element connection stops
-    early: it builds curvature_form's entries one at a time and stops at the first one above EQ_TOL."""
+    """True iff every curvature-form coefficient is at most EQ_TOL.  The first entry above it, row-major,
+    decides: finite, not flat; not finite, the curvature report's OverflowError.  Only an element connection
+    stops early: it builds curvature_form's entries one at a time and stops at that one."""
     if conn.scalars is not None:
-        return curvature_form(conn).is_zero()
-    return all(e.dudv.is_zero() for e in _element_entries(conn))
+        curved = ((c,) for row in curvature_form(conn)._rows for c in row if not abs(c) <= EQ_TOL)
+    else:
+        curved = (e.dudv.terms.values() for e in _element_entries(conn) if not e.dudv.is_zero())
+    for coefficients in curved:
+        if all(map(cmath.isfinite, coefficients)):
+            return False
+        raise OverflowError("curvature overflows: F has a coefficient that is not a finite double")
+    return True
 
 
 # -- parallel transport ------------------------------------------------------
@@ -213,7 +224,7 @@ class TransportOperator:
         raise AttributeError("TransportOperator is immutable")
 
     def apply(self, xs) -> list[TorusElement]:
-        """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict.
+        """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict by ``_apply``.
 
         The summation order is a contract, so that every coefficient keeps its
         bits: each x_j's terms are twisted once; the products t * M[i][0] of the
@@ -230,7 +241,11 @@ class TransportOperator:
         params = xs[0].params
         for x in xs[1:]:
             _check_params(params, x.params)
-        first, *rest = [_twist(self.weight, self.tau, x.terms).items() for x in xs]
+        return [TorusElement._wrap(params, terms) for terms in self._apply([x.terms for x in xs])]
+
+    def _apply(self, xs: list[dict]) -> list[dict]:
+        """apply on the term dicts of a vector of rank entries, unchecked: the term dicts of M . phi_tau(x)."""
+        first, *rest = [_twist(self.weight, self.tau, x).items() for x in xs]
         out = []
         for c0, *row in self.matrix:
             terms = {key: p for key, t in first if (p := t * c0)}
@@ -245,7 +260,7 @@ class TransportOperator:
                             terms[key] = s
                         else:
                             del terms[key]
-            out.append(TorusElement._wrap(params, terms))
+            out.append(terms)
         return out
 
     def to_dict(self) -> dict:
@@ -307,11 +322,15 @@ def _transports(conn: Connection, paths) -> list[TransportOperator]:
     else:
         import numpy as np
 
-        # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
-        c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
         tu, tv = np.array(theta_u, dtype=complex), np.array(theta_v, dtype=complex)
         with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
-            mats = expm(c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv))
+            if len(paths) == 1:  # Python scalars, without the stack's coefficient array and broadcasts
+                (((alpha, beta), tau),) = paths
+                stack = (TWO_PI * tau * (alpha * tu + beta * tv))[None]
+            else:  # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
+                c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
+                stack = c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv)
+            mats = expm(stack)
     return [TransportOperator(m, tuple(w), t) for m, (w, t) in zip(mats, paths)]
 
 
@@ -347,15 +366,20 @@ def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100,
     """
     rng, params, draws = random.Random(seed), conn.params, []
     for _ in range(samples):
-        s = [random_element(rng, params, max_terms=3) for _ in range(conn.rank)]
-        draws.append((s, random_element(rng, params, max_terms=3), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
+        s = [_random_terms(rng, 3, 3) for _ in range(conn.rank)]
+        draws.append((s, _random_terms(rng, 3, 3), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
     times = [0.0, *(t for _, _, tau, sigma in draws for t in (tau, tau + sigma, sigma))]
     phi_0, *ops = _transports(conn, [(weight, t) for t in times]) if draws else [None]  # no sample, no transport
+
+    def residual(xs: list[dict], ys: list[dict]) -> float:  # vector_distance on term dicts
+        return _worst(_distance(params, x, y) for x, y in zip(xs, ys))
+
     module, identity, group = [], [], []
     for (s, a, tau, _), phi_tau, phi_both, phi_sigma in zip(draws, ops[::3], ops[1::3], ops[2::3]):
-        lhs = phi_tau.apply([x * a for x in s])
-        rhs = [x * apply_auto(weight, tau, a) for x in phi_tau.apply(s)]
-        module.append(vector_distance(lhs, rhs))
-        identity.append(vector_distance(phi_0.apply(s), s))
-        group.append(vector_distance(phi_both.apply(s), phi_tau.apply(phi_sigma.apply(s))))
+        lhs = phi_tau._apply([_product(x, a) for x in s])
+        a_tau = _twist(weight, tau, a)
+        rhs = [_product(x, a_tau) for x in phi_tau._apply(s)]
+        module.append(residual(lhs, rhs))
+        identity.append(residual(phi_0._apply(s), s))
+        group.append(residual(phi_both._apply(s), phi_tau._apply(phi_sigma._apply(s))))
     return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))

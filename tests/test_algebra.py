@@ -551,3 +551,10 @@ def test_random_element_draws_the_randint_stream(params):
             got = random_element(mine, params, max_terms=max_terms, max_exp=max_exp)
             assert element_bits(got) == element_bits(reference_random_element(theirs, params, max_terms, max_exp))
         assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("max_terms, max_exp", [(0, 3), (3, -1)])
+def test_random_element_rejects_an_empty_range(params, max_terms, max_exp):
+    # randint's ValueError, where a draw of getrandbits(0) until below 0 would never end
+    with pytest.raises(ValueError, match="^random_element needs max_terms >= 1 and max_exp >= 0"):
+        random_element(random.Random(0), params, max_terms=max_terms, max_exp=max_exp)

@@ -716,20 +716,29 @@ def _element(m: int, n: int, c: float) -> dict:
     return {"theta": 0.3, "terms": [{"m": m, "n": n, "re": c, "im": 0.0, "lk": 0}]}
 
 
+_OVERFLOWING = {
+    "element": ([[_element(1, 0, 1e200)]], [[_element(0, 1, 1e200)]]),  # 1e400 (u v - v u)
+    "scalar": ([[1e200, 1e200], [1e200, 0.0]], [[0.0, 1e200], [1e200, 1e200]]),  # scalar products overflow
+}
+
+
 @pytest.mark.parametrize(
-    "theta_u, theta_v",
+    "command, theta_u, theta_v",
     [
-        ([[_element(1, 0, 1e200)]], [[_element(0, 1, 1e200)]]),  # 1e400 (u v - v u)
-        ([[1e200, 1e200], [1e200, 0.0]], [[0.0, 1e200], [1e200, 1e200]]),  # scalar products overflow
+        pytest.param(command, *_OVERFLOWING[case], id=case if command == "curvature" else f"{case}-{command}")
+        for command in ("curvature", "flat", "wilson")
+        for case in _OVERFLOWING
     ],
-    ids=["element", "scalar"],
 )
-def test_an_overflowing_curvature_is_one_validation_error(tmp_path, theta_u, theta_v):
-    # under -W error, as tier-1 runs: the error names the curvature, not the JSON encoder
+def test_an_overflowing_curvature_is_one_validation_error(tmp_path, command, theta_u, theta_v):
+    # under -W error, as tier-1 runs: the error names the curvature, not the JSON encoder; flat and wilson
+    # decide flatness by the same curvature, so they raise its error and do not call it curved
     import nctorus
 
     connection = {"rank": len(theta_u), "theta_u": theta_u, "theta_v": theta_v}
-    scenario = {"v": 1, "command": "curvature", "theta": 0.3, "connection": connection}
+    scenario = {"v": 1, "command": command, "theta": 0.3, "connection": connection}
+    if command == "wilson":
+        scenario.update(covering={"degrees": [2, 3]}, params={"deck": [1, 1]})
     src = str(Path(nctorus.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],

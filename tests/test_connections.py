@@ -217,15 +217,38 @@ def _curved_cases(params, rng, rank: int) -> list:
     ]
 
 
+_CURVATURE_OVERFLOWS = "curvature overflows: F has a coefficient that is not a finite double"
+
+
+def _flatness(conn):
+    """is_flat(conn), or OverflowError where it raises that with the curvature report's message."""
+    try:
+        return is_flat(conn)
+    except OverflowError as exc:
+        assert str(exc) == _CURVATURE_OVERFLOWS
+        return OverflowError
+
+
+def _verdict(entries) -> bool | type:
+    """is_flat's rule on TwoForm entries in row-major order: True if none is above EQ_TOL, else by the first
+    one that is, False if its coefficients are finite and OverflowError if not."""
+    for e in entries:
+        if not e.dudv.is_zero():
+            return False if all(map(cmath.isfinite, e.dudv.terms.values())) else OverflowError
+    return True
+
+
 def test_is_flat_is_the_verdict_of_the_full_form(params):
+    # the full form's first entry above EQ_TOL, row-major, decides; with 1e200 coefficients some overflow
     rng = random.Random(20261021)
     for rank in range(1, 6):
         for conn, flat in _curved_cases(params, rng, rank):
             assert conn.scalars is None
-            assert is_flat(conn) is curvature_form(conn).is_zero() is flat
+            assert curvature_form(conn).is_zero() is flat
+            assert _flatness(conn) is _verdict(e for row in curvature_form(conn).entries for e in row)
         for same in (False, True):
             conn = element_connection(params, rng, rank, same=same)
-            assert is_flat(conn) is curvature_form(conn).is_zero()
+            assert _flatness(conn) is _verdict(e for row in curvature_form(conn).entries for e in row)
 
 
 def test_is_flat_stops_at_the_first_curved_entry(monkeypatch, params):
@@ -238,13 +261,21 @@ def test_is_flat_stops_at_the_first_curved_entry(monkeypatch, params):
     rng = random.Random(20261022)
     for rank in range(1, 6):
         conn = element_connection(params, rng, rank)
-        assert not curvature_form(conn).entries[0][0].dudv.is_zero()
+        first = curvature_form(conn).entries[0][0]
+        assert not first.dudv.is_zero()
         calls.clear()
-        assert is_flat(conn) is False
+        assert _flatness(conn) is _verdict([first])
         assert len(calls) == 2 * rank
         calls.clear()
         curvature_form(conn)
         assert len(calls) == 2 * rank**3
+
+
+def test_is_flat_raises_on_a_commuting_connection_whose_products_overflow(params):
+    # Theta_u = Theta_v commute, but 1e200i * 1e200i is -inf, so F = -inf - -inf is NaN, not flat zero
+    conn = Connection(params, [[1e200j]], [[1e200j]])
+    with pytest.raises(OverflowError, match=f"^{re.escape(_CURVATURE_OVERFLOWS)}$"):
+        is_flat(conn)
 
 
 def test_commutator_curvature_of_paper_connections_vanishes(scalar_conn, block_conn):
@@ -474,11 +505,22 @@ def test_a_nan_residual_is_the_axiom_residual_in_every_order(monkeypatch, params
     conn = Connection(params, [[0.5j]], [[0.1j]])
     for values in ([math.nan] * 3 + [0.5] * 3, [0.5] * 3 + [math.nan] * 3):
         residuals = iter(values)
-        monkeypatch.setattr(connections, "vector_distance", lambda xs, ys: next(residuals))
+        monkeypatch.setattr(connections, "_distance", lambda params, x, y: next(residuals))
         report = check_transport_axioms(conn, (1, 0), samples=2)
         assert all(map(math.isnan, (report.module_residual, report.identity_residual, report.group_residual)))
     for fields in ((math.nan, 0.5, 0.1), (0.5, 0.1, math.nan)):
         assert math.isnan(connections.TransportAxiomReport(1, *fields).max_residual)
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_axiom_check_wraps_no_element(monkeypatch, params, rank):
+    # every stage from a draw to its residual runs on term dicts
+    wraps = []
+    wrap = TorusElement._wrap
+    monkeypatch.setattr(TorusElement, "_wrap", classmethod(lambda cls, p, terms: wraps.append(1) or wrap(p, terms)))
+    report = check_transport_axioms(antihermitian_connection(params, rank, 3), (1, -2), samples=20, seed=4)
+    assert report.max_residual < 1e-10
+    assert wraps == []
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4, 8])
