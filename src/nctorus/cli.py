@@ -105,8 +105,7 @@ FIELDS = {
 
 def _curvature(conn: Connection) -> dict:
     form = _lib.forms.curvature_form(conn)
-    if not form.is_finite():
-        raise OverflowError("curvature overflows: F has a coefficient that is not a finite double")
+    form.check_finite()
     return {"flat": form.is_zero(), "curvature": form.to_dict()}
 
 

@@ -21,11 +21,10 @@ A connection of plain numbers holds them as complex rows and builds its
 element matrices on first use; a transport holds M as complex rows too.  Every
 transport comes from one ``_transports`` call, which folds the exponents of a
 list of (weight, tau) paths (with numpy above rank 1) and makes one ``expm``
-call on their stack (one path folded with Python scalars, with the bits of a
-slice).  ``TransportOperator.apply`` checks rank and theta and wraps the
-accumulate ``_apply`` on term dicts; the transport-axiom check runs on term
-dicts from each draw to its residual (``_product``, ``_apply``, ``_distance``),
-so it builds no element.
+call on their stack.  ``TransportOperator.apply`` checks rank and theta and
+wraps the accumulate ``_apply`` on term dicts; the transport-axiom check runs
+on term dicts from each draw to its residual (``_product``, ``_apply``,
+``_distance``), so it builds no element.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .algebra import (
     _scale, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
-from .forms import _element_entries, curvature_form
+from .forms import _check_finite, _element_entries, curvature_form
 
 _TOP = sys.float_info.max  # the largest finite double
 
@@ -192,17 +191,21 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
 
 
 def is_flat(conn: Connection) -> bool:
-    """True iff every curvature-form coefficient is at most EQ_TOL.  The first entry above it, row-major,
-    decides: finite, not flat; not finite, the curvature report's OverflowError.  Only an element connection
-    stops early: it builds curvature_form's entries one at a time and stops at that one."""
+    """True iff every curvature-form coefficient is at most EQ_TOL.
+
+    The first entry above EQ_TOL in row-major order decides alone: False if its coefficients are finite,
+    else ``forms._check_finite``'s OverflowError.  Entries after it are not read, so where a later entry
+    overflows is_flat is False while the curvature report raises.  A coefficient whose modulus overflows
+    raises abs's OverflowError, as ``is_zero`` does.  Only an element connection stops early: it builds
+    curvature_form's entries one at a time and stops at the deciding one.
+    """
     if conn.scalars is not None:
         curved = ((c,) for row in curvature_form(conn)._rows for c in row if not abs(c) <= EQ_TOL)
     else:
         curved = (e.dudv.terms.values() for e in _element_entries(conn) if not e.dudv.is_zero())
     for coefficients in curved:
-        if all(map(cmath.isfinite, coefficients)):
-            return False
-        raise OverflowError("curvature overflows: F has a coefficient that is not a finite double")
+        _check_finite(coefficients)
+        return False
     return True
 
 
@@ -322,15 +325,11 @@ def _transports(conn: Connection, paths) -> list[TransportOperator]:
     else:
         import numpy as np
 
+        # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
+        c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
         tu, tv = np.array(theta_u, dtype=complex), np.array(theta_v, dtype=complex)
         with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
-            if len(paths) == 1:  # Python scalars, without the stack's coefficient array and broadcasts
-                (((alpha, beta), tau),) = paths
-                stack = (TWO_PI * tau * (alpha * tu + beta * tv))[None]
-            else:  # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
-                c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
-                stack = c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv)
-            mats = expm(stack)
+            mats = expm(c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv))
     return [TransportOperator(m, tuple(w), t) for m, (w, t) in zip(mats, paths)]
 
 

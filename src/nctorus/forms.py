@@ -58,11 +58,12 @@ class MatrixForm:
             return all(e.dudv.is_zero() for row in self._entries for e in row)
         return all(abs(c) <= EQ_TOL for row in self._rows for c in row)
 
-    def is_finite(self) -> bool:
-        """True iff every coefficient of every entry is finite, as a strict JSON report needs."""
+    def check_finite(self) -> None:
+        """_check_finite on every coefficient of every entry, as a strict JSON report needs."""
         if self._rows is None:
-            return all(isfinite(c) for row in self._entries for e in row for c in e.dudv.terms.values())
-        return all(map(isfinite, chain.from_iterable(self._rows)))
+            _check_finite(c for row in self._entries for e in row for c in e.dudv.terms.values())
+        else:
+            _check_finite(chain.from_iterable(self._rows))
 
     def to_dict(self) -> dict:
         """Entries in TorusElement.to_dict's layout, every float rounded once by r15 (theta once)."""
@@ -79,6 +80,12 @@ class MatrixForm:
         theta = r15(params.theta)
         entries = [[{"dudv": {"theta": theta, "terms": t}} for t in row] for row in terms]
         return {"rank": self.rank, "entries": entries}
+
+
+def _check_finite(coefficients) -> None:
+    """The one overflow rule of a curvature: OverflowError unless every coefficient is a finite double."""
+    if not all(map(isfinite, coefficients)):
+        raise OverflowError("curvature overflows: F has a coefficient that is not a finite double")
 
 
 def curvature_form(conn) -> MatrixForm:

@@ -753,6 +753,42 @@ def test_an_overflowing_curvature_is_one_validation_error(tmp_path, command, the
     }
 
 
+_CURVED_THEN_OVERFLOWING = {
+    # F_00 = 1 is finite and curved; F_01 = 1e400 (u v for the elements) overflows
+    "element": ([[_element(1, 0, 1e200), 1.0], [0.0, 0.0]], [[0.0, _element(0, 1, 1e200)], [1.0, 0.0]]),
+    "scalar": ([[1e200, 1.0], [0.0, 0.0]], [[0.0, 1e200], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("theta_u, theta_v", _CURVED_THEN_OVERFLOWING.values(), ids=_CURVED_THEN_OVERFLOWING)
+def test_flat_is_decided_before_a_later_entry_overflows(tmp_path, theta_u, theta_v):
+    # the first curved entry, row-major, decides flatness alone; the report checks every entry, so here the
+    # two commands part: flat answers false and curvature gives the overflow's validation error
+    import nctorus
+
+    connection = {"rank": 2, "theta_u": theta_u, "theta_v": theta_v}
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    outcomes = {}
+    for command in ("curvature", "flat"):
+        scenario = {"v": 1, "command": command, "theta": 0.3, "connection": connection}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        out = json.loads(proc.stdout)
+        outcomes[command] = (proc.returncode, proc.stderr, out.get("result", out))
+    assert outcomes == {
+        "curvature": (
+            2,
+            "",
+            {"error": "validation", "message": "curvature overflows: F has a coefficient that is not a finite double"},
+        ),
+        "flat": (0, "", {"flat": False}),
+    }
+
+
 def test_a_curvature_at_the_largest_double_reports_it_finite(tmp_path):
     # F_01 = -max: its 15-digit rounding overflows, so the report keeps the largest 15-digit double
     import nctorus
