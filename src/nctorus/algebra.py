@@ -21,6 +21,10 @@ _distance, so the transport-axiom check builds no element.  random_element
 draws as CPython's randrange and uniform do (getrandbits(k) until below the
 width; a + (b - a) * random()), so its stream is randint's.
 
+Every "within EQ_TOL of zero" verdict (is_zero, flatness, the scalar test of
+a transport entry) is one _negligible call: a NaN, and a finite complex whose
+modulus is beyond the largest double, are not zero.
+
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
 ever stores the value turn computes, so concurrent fills agree.
@@ -46,9 +50,22 @@ _TWO_PI_I = TWO_PI * 1j  # 2 pi i, the factor of turn, _twist and apply_derivati
 R15_TOP = 1.79769313486231e308
 _FORMAT = float.__format__  # called unbound, r15 makes no bound method per call as f"{x:.15g}" does
 
-#: Per-coefficient tolerance for element equality and zero tests, and so for
-#: flatness (folded coefficients) and the scalar test of a transport entry.
+#: Per-coefficient tolerance for element equality and for every zero test, each one _negligible call:
+#: is_zero, flatness (folded coefficients) and the scalar test of a transport entry.
 EQ_TOL = 1e-12
+
+
+def _negligible(values) -> bool:
+    """True iff every value's modulus is at most EQ_TOL, the package's one zero test: NaN is not negligible, nor
+    is a finite complex whose modulus exceeds the largest double (abs raises there)."""
+    try:
+        for c in values:
+            if not abs(c) <= EQ_TOL:
+                return False
+    except OverflowError:  # |c| > the largest double > EQ_TOL
+        return False
+    return True
+
 
 #: Largest transport difference at which path independence is "certified".
 CERTIFY_TOL = 1e-10
@@ -227,7 +244,7 @@ class TorusElement:
         return _fold(self.params, self.terms)
 
     def is_zero(self) -> bool:
-        return all(abs(c) <= EQ_TOL for c in self.folded().values())
+        return _negligible(self.folded().values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, float, complex)):
@@ -418,13 +435,6 @@ def _distance(params: TorusParams, x: dict, y: dict) -> float:
         if d > out or d != d:
             out = d
     return out
-
-
-def vector_distance(xs: Iterable[TorusElement], ys: Iterable[TorusElement]) -> float:
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValueError("vectors of different length")
-    return _worst(distance(x, y) for x, y in zip(xs, ys))
 
 
 def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:

@@ -35,8 +35,8 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import (
-    EQ_TOL, TWO_PI, TorusElement, TorusParams, Weight, _check_params, _distance, _merge, _product, _random_terms,
-    _scale, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
+    TWO_PI, TorusElement, TorusParams, Weight, _check_params, _distance, _merge, _negligible, _product,
+    _random_terms, _scale, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _check_finite, _element_entries, curvature_form
@@ -54,11 +54,12 @@ def _coerce_entry(entry, params: TorusParams) -> TorusElement:
 
 
 def _scalar_coefficient(e: TorusElement) -> complex:
-    """The folded coefficient of 1, from one fold; raises unless e is a multiple of 1."""
+    """The folded coefficient of 1, from one fold; raises unless every other folded coefficient is negligible."""
     folded = e.folded()
-    if not all((m, n) == (0, 0) or abs(c) <= EQ_TOL for (m, n), c in folded.items()):
+    constant = folded.pop((0, 0), 0j)
+    if not _negligible(folded.values()):
         raise NonConstantConnection("transport needs every Theta entry to be a complex multiple of 1")
-    return folded.get((0, 0), 0j)
+    return constant
 
 
 class Connection:
@@ -191,16 +192,19 @@ def curvature_commutator(conn: Connection, X: Weight, Y: Weight):
 
 
 def is_flat(conn: Connection) -> bool:
-    """True iff every curvature-form coefficient is at most EQ_TOL.
+    """True iff every curvature-form coefficient is negligible (``algebra._negligible``, within EQ_TOL of zero).
 
-    The first entry above EQ_TOL in row-major order decides alone: False if its coefficients are finite,
+    The first entry that is not, in row-major order, decides alone: False if its coefficients are finite,
     else ``forms._check_finite``'s OverflowError.  Entries after it are not read, so where a later entry
-    overflows is_flat is False while the curvature report raises.  A coefficient whose modulus overflows
-    raises abs's OverflowError, as ``is_zero`` does.  Only an element connection stops early: it builds
-    curvature_form's entries one at a time and stops at the deciding one.
+    overflows is_flat is False while the curvature report raises.  A constant connection asks
+    ``MatrixForm.is_zero`` first, one pass, and looks for the deciding entry only when that is False.  An
+    element connection builds curvature_form's entries one at a time and stops at the deciding one.
     """
     if conn.scalars is not None:
-        curved = ((c,) for row in curvature_form(conn)._rows for c in row if not abs(c) <= EQ_TOL)
+        form = curvature_form(conn)
+        if form.is_zero():
+            return True
+        curved = ((c,) for row in form._rows for c in row if not _negligible((c,)))
     else:
         curved = (e.dudv.terms.values() for e in _element_entries(conn) if not e.dudv.is_zero())
     for coefficients in curved:
@@ -370,7 +374,7 @@ def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100,
     times = [0.0, *(t for _, _, tau, sigma in draws for t in (tau, tau + sigma, sigma))]
     phi_0, *ops = _transports(conn, [(weight, t) for t in times]) if draws else [None]  # no sample, no transport
 
-    def residual(xs: list[dict], ys: list[dict]) -> float:  # vector_distance on term dicts
+    def residual(xs: list[dict], ys: list[dict]) -> float:  # the worst distance of paired entries, on term dicts
         return _worst(_distance(params, x, y) for x, y in zip(xs, ys))
 
     module, identity, group = [], [], []

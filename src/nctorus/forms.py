@@ -29,7 +29,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, mul, sub
 
-from .algebra import EQ_TOL, TorusElement, _merge, _product, apply_derivation, mono, r15
+from .algebra import TorusElement, _merge, _negligible, _product, apply_derivation, mono, r15
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class MatrixForm:
         return self._entries
 
     def is_zero(self) -> bool:
-        """True iff every folded coefficient of every entry is at most EQ_TOL (c folds to 0j + c)."""
+        """True iff every folded coefficient of every entry is negligible (c folds to 0j + c)."""
         if self._rows is None:
             return all(e.dudv.is_zero() for row in self._entries for e in row)
-        return all(abs(c) <= EQ_TOL for row in self._rows for c in row)
+        return _negligible(chain.from_iterable(self._rows))
 
     def check_finite(self) -> None:
         """_check_finite on every coefficient of every entry, as a strict JSON report needs."""

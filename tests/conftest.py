@@ -23,7 +23,6 @@ from nctorus.algebra import (
     distance,
     one,
     turn,
-    vector_distance,
     zero,
 )
 from nctorus.connections import Connection, TransportAxiomReport, _nabla, transport
@@ -230,6 +229,13 @@ def reference_random_element(rng, params: TorusParams, max_terms: int = 4, max_e
         )
         terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return TorusElement(params, terms)
+
+
+def vector_distance(xs, ys) -> float:
+    """The largest distance between the paired entries of two element vectors of one length, _worst's rule."""
+    xs, ys = list(xs), list(ys)
+    assert len(xs) == len(ys), "vectors of different length"
+    return _worst(distance(x, y) for x, y in zip(xs, ys))
 
 
 def reference_transport_axioms(conn: Connection, weight: Weight, samples: int, seed: int):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ALT_THETA,
     THETA,
     EDGE_COEFFICIENTS,
     assert_close,
@@ -29,6 +30,7 @@ from conftest import (
     total,
 )
 from nctorus.algebra import (
+    EQ_TOL,
     TWO_PI,
     TorusElement,
     TorusParams,
@@ -45,7 +47,6 @@ from nctorus.algebra import (
     turn,
     u,
     v,
-    vector_distance,
     zero,
 )
 from nctorus.connections import Connection, curvature_commutator, curvature_form
@@ -475,8 +476,6 @@ def test_a_nan_difference_is_the_distance_in_every_key_order(params):
         for x, y in ((a, u(params)), (u(params), a)):
             assert math.isnan(distance(x, y))
             assert x != y
-        for xs in ([a, u(params)], [u(params), a]):
-            assert math.isnan(vector_distance(xs, [u(params), u(params)]))
     assert distance(TorusElement(params, {(0, 0, 0): 2.0, (1, 0, 0): 1.0}), u(params)) == 2.0
 
 
@@ -558,3 +557,63 @@ def test_random_element_rejects_an_empty_range(params, max_terms, max_exp):
     # randint's ValueError, where a draw of getrandbits(0) until below 0 would never end
     with pytest.raises(ValueError, match="^random_element needs max_terms >= 1 and max_exp >= 0"):
         random_element(random.Random(0), params, max_terms=max_terms, max_exp=max_exp)
+
+
+#: a finite complex whose modulus, about 1.84e308, is beyond the largest double, so abs raises on it
+HUGE = complex(1.3e308, 1.3e308)
+
+
+@pytest.mark.parametrize(
+    "values, negligible",
+    [
+        ([], True),
+        ([0j, -0.0, 0], True),
+        ([EQ_TOL, complex(0, -EQ_TOL)], True),
+        ([math.nextafter(EQ_TOL, 1)], False),
+        ([complex(0, math.nextafter(EQ_TOL, 1))], False),
+        ([math.nan], False),
+        ([0j, complex(0, math.nan)], False),
+        ([math.inf], False),
+        ([-math.inf], False),
+        ([HUGE], False),
+        ([HUGE, 2.0], False),
+        ([2.0, HUGE], False),
+        ([0j, HUGE, 0j], False),
+    ],
+    ids=[
+        "empty", "zeros", "eq-tol", "above-eq-tol", "above-eq-tol-imag", "nan", "nan-imag", "inf", "-inf",
+        "huge", "huge-before-curved", "huge-after-curved", "huge-among-zeros",
+    ],
+)
+def test_negligible_is_the_zero_test_and_never_raises(params, values, negligible):
+    # modulus at most EQ_TOL; NaN is not negligible, nor a finite value whose modulus overflows abs
+    from nctorus.algebra import _negligible
+
+    with pytest.raises(OverflowError, match="^absolute value too large$"):
+        abs(HUGE)
+    assert _negligible(values) is negligible
+    assert _negligible(iter(values)) is negligible
+    element = TorusElement(params, {(i, 0, 0): c for i, c in enumerate(values)})
+    assert element.is_zero() is negligible
+
+
+def test_element_repr_names_each_factor(params):
+    x = mono(1, 2, 2 - 1j, params, lam_exp=-3) + mono(0, 1, 0.5, params, lam_exp=1) + 1 + mono(-1, 0, 1j, params)
+    assert repr(x) == (
+        "TorusElement(theta=0.3819660113, (1j)*u^-1 + ((1+0j)) + ((0.5+0j))*lam*v + ((2-1j))*lam^-3*u*v^2)"
+    )
+    assert repr(zero(params)) == "TorusElement(theta=0.3819660113, 0)"
+
+
+def test_element_operators_with_numbers_and_other_types(params):
+    assert element_bits(1 - u(params)) == element_bits(TorusElement(params, {(0, 0, 0): 1, (1, 0, 0): -1}))
+    assert u(params).__rmul__("x") is NotImplemented
+    with pytest.raises(TypeError):
+        None * u(params)
+    with pytest.raises(TypeError, match="^cannot combine TorusElement with str$"):
+        u(params) + "x"
+    assert one(params) == 1 and u(params) != 1
+    assert u(params).__eq__("u") is NotImplemented and u(params) != "u"
+    assert u(params) != u(TorusParams(ALT_THETA))
+    with pytest.raises(AttributeError, match="^TorusElement is immutable$"):
+        u(params).terms = {}

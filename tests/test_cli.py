@@ -562,6 +562,19 @@ def test_star_import_resolves_every_exported_name():
     assert all(namespace[name] is getattr(nctorus, name) for name in nctorus.__all__)
 
 
+def test_unknown_attributes_and_builtins_name_what_is_known():
+    import nctorus
+
+    with pytest.raises(AttributeError, match="^module 'nctorus' has no attribute 'nope'$"):
+        nctorus.nope
+    assert dir(nctorus) == sorted({*vars(nctorus), *nctorus._EXPORTS, *nctorus.__all__})
+    assert {"connections", "is_flat", "TorusElement"} <= set(dir(nctorus))
+    known = ", ".join(sorted(BUILTIN_SCENARIOS))
+    with pytest.raises(KeyError) as info:
+        builtin("nope")
+    assert info.value.args == (f"unknown builtin scenario 'nope' (choose from: {known})",)
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nctorus.cli", "--builtin", "paper-scalar"],
@@ -787,6 +800,61 @@ def test_flat_is_decided_before_a_later_entry_overflows(tmp_path, theta_u, theta
         ),
         "flat": (0, "", {"flat": False}),
     }
+
+
+def _subprocess_cli(tmp_path, scenario) -> tuple:
+    """(exit code, stderr, parsed stdout) of ``python -W error -m nctorus.cli --scenario`` on this checkout."""
+    import nctorus
+
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stderr, json.loads(proc.stdout)
+
+
+#: 1.3e308 + 1.3e308i is a finite double whose modulus is not: abs raises on it
+_HUGE = [1.3e308, 1.3e308]
+_HUGE_TERM = {"m": 0, "n": 1, "re": 1.3e308, "im": 1.3e308, "lk": 0}
+_HUGE_CURVATURE = {
+    # F_01 = 1.3e308 + 1.3e308i, times v for the element twin; every other entry is zero
+    "scalar": ([[1, 0], [0, 0]], [[0, _HUGE], [0, 0]], {**_HUGE_TERM, "n": 0}),
+    "element": ([[1, 0], [0, 0]], [[0, {"theta": 0.3, "terms": [_HUGE_TERM]}], [0, 0]], _HUGE_TERM),
+}
+
+
+@pytest.mark.parametrize("theta_u, theta_v, term", _HUGE_CURVATURE.values(), ids=_HUGE_CURVATURE)
+def test_a_curvature_whose_modulus_overflows_is_reported_curved(tmp_path, theta_u, theta_v, term):
+    connection = {"rank": 2, "theta_u": theta_u, "theta_v": theta_v}
+    outcomes = {}
+    for command in ("curvature", "flat", "wilson"):
+        scenario = {"v": 1, "command": command, "theta": 0.3, "connection": connection}
+        if command == "wilson":
+            scenario.update(covering={"degrees": [2, 3]}, params={"deck": [1, 1]})
+        code, err, out = _subprocess_cli(tmp_path, scenario)
+        outcomes[command] = (code, err, out.get("result", out))
+    entries = [[[], [term]], [[], []]]
+    curvature = {"rank": 2, "entries": [[{"dudv": {"theta": 0.3, "terms": t}} for t in row] for row in entries]}
+    assert outcomes == {
+        "curvature": (0, "", {"flat": False, "curvature": curvature}),
+        "flat": (0, "", {"flat": False}),
+        "wilson": (3, "", {"error": "not-flat", "message": "generalized Wilson lines are defined for flat connections"}),
+    }
+
+
+def test_an_entry_whose_modulus_overflows_is_not_constant(tmp_path):
+    # 0.25i + (1.3e308 + 1.3e308i) u: its u coefficient is finite and not negligible
+    terms = [{"m": 0, "n": 0, "re": 0.0, "im": 0.25, "lk": 0}, {**_HUGE_TERM, "m": 1, "n": 0}]
+    connection = {"rank": 1, "theta_u": [[{"theta": 0.3, "terms": terms}]], "theta_v": [[0]]}
+    scenario = {"v": 1, "command": "transport", "theta": 0.3, "connection": connection, "paths": [[1, 0]]}
+    assert _subprocess_cli(tmp_path, scenario) == (
+        3,
+        "",
+        {"error": "non-constant-connection", "message": "transport needs every Theta entry to be a complex multiple of 1"},
+    )
 
 
 def test_a_curvature_at_the_largest_double_reports_it_finite(tmp_path):

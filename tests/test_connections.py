@@ -30,10 +30,11 @@ from conftest import (
     rotation_block_connection,
     scalar_connection,
     total,
+    vector_distance,
 )
 from nctorus import connections
 from nctorus.algebra import (
-    TWO_PI, TorusElement, TorusParams, apply_derivation, lam, mono, one, real, u, v, vector_distance, zero,
+    TWO_PI, TorusElement, TorusParams, apply_derivation, lam, mono, one, real, u, v, zero,
 )
 from nctorus.connections import (
     Connection,
@@ -278,6 +279,22 @@ def test_is_flat_raises_on_a_commuting_connection_whose_products_overflow(params
         is_flat(conn)
 
 
+#: a finite complex whose modulus, about 1.84e308, is beyond the largest double, so abs raises on it
+_HUGE = complex(1.3e308, 1.3e308)
+
+
+def test_a_curvature_whose_modulus_overflows_is_finite_and_curved(params):
+    # F_01 = _HUGE (times v for the element twin): finite, so flatness reads it as curved, not as an abs error
+    for theta_v in ([[0, _HUGE], [0, 0]], [[0, mono(0, 1, _HUGE, params)], [0, 0]]):
+        conn = Connection(params, [[1, 0], [0, 0]], theta_v)
+        form = curvature_form(conn)
+        form.check_finite()
+        assert form.is_zero() is False
+        assert is_flat(conn) is False
+    with pytest.raises(NonConstantConnection):
+        transport(Connection(params, [[0.25j + mono(1, 0, _HUGE, params)]], [[0]]), (1, 0), 1.0)
+
+
 def test_commutator_curvature_of_paper_connections_vanishes(scalar_conn, block_conn):
     for conn in (scalar_conn, block_conn):
         comm = curvature_commutator(conn, (1, 0), (0, 1))
@@ -353,6 +370,12 @@ def test_transport_at_zero_is_identity(scalar_conn, block_conn, params):
         assert np.array_equal(op.matrix, np.eye(conn.rank))
         xs = [u(params)] * conn.rank
         assert vector_distance(op.apply(xs), xs) == 0.0
+
+
+def test_transport_operator_is_immutable(scalar_conn):
+    op = transport(scalar_conn, (1, 0), 0.5)
+    with pytest.raises(AttributeError, match="^TransportOperator is immutable$"):
+        op.tau = 1.0
 
 
 def test_block_transport_is_rotation_block(block_conn):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,9 @@ from conftest import (
     THETA,
     antihermitian_connection,
     assert_close,
+    clock_shift,
     deck_elements,
+    l1,
     reference_path_independence,
     rotation_block_connection,
     scalar_connection,
@@ -34,6 +37,7 @@ from nctorus.coverings import (
     wilson,
 )
 from nctorus.errors import NotFlat, NonConstantConnection, ParamMismatch, PathNotAssociated, ZeroWeight
+from test_algebra import DYADIC_THETAS
 
 C_U, C_V = 0.25, 0.1
 
@@ -210,6 +214,85 @@ def test_deck_element_validation(spec):
     with pytest.raises(ValueError):
         DeckElement(2, 0, (2, 2))
     assert spec.deck(3, -1) == DeckElement(1, 1, (2, 2))
+
+
+def test_deck_elements_add_within_one_covering_only(spec):
+    assert spec.deck(1, 1) + spec.deck(1, 0) == DeckElement(0, 1, (2, 2))
+    with pytest.raises(ParamMismatch, match="^deck elements of different coverings$"):
+        spec.deck(1, 1) + DeckElement(1, 1, (2, 3))
+
+
+# -- clock-and-shift representation of the cover ----------------------------------
+#
+# At theta = p/q with k1 k2 a power of 2, theta' = theta / (k1 k2) = p / q' stays dyadic, q' = q k1 k2, and the
+# cover has the q' x q' representation x -> U' = diag(omega'^j), y -> V' the cyclic shift (conftest.clock_shift).
+# A matrix power U'^e carries up to e < q' roundings of omega'^j, so each bound is a multiple of q' eps sum |c|.
+
+#: covering degrees whose product is a power of 2
+DYADIC_DEGREES = ((1, 2), (2, 2), (1, 4), (4, 2))
+
+
+def cover_clock_and_shift(p: int, qc: int):
+    """U' = diag(omega'^j), omega' = e^{2 pi i p / q'}, exponents reduced mod q' in integers, and V' e_c = e_{c+1}."""
+    clock = np.diag([cmath.exp(2j * math.pi * (j * p % qc) / qc) for j in range(qc)])
+    shift = np.zeros((qc, qc), dtype=complex)
+    shift[(np.arange(qc) + 1) % qc, np.arange(qc)] = 1
+    return clock, shift
+
+
+def test_project_is_the_clock_and_shift_embedding():
+    """clock_shift(project(a)) = sum c omega'^{k k1 k2} X^{k1 m} Y^{k2 n}, X and Y matrix powers of U' and V'
+    (exponents mod q', since U'^q' = V'^q' = I), within 4 q' eps sum |c|; project(a*) maps to the adjoint
+    within 2 q' eps sum |c|.  Worst seen: 0.74 and 0.15 of those bounds (0.75 and 0.40 over four larger draws)."""
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261030)
+    for theta in DYADIC_THETAS:
+        p, q = theta.as_integer_ratio()
+        for k1, k2 in DYADIC_DEGREES:
+            spec, qc = CoveringSpec(TorusParams(theta), (k1, k2)), q * k1 * k2
+            assert spec.cover.theta.as_integer_ratio() == (p, qc)
+            clock, shift = cover_clock_and_shift(p, qc)
+            powers = {}
+
+            def power(matrix, name: str, e: int):
+                key = (name, e % qc)
+                if key not in powers:
+                    powers[key] = np.linalg.matrix_power(matrix, e % qc)
+                return powers[key]
+
+            for _ in range(20):
+                a = random_element(rng, spec.base, max_terms=6, max_exp=5)
+                want = sum(
+                    c * cmath.exp(2j * math.pi * (k * k1 * k2 * p % qc) / qc)
+                    * (power(clock, "x", k1 * m) @ power(shift, "y", k2 * n))
+                    for (m, n, k), c in a.terms.items()
+                )
+                got = clock_shift(project(spec, a))
+                assert np.abs(got - want).max() <= 4 * qc * eps * l1(a), (theta, k1, k2)
+                star = clock_shift(project(spec, a.star()))
+                assert np.abs(star - got.conj().T).max() <= 2 * qc * eps * l1(a), (theta, k1, k2)
+
+
+def test_deck_action_is_clock_and_shift_conjugation():
+    """deck (a, b) is M -> U'^t V'^-s M V'^s U'^-t: V'^-s U' V'^s = omega'^s U' and U'^t V' U'^-t = omega'^t V', so
+    s p = a q k2 and t p = b q k1 (mod q') make the phases e^{2 pi i a / k1}, e^{2 pi i b / k2}; p is odd, so both
+    are solvable.  Within 4 q' eps sum |c| (the two clock powers carry up to q' roundings each); worst seen 0.69
+    (0.81 over four larger draws)."""
+    eps = sys.float_info.epsilon
+    rng = random.Random(20261031)
+    for theta in DYADIC_THETAS:
+        p, q = theta.as_integer_ratio()
+        for k1, k2 in DYADIC_DEGREES:
+            spec, qc = CoveringSpec(TorusParams(theta), (k1, k2)), q * k1 * k2
+            clock, shift = cover_clock_and_shift(p, qc)
+            for g in deck_elements(spec):
+                s, t = g.a * q * k2 * pow(p, -1, qc) % qc, g.b * q * k1 * pow(p, -1, qc) % qc
+                vs, ut = np.linalg.matrix_power(shift, s), np.linalg.matrix_power(clock, t)
+                for _ in range(3):
+                    x = random_element(rng, spec.cover, max_terms=6, max_exp=5)
+                    want = ut @ vs.T @ clock_shift(x) @ vs @ ut.conj().T
+                    got = clock_shift(deck_act(g, x))
+                    assert np.abs(got - want).max() <= 4 * qc * eps * l1(x), (theta, g)
 
 
 # -- lifted flows -------------------------------------------------------------

@@ -130,6 +130,17 @@ def test_matrix_form_is_zero_at_tolerance(params):
     assert small.is_zero() and not large.is_zero()
 
 
+def test_a_derivation_term_that_cancels_the_products_drops_its_key(params):
+    # Theta_u = u, Theta_v = b v + c uv: delta_u(c uv) = (c 2 pi i) uv meets the product term b uv, and
+    # b = -(c 2 pi i) cancels it exactly, so F keeps only the lambda-shifted terms and c u^2 v
+    c = 0.3 + 0.1j
+    b = -apply_derivation((1, 0), mono(1, 1, c, params)).terms[(1, 1, 0)]
+    conn = Connection(params, [[u(params)]], [[mono(0, 1, b, params) + mono(1, 1, c, params)]])
+    ((f,),) = curvature_form(conn).entries
+    assert f.dudv.terms.keys() == {(2, 1, 0), (1, 1, -1), (2, 1, -1)}
+    assert element_bits(f.dudv) == element_bits(reference_curvature(conn)[0][0])
+
+
 # -- the element loop: the scalar path's reference; element entries follow conftest.reference_curvature --
 
 

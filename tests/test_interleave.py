@@ -21,9 +21,9 @@ def test_interleave_runs_a_round_of_one_tree_against_itself():
     assert lines[0] == "symbolic: 2 operations (check_transport_axioms/r4), 1 rounds"
     for line, name in zip(lines[1:3], ("base", "new")):
         assert re.fullmatch(rf"{name}: median \d+\.\d{{3}} ms  \({re.escape(src)}\)", line), line
-    ratio = re.fullmatch(r"new/base: (\d+\.\d{3})  new faster in [01] of 1 rounds", lines[3])
+    ratio = re.fullmatch(r"new/base: (\d+\.\d{3}) \(median by round\)  new faster in [01] of 1 rounds", lines[3])
     assert ratio, lines[3]
-    # one round: its ratio is every quartile, and the median block ratio
+    # one round: its ratio is every quartile, and their median
     assert lines[4] == f"new/base by round: quartiles {ratio[1]} {ratio[1]} {ratio[1]}"
     assert len(lines) == 5
 

@@ -20,9 +20,11 @@ from ``sys.modules``, imports them with the tree first on ``sys.path``,
 prepares every operation and then runs them all once, timed as a whole; an
 operation that raises counts as run, since its error is its result.  The
 tree that runs first alternates between rounds, and one untimed round of both
-warms up first.  The output gives each tree's median block time, NEW/BASE and
-the rounds in which NEW was faster, then the quartiles of the per-round
-NEW/BASE ratios: a reading whose interquartile range straddles 1 is noise.
+warms up first.  The output gives each tree's median block time, then NEW/BASE
+as the median of the per-round ratios with the rounds in which NEW was faster,
+then the quartiles of those ratios: a reading whose interquartile range
+straddles 1 is noise.  The median ratio is the headline because a bimodal host
+can swing the ratio of the two median block times far from every round's.
 Run it with ``OPENBLAS_NUM_THREADS=1``, as the benchmark's children do.
 """
 
@@ -114,8 +116,8 @@ def main(argv=None) -> None:
     print(f"{args.workload}: {len(specs)} operations ({', '.join(args.kind) or 'every kind'}), {args.rounds} rounds")
     for name, src in trees.items():
         print(f"{name}: median {medians[name] * 1e3:.3f} ms  ({src})")
-    print(f"new/base: {medians['new'] / medians['base']:.3f}  new faster in {wins} of {args.rounds} rounds")
     ratios = [n / b for b, n in zip(times["base"], times["new"])]
+    print(f"new/base: {statistics.median(ratios):.3f} (median by round)  new faster in {wins} of {args.rounds} rounds")
     quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print("new/base by round: quartiles " + " ".join(f"{x:.3f}" for x in quartiles))
 
