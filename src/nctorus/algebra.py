@@ -21,9 +21,11 @@ _distance, so the transport-axiom check builds no element.  random_element
 draws as CPython's randrange and uniform do (getrandbits(k) until below the
 width; a + (b - a) * random()), so its stream is randint's.
 
-Every "within EQ_TOL of zero" verdict (is_zero, flatness, the scalar test of
-a transport entry) is one _negligible call: a NaN, and a finite complex whose
-modulus is beyond the largest double, are not zero.
+Every modulus is taken by _worst, the one size rule: the largest abs of its
+values, NaN if any is NaN, inf for a finite complex whose modulus is beyond
+the largest double.  The zero test _negligible (is_zero, flatness, the scalar
+test of a transport entry) is _worst(values) <= EQ_TOL, and element distance
+and the path-independence distance are _worst of the differences.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only
@@ -39,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import ParamMismatch
@@ -50,21 +53,28 @@ _TWO_PI_I = TWO_PI * 1j  # 2 pi i, the factor of turn, _twist and apply_derivati
 R15_TOP = 1.79769313486231e308
 _FORMAT = float.__format__  # called unbound, r15 makes no bound method per call as f"{x:.15g}" does
 
-#: Per-coefficient tolerance for element equality and for every zero test, each one _negligible call:
-#: is_zero, flatness (folded coefficients) and the scalar test of a transport entry.
+#: Tolerance on a _worst size: element equality is distance <= EQ_TOL, and every zero test is one _negligible
+#: call: is_zero, flatness (folded coefficients) and the scalar test of a transport entry.
 EQ_TOL = 1e-12
 
 
 def _negligible(values) -> bool:
-    """True iff every value's modulus is at most EQ_TOL, the package's one zero test: NaN is not negligible, nor
-    is a finite complex whose modulus exceeds the largest double (abs raises there)."""
-    try:
-        for c in values:
-            if not abs(c) <= EQ_TOL:
-                return False
-    except OverflowError:  # |c| > the largest double > EQ_TOL
-        return False
-    return True
+    """True iff _worst(values) <= EQ_TOL, the package's one zero test (NaN and an overflowing modulus fail)."""
+    return _worst(values) <= EQ_TOL
+
+
+def _worst(values: Iterable[complex]) -> float:
+    """The largest abs(x) of values, 0.0 for none; the package's one size rule.  NaN if any value is NaN,
+    wherever it comes, and inf for a finite complex whose modulus exceeds the largest double."""
+    out = 0.0
+    for x in values:
+        try:
+            d = abs(x)
+        except OverflowError:  # |x| past the largest double; or, after an earlier overflow, a NaN complex
+            d = math.inf if x == x else math.nan  # (CPython's abs reads a stale ERANGE there)
+        if d > out or d != d:  # once out is NaN, neither holds for a number
+            out = d
+    return out
 
 
 #: Largest transport difference at which path independence is "certified".
@@ -262,7 +272,8 @@ class TorusElement:
             return f"TorusElement(theta={self.params.theta}, 0)"
         bits = []
         for (m, n, k), c in sorted(self.terms.items()):
-            factors = [f"({c})"]
+            text = repr(c)  # a complex with a real part brings its own parentheses
+            factors = [text if text[0] == "(" else f"({text})"]
             for name, e in (("lam", k), ("u", m), ("v", n)):
                 if e == 1:
                     factors.append(name)
@@ -408,33 +419,19 @@ def apply_derivation(weight: Weight, a: TorusElement) -> TorusElement:
 # -- comparison helpers ----------------------------------------------------
 
 
-def _worst(values: Iterable[float]) -> float:
-    """The largest of non-negative values, 0.0 for none, NaN if any is NaN (max keeps whichever comes first)."""
-    out = 0.0
-    for x in values:
-        if x > out or x != x:  # once out is NaN, neither holds for a number
-            out = x
-    return out
-
-
 def distance(a: TorusElement, b: TorusElement) -> float:
-    """Max folded-coefficient difference, NaN if any difference is NaN; operands must share params."""
+    """Max folded-coefficient difference by _worst's rule; operands must share params."""
     return _distance(a.params, a.terms, b.terms)
 
 
 def _distance(params: TorusParams, x: dict, y: dict) -> float:
-    """distance on two term dicts over params: y folded first, then x's folded keys in order, then y's rest."""
-    fb, out = _fold(params, y), 0.0
-    pop = fb.pop
-    for key, c in _fold(params, x).items():
-        d = abs(c - pop(key, 0j))
-        if d > out or d != d:  # _worst's rule, inlined
-            out = d
-    for c in fb.values():  # y's keys that x lacks
-        d = abs(c)
-        if d > out or d != d:
-            out = d
-    return out
+    """distance on two term dicts over params: y folded first, then x; y's coefficients come off x's fold in
+    place, in x's key order, and _worst takes those differences, then y's keys that x lacks."""
+    fy = _fold(params, y)
+    fx, pop = _fold(params, x), fy.pop
+    for key, c in fx.items():
+        fx[key] = c - pop(key, 0j)
+    return _worst(chain(fx.values(), fy.values()))
 
 
 def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:

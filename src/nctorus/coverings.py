@@ -192,5 +192,5 @@ def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection
         checked.append(report.weight)
     mats = [op.matrix for op in _lib.connections._transports(conn, [(w, 1.0) for w in checked])]
     pairs = [(m, n) for i, m in enumerate(mats) for n in mats[i + 1 :]]
-    max_distance = _worst(abs(x - y) for m, n in pairs for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
+    max_distance = _worst(x - y for m, n in pairs for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
     return PathIndependenceReport(g, tuple(checked), max_distance, certified=max_distance < CERTIFY_TOL)

@@ -13,8 +13,9 @@ and serializes it for reports, each float rounded once (``r15``).
 When every entry is a plain multiple of 1 (no u, v or lambda powers), as
 the connection's ``scalars`` records, the derivation terms vanish and F is
 the commutator of two complex matrices, summed over Python complex scalars
-in the element loop's order (so bit-identical to it) and held as complex
-rows, which flatness and the report read; TwoForm entries are built on first
+in the order of the test reference tests/test_forms.py::element_loop (bit
+for bit; _element_entries agrees to rounding only) and held as complex rows,
+which flatness and the report read; TwoForm entries are built on first
 access.  numpy is not used: its vectorized complex multiply may fuse
 multiply-adds, which changes the last bit of some products and the reports.
 Otherwise the algebra's product kernel adds every pair product of an entry
@@ -91,8 +92,9 @@ def _check_finite(coefficients) -> None:
 def curvature_form(conn) -> MatrixForm:
     """d Theta + Theta ^ Theta of a connection (free module: e = 1), every entry built before it returns.
 
-    For scalar matrices a, b it is [a, b] as complex rows, in the element loop's order: entry (i, j)
-    is 0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as the loop's first sum onto zero.
+    For scalar matrices a, b it is [a, b] as complex rows, in the test reference element_loop's order (the
+    element loop as first written; _element_entries agrees to rounding only): entry (i, j) is
+    0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as that loop's first sum onto zero.
     Element entry (i, j) is built in _element_entries' order: sum_k tu_ik tv_kj minus sum_k tv_ik tu_kj,
     then delta_u(tv_ij) - delta_v(tu_ij) added last.  Only is_flat stops early.
     """

@@ -321,6 +321,32 @@ def l1(e: TorusElement) -> float:
     return sum(map(abs, e.terms.values()))
 
 
+# -- element matrices: product, adjoint and derivation, for the gauge oracle ----
+#
+# Plain sums and products of TorusElement, sharing no code with nctorus.forms or _nabla.
+
+
+def matrix_product(a, b) -> list:
+    """(ab)_ij = a_i0 b_0j + a_i1 b_1j + ..., summed from zero over TorusElement."""
+    start = zero(a[0][0].params)
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), start) for j in range(len(b[0]))] for row in a]
+
+
+def adjoint(a) -> list:
+    """(a*)_ij = star(a_ji)."""
+    return [[a[j][i].star() for j in range(len(a))] for i in range(len(a[0]))]
+
+
+def matrix_delta(weight: Weight, a) -> list:
+    """delta_X of every entry: u^m v^n -> 2 pi i (alpha m + beta n) u^m v^n."""
+    return [[apply_derivation(weight, e) for e in row] for row in a]
+
+
+def matrix_l1(a) -> float:
+    """The sum of l1 over a matrix's entries."""
+    return sum(l1(e) for row in a for e in row)
+
+
 # -- term-dict references for the infinite cover ------------------------------
 #
 # Each writes a term dict {(a, b): c} from the definitions, as a list of (a, b, c)

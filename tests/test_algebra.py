@@ -597,10 +597,48 @@ def test_negligible_is_the_zero_test_and_never_raises(params, values, negligible
     assert element.is_zero() is negligible
 
 
+@pytest.mark.parametrize(
+    "values, worst",
+    [
+        ([], 0.0),
+        ([0.5, 2.0, 1.0], 2.0),
+        ([0.0, -0.0], 0.0),
+        ([3j, complex(-4, 0)], 4.0),
+        ([math.nan, 1.0], math.nan),
+        ([1.0, math.inf, math.nan, 2.0], math.nan),
+        ([HUGE, math.nan], math.nan),
+        ([HUGE, complex(math.nan, 0)], math.nan),  # abs keeps the overflow's stale errno and raises on this NaN
+        ([math.nan, HUGE], math.nan),
+        ([HUGE], math.inf),
+        ([1.0, HUGE, 2.0], math.inf),
+    ],
+    ids=[
+        "empty", "floats", "zeros", "complex", "nan-first", "nan-after-inf", "nan-after-huge", "complex-nan-after-huge",
+        "huge-after-nan", "huge", "huge-among-floats",
+    ],
+)
+def test_worst_is_the_one_size_rule(values, worst):
+    # the largest modulus, 0.0 for none; NaN wins wherever it comes, and a modulus beyond the largest double is inf
+    from nctorus.algebra import _worst
+
+    for got in (_worst(values), _worst(iter(values))):
+        assert got == worst or (got != got and worst != worst)
+
+
+def test_an_element_whose_modulus_overflows_compares_unequal(params):
+    # abs raises on HUGE - 0, so the distance reads inf: larger than every tolerance, and no OverflowError
+    huge = mono(0, 0, HUGE, params)
+    assert distance(huge, zero(params)) == math.inf == distance(zero(params), huge)
+    assert (huge == zero(params), huge == 0, huge != zero(params)) == (False, False, True)
+    assert huge == huge and distance(huge, huge) == 0.0
+    # a NaN difference after the overflowing one still wins
+    assert math.isnan(distance(TorusElement(params, {(0, 0, 0): HUGE, (1, 0, 0): math.nan}), zero(params)))
+
+
 def test_element_repr_names_each_factor(params):
     x = mono(1, 2, 2 - 1j, params, lam_exp=-3) + mono(0, 1, 0.5, params, lam_exp=1) + 1 + mono(-1, 0, 1j, params)
     assert repr(x) == (
-        "TorusElement(theta=0.3819660113, (1j)*u^-1 + ((1+0j)) + ((0.5+0j))*lam*v + ((2-1j))*lam^-3*u*v^2)"
+        "TorusElement(theta=0.3819660113, (1j)*u^-1 + (1+0j) + (0.5+0j)*lam*v + (2-1j)*lam^-3*u*v^2)"
     )
     assert repr(zero(params)) == "TorusElement(theta=0.3819660113, 0)"
 

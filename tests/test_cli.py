@@ -857,6 +857,26 @@ def test_an_entry_whose_modulus_overflows_is_not_constant(tmp_path):
     )
 
 
+def test_independence_whose_difference_overflows_is_one_validation_error(tmp_path):
+    # the two transports are finite and opposite, their distance is inf, and a strict-JSON report cannot hold it
+    theta_u = [math.log(0.65e308 * math.sqrt(2)) / (2 * math.pi), 0.125]
+    connection = {"rank": 1, "theta_u": [[theta_u]], "theta_v": [[[0.0, 0.25]]]}
+    scenario = {**builtin("paper-scalar"), "command": "independence", "connection": connection, "paths": [[1, 0], [1, 2]]}
+    import nctorus
+
+    src = str(Path(nctorus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "nctorus.cli", "--scenario", scenario_file(tmp_path, scenario)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    out = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert out["error"] == "validation"
+    assert out["message"].startswith("Out of range float values are not JSON compliant")
+
+
 def test_a_curvature_at_the_largest_double_reports_it_finite(tmp_path):
     # F_01 = -max: its 15-digit rounding overflows, so the report keeps the largest 15-digit double
     import nctorus

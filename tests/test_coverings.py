@@ -538,6 +538,20 @@ def test_path_independence_singleton_is_trivial(spec, params):
     assert report.max_distance == 0.0 and report.certified
 
 
+#: Theta_u = r + i/8 with e^{2 pi r} = 0.65e308 sqrt 2: the weight-(1, 0) transport is M = 0.65e308 (1 + i) and
+#: the weight-(1, 2) one, with Theta_v = 0.25i, is -M; both finite, but |M - (-M)| is beyond the largest double
+OVERFLOWING_DIFFERENCE = (complex(math.log(0.65e308 * math.sqrt(2)) / (2 * math.pi), 1 / 8), 0.25j)
+
+
+def test_path_independence_whose_difference_overflows_is_infinite(spec, params):
+    theta_u, theta_v = OVERFLOWING_DIFFERENCE
+    conn = Connection(params, [[theta_u]], [[theta_v]])
+    (m,), (n,) = [connections.transport(conn, w, 1.0).matrix[0] for w in [(1, 0), (1, 2)]]
+    assert cmath.isfinite(m) and cmath.isfinite(n) and abs(m.real + n.real) < 1e295 and m.real > 6e307
+    report = check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0), (1, 2)])
+    assert (report.max_distance, report.certified) == (math.inf, False)
+
+
 def test_path_independence_rejects_wrong_deck_element(spec, params):
     conn = scalar_connection(params, C_U, C_V)
     with pytest.raises(PathNotAssociated):
