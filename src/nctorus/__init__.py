@@ -18,6 +18,7 @@ _EXPORTS = {
         "Connection", "TransportOperator", "curvature_form", "curvature_commutator",
         "is_flat", "transport", "check_transport_axioms",
     ),
+    "reports": ("TransportAxiomReport",),
     "coverings": (
         "CoveringSpec", "DeckElement", "ClosedPathReport", "project", "deck_act",
         "classify_path", "wilson", "check_path_independence",

@@ -21,11 +21,8 @@ _distance, so the transport-axiom check builds no element.  random_element
 draws as CPython's randrange and uniform do (getrandbits(k) until below the
 width; a + (b - a) * random()), so its stream is randint's.
 
-Every modulus is taken by _worst, the one size rule: the largest abs of its
-values, NaN if any is NaN, inf for a finite complex whose modulus is beyond
-the largest double.  The zero test _negligible (is_zero, flatness, the scalar
-test of a transport entry) is _worst(values) <= EQ_TOL, and element distance
-and the path-independence distance are _worst of the differences.
+Every modulus is taken by _worst, the one size rule, and every zero test is
+_negligible, _worst(values) <= EQ_TOL.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.  The per-TorusParams memo of lambda**k only

@@ -17,22 +17,19 @@ times the one ``curvature_form`` reports.  Transport requires constant
 coefficients (each Theta entry a complex multiple of 1), where the
 path-ordered exponential collapses to a dense matrix exponential, ``expm``.
 
-A connection of plain numbers holds them as complex rows and builds its
-element matrices on first use; a transport holds M as complex rows too.  Every
-transport comes from one ``_transports`` call, which folds the exponents of a
-list of (weight, tau) paths (with numpy above rank 1) and makes one ``expm``
-call on their stack.  ``TransportOperator.apply`` checks rank and theta and
-wraps the accumulate ``_apply`` on term dicts; the transport-axiom check runs
-on term dicts from each draw to its residual (``_product``, ``_apply``,
-``_distance``), so it builds no element.
+Every transport comes from one ``_transports`` call, one ``expm`` call on the
+stack of its paths.  The transport-axiom check runs on term dicts from each
+draw to its residual and imports ``random`` and its report's module when first
+called, so nothing else here loads ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import cmath
-import random
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import nctorus as _lib  # reports is read at call time, so only the axiom check loads dataclasses
 
 from .algebra import (
     TWO_PI, TorusElement, TorusParams, Weight, _check_params, _distance, _merge, _negligible, _product,
@@ -40,6 +37,9 @@ from .algebra import (
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _check_finite, _element_entries, curvature_form
+
+if TYPE_CHECKING:
+    from .reports import TransportAxiomReport
 
 _TOP = sys.float_info.max  # the largest finite double
 
@@ -196,9 +196,7 @@ def is_flat(conn: Connection) -> bool:
 
     The first entry that is not, in row-major order, decides alone: False if its coefficients are finite,
     else ``forms._check_finite``'s OverflowError.  Entries after it are not read, so where a later entry
-    overflows is_flat is False while the curvature report raises.  A constant connection asks
-    ``MatrixForm.is_zero`` first, one pass, and looks for the deciding entry only when that is False.  An
-    element connection builds curvature_form's entries one at a time and stops at the deciding one.
+    overflows is_flat is False while the curvature report raises.
     """
     if conn.scalars is not None:
         form = curvature_form(conn)
@@ -346,27 +344,17 @@ def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator
     return _transports(conn, [(weight, tau)])[0]
 
 
-@dataclass(frozen=True)
-class TransportAxiomReport:
-    """Max residuals of the three module-parallel-transport axioms."""
-
-    samples: int
-    module_residual: float  # Phi_tau(s a) = Phi_tau(s) phi_tau(a)
-    identity_residual: float  # Phi_0 = id
-    group_residual: float  # Phi_{tau+sigma} = Phi_tau o Phi_sigma
-
-    @property
-    def max_residual(self) -> float:
-        return _worst((self.module_residual, self.identity_residual, self.group_residual))
-
-
 def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
     """Exercise the transport axioms on random vectors, elements and times.
 
     Every sample is drawn first: its vector s (rank elements), then a, tau and sigma.  All
     3 samples + 1 transports then come from one _transports call, at times [0, tau_1,
-    tau_1 + sigma_1, sigma_1, ...].  A residual that is NaN is the maximum.
+    tau_1 + sigma_1, sigma_1, ...].  A residual that is NaN is the maximum.  samples must be an int >= 0.
     """
+    import random  # on first call, as expm imports scipy
+
+    if (samples := integral(samples, "samples")) < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng, params, draws = random.Random(seed), conn.params, []
     for _ in range(samples):
         s = [_random_terms(rng, 3, 3) for _ in range(conn.rank)]
@@ -385,4 +373,4 @@ def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100,
         module.append(residual(lhs, rhs))
         identity.append(residual(phi_0._apply(s), s))
         group.append(residual(phi_both._apply(s), phi_tau._apply(phi_sigma._apply(s))))
-    return TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))
+    return _lib.reports.TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))

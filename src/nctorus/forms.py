@@ -7,25 +7,21 @@ d Theta + Theta ^ Theta = F du^dv with
     F = delta_u(Theta_v) - delta_v(Theta_u) + Theta_u Theta_v - Theta_v Theta_u,
 
 the products taken as matrix products of algebra elements.  A TwoForm holds
-the single component F_ij of one entry; MatrixForm holds the square matrix
-and serializes it for reports, each float rounded once (``r15``).
+the single component F_ij of one entry, in a slotted class and not a dataclass,
+so ``curvature`` and ``flat`` never import ``dataclasses``; MatrixForm holds the
+square matrix and serializes it for reports, each float rounded once (``r15``).
 
 When every entry is a plain multiple of 1 (no u, v or lambda powers), as
 the connection's ``scalars`` records, the derivation terms vanish and F is
-the commutator of two complex matrices, summed over Python complex scalars
-in the order of the test reference tests/test_forms.py::element_loop (bit
-for bit; _element_entries agrees to rounding only) and held as complex rows,
-which flatness and the report read; TwoForm entries are built on first
-access.  numpy is not used: its vectorized complex multiply may fuse
-multiply-adds, which changes the last bit of some products and the reports.
-Otherwise the algebra's product kernel adds every pair product of an entry
-straight into one of two dicts, and flatness reads the entries one at a time.
+the commutator of two complex matrices, held as complex rows, which flatness
+and the report read; TwoForm entries are built on first access.  numpy is not
+used: its vectorized complex multiply may fuse multiply-adds, which changes
+the last bit of some products and the reports.
 """
 
 from __future__ import annotations
 
 from cmath import isfinite
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, mul, sub
@@ -33,9 +29,22 @@ from operator import add, mul, sub
 from .algebra import TorusElement, _merge, _negligible, _product, apply_derivation, mono, r15
 
 
-@dataclass(frozen=True)
 class TwoForm:
-    dudv: TorusElement
+    """The du^dv component of one curvature entry: immutable, equal when the elements are (==)."""
+
+    __slots__ = ("dudv",)
+
+    def __init__(self, dudv: TorusElement):
+        object.__setattr__(self, "dudv", dudv)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TwoForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.dudv == other.dudv if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TwoForm(dudv={self.dudv!r})"
 
 
 class MatrixForm:
@@ -95,8 +104,7 @@ def curvature_form(conn) -> MatrixForm:
     For scalar matrices a, b it is [a, b] as complex rows, in the test reference element_loop's order (the
     element loop as first written; _element_entries agrees to rounding only): entry (i, j) is
     0j + d_0 + d_1 + ..., d_k = a_ik b_kj - b_ik a_kj, from 0j as that loop's first sum onto zero.
-    Element entry (i, j) is built in _element_entries' order: sum_k tu_ik tv_kj minus sum_k tv_ik tu_kj,
-    then delta_u(tv_ij) - delta_v(tu_ij) added last.  Only is_flat stops early.
+    Element entries are built by _element_entries, in its order; only is_flat stops early.
     """
     if conn.scalars is not None:
         a, b = conn.scalars

@@ -25,9 +25,10 @@ from nctorus.algebra import (
     turn,
     zero,
 )
-from nctorus.connections import Connection, TransportAxiomReport, _nabla, transport
+from nctorus.connections import Connection, _nabla, transport
 from nctorus.coverings import PathIndependenceReport, classify_path
 from nctorus.errors import PathNotAssociated, RankMismatch
+from nctorus.reports import TransportAxiomReport
 
 THETA = 0.3819660113
 ALT_THETA = 0.7182818285

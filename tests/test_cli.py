@@ -678,6 +678,9 @@ curvature["command"] = "curvature"
 for name in sys.argv[1:]:
     if name == "rank-4 curvature":
         cli.run(curvature)
+    elif name.endswith(".json"):  # a scenario file, run one-shot and named by its stem
+        assert cli.main(["--scenario", name, "--out", os.devnull]) == 0
+        name = os.path.basename(name)[:-5]
     else:
         one_shot(name)
     seen[name] = loaded()
@@ -692,10 +695,54 @@ def test_cold_start_loads_only_the_modules_a_command_uses():
     assert _fresh_interpreter(_MODULE_PROBE, *order) == {
         "import": [["algebra", "cli", "errors", "scenarios"], False, False],
         "paper-infinite": [["infinitecover"], False, False],
-        "rank-4 curvature": [["connections", "forms"], True, False],  # both define dataclasses
+        "rank-4 curvature": [["connections", "forms"], False, False],  # neither defines a dataclass
         "paper-cover": [["coverings"], True, False],
         "paper-scalar": [[], True, False],
         "paper-4x4": [[], True, True],  # numpy's import loads datetime
+    }
+
+
+def test_connection_commands_load_no_dataclasses(tmp_path):
+    # one-shot flat, element curvature and rank-1 transport in one fresh interpreter: TwoForm is a slotted
+    # class and the axiom report's module loads only with the axiom check, so none imports dataclasses
+    element = {"rank": 1, "theta_u": [[_element(1, 0, 0.5)]], "theta_v": [[_element(0, 1, 0.25)]]}
+    scenarios = {
+        "flat": {**builtin("paper-scalar"), "command": "flat"},
+        "element-curvature": {"v": 1, "command": "curvature", "theta": 0.3, "connection": element},
+        "rank-1-transport": {**builtin("paper-scalar"), "command": "transport", "paths": [[1, 0.5]]},
+    }
+    paths = [scenario_file(tmp_path, scenario, f"{name}.json") for name, scenario in scenarios.items()]
+    assert _fresh_interpreter(_MODULE_PROBE, *paths) == {
+        "import": [["algebra", "cli", "errors", "scenarios"], False, False],
+        "flat": [["connections", "forms"], False, False],
+        "element-curvature": [[], False, False],
+        "rank-1-transport": [[], False, False],
+    }
+
+
+_AXIOM_PROBE = """
+import json, sys
+from nctorus.algebra import TorusParams
+from nctorus.connections import Connection, check_transport_axioms, curvature_form, is_flat, transport
+
+def loaded():
+    return ["nctorus.reports" in sys.modules, "dataclasses" in sys.modules]
+
+conn = Connection(TorusParams(0.3), [[0.25j]], [[0.1j]])
+seen = {"import": loaded()}
+curvature_form(conn), is_flat(conn), transport(conn, (1, 0), 0.5)
+seen["curvature, flat and transport"] = loaded()
+report = check_transport_axioms(conn, (1, 0), samples=2)
+seen["axiom check"] = loaded() + [type(report).__module__]
+print(json.dumps(seen))
+"""
+
+
+def test_the_axiom_report_module_loads_with_the_first_axiom_check():
+    assert _fresh_interpreter(_AXIOM_PROBE) == {
+        "import": [False, False],
+        "curvature, flat and transport": [False, False],
+        "axiom check": [True, True, "nctorus.reports"],
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,7 +39,6 @@ from nctorus.algebra import (
 )
 from nctorus.connections import (
     Connection,
-    TransportAxiomReport,
     TransportOperator,
     check_transport_axioms,
     curvature_commutator,
@@ -47,6 +47,7 @@ from nctorus.connections import (
     transport,
 )
 from nctorus.errors import NonConstantConnection, ParamMismatch, RankMismatch
+from nctorus.reports import TransportAxiomReport
 from nctorus.scenarios import builtin
 
 TWO_PI_I = 2j * math.pi
@@ -532,7 +533,7 @@ def test_a_nan_residual_is_the_axiom_residual_in_every_order(monkeypatch, params
         report = check_transport_axioms(conn, (1, 0), samples=2)
         assert all(map(math.isnan, (report.module_residual, report.identity_residual, report.group_residual)))
     for fields in ((math.nan, 0.5, 0.1), (0.5, 0.1, math.nan)):
-        assert math.isnan(connections.TransportAxiomReport(1, *fields).max_residual)
+        assert math.isnan(TransportAxiomReport(1, *fields).max_residual)
 
 
 @pytest.mark.parametrize("rank", [1, 4])
@@ -581,6 +582,29 @@ def test_a_non_constant_axiom_check_raises_as_the_loop_does(params, rank):
         with pytest.raises(NonConstantConnection):
             check(conn, (1, 0), 2, 0)
         assert check(conn, (1, 0), 0, 0) == TransportAxiomReport(0, 0.0, 0.0, 0.0)  # no sample, no transport
+
+
+@pytest.mark.parametrize("samples", [-1, True, 2.5])
+def test_axiom_check_rejects_a_sample_count_that_is_not_a_count(params, samples):
+    # -1 once gave a report of max_residual 0.0, which reads as a pass, and True ran one sample
+    with pytest.raises(ValueError, match="^samples must be"):
+        check_transport_axioms(Connection(params, [[0.5j]], [[0.1j]]), (1, 0), samples=samples)
+
+
+def test_axiom_check_reads_an_integral_float_sample_count(params):
+    conn = Connection(params, [[0.5j]], [[0.1j]])
+    report = check_transport_axioms(conn, (1, 0), samples=3.0, seed=2)
+    assert type(report.samples) is int and report == check_transport_axioms(conn, (1, 0), samples=3, seed=2)
+
+
+def test_the_axiom_report_stays_a_frozen_dataclass(params):
+    # the benchmark's corruption table rewrites a report with dataclasses.replace
+    report = check_transport_axioms(Connection(params, [[0.5j]], [[0.1j]]), (1, 0), samples=2)
+    corrupted = dataclasses.replace(report, group_residual=1e-6)
+    assert corrupted == TransportAxiomReport(2, report.module_residual, report.identity_residual, 1e-6)
+    assert corrupted.max_residual == 1e-6 and report.max_residual < 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.samples = 3
 
 
 def test_stacked_transports_are_single_transports_bit_for_bit(params):

@@ -8,6 +8,7 @@ import random
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -112,6 +113,19 @@ def test_matrix_d1_entrywise(params):
     curv = curvature(params, [[z, z], [z, z]], [[u(params), z], [z, v(params)]])
     assert curv.entries[0][0].dudv.terms == {(1, 0, 0): TWO_PI_I}
     assert all(curv.entries[i][j].dudv.terms == {} for i, j in ((0, 1), (1, 0), (1, 1)))
+
+
+def test_two_form_is_an_immutable_value(params):
+    # a slotted class, not a dataclass, with the dataclass's equality (the element's) and repr
+    form = TwoForm(u(params))
+    assert form == TwoForm(dudv=u(params) + mono(0, 0, 1e-13, params)) and form != TwoForm(v(params))
+    assert form != u(params) and repr(form) == f"TwoForm(dudv={u(params)!r})"
+    with pytest.raises(AttributeError, match="TwoForm is immutable"):
+        form.dudv = v(params)
+    with pytest.raises(AttributeError):
+        form.other = 1
+    with pytest.raises(TypeError):
+        hash(form)  # the element is unhashable, as it was in the dataclass
 
 
 def test_matrix_form_to_dict_row_major(params):

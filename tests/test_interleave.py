@@ -52,3 +52,22 @@ def test_interleave_kinds_name_the_cli_command_and_its_rank():
         counts[tuple(kinds)] = int(match[1])
     want = [counts[("cli.run:independence/r4",)], counts[("cli.run:independence",)], counts[("cli.run",)]]
     assert 0 < want[0] < want[1] < want[2] == counts[()]
+
+
+def test_load_imports_every_nctorus_module_of_the_tree():
+    # a module that a function imports on its first call (nctorus.reports) loads with the tree, before a
+    # block is timed, as it has after the benchmark's first operation
+    src = ROOT / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import interleave; interleave.load(sys.argv[2]); "
+        "print(sorted(m.partition('.')[2] for m in sys.modules if m.startswith('nctorus.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(ROOT / "tools"), str(src)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    modules = sorted(path.stem for path in (src / "nctorus").glob("*.py") if path.stem != "__init__")
+    assert "reports" in modules and proc.stdout.strip() == repr(modules)

@@ -16,11 +16,18 @@ tree goes first.  After each run it reads
 that run's ``.bench_build/perfbench/result-W-seedS-trace0.json`` record,
 before the tree's next run at that seed and workload could overwrite it.
 
+Before any run, each tree's own ``perfbench/run.py::cold_sample(W, S)`` is
+read inside that tree, so the labels come from the code that times the runs:
+the k-th entry of a record's ``cli_cold_runs_s`` is the cold run of that
+sample's k-th scenario, labelled by its command and, with a connection, its
+rank (``curvature/r3``, ``infinite-wilson``).
+
 ``BENCH_<n>.json`` goes to the repository root.  It holds the run order and,
 per tree, the distinct ``env`` records of its runs, the lines of its own
-``tools/result_digest.py``, and per workload the seeds and, for each
-end-to-end metric named in ``BENCHMARK.json``, every run's value with their
-median and quartiles.
+``tools/result_digest.py``, and per workload the seeds, for each end-to-end
+metric named in ``BENCHMARK.json`` every run's value with their median and
+quartiles, and the same per cold-run label (``cold_by_command``), so a
+change in ``cli_cold_s`` can be read per command.
 """
 
 from __future__ import annotations
@@ -36,6 +43,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
+
+#: Run inside a tree, with the (workload, seed) pairs as JSON in argv[1]: per pair, [command, connection rank
+#: or null] of each scenario of that tree's cold_sample, in the order its cold runs are timed.
+COLD_SAMPLE = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+from run import cold_sample
+pairs = json.loads(sys.argv[1])
+print(json.dumps([[[s["command"], s.get("connection", {}).get("rank")] for s in cold_sample(*p)] for p in pairs]))
+"""
 
 
 def plan(labels: list[str], seeds: list[int]) -> list[tuple[str, int, str]]:
@@ -58,6 +75,20 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def cold_label(command: str, rank) -> str:
+    """A cold run's label: its command, with /r<rank> where the scenario has a connection."""
+    return command if rank is None else f"{command}/r{rank}"
+
+
+def cold_labels(tree: Path, pairs: list[tuple[str, int]]) -> dict[tuple[str, int], list[str]]:
+    """Per (workload, seed), the labels of the cold runs that the tree's own run.cold_sample gives."""
+    argv = [sys.executable, "-c", COLD_SAMPLE, json.dumps(pairs)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: cold_sample failed\n{done.stderr[-2000:]}")
+    return {pair: [cold_label(*s) for s in sample] for pair, sample in zip(pairs, json.loads(done.stdout))}
+
+
 def digest(tree: Path) -> list[str]:
     """The lines of the tree's own tools/result_digest.py."""
     argv = [sys.executable, "tools/result_digest.py"]
@@ -70,8 +101,22 @@ def spread(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def summarize(records: list[dict]) -> dict:
-    """One tree's env records (distinct, in first-seen order) and, per workload, its seeds and metric spreads."""
+def by_command(records: list[dict], labels: dict) -> dict:
+    """Each cold-run label's spread over the records (labels in first-seen order), pairing the k-th entry of
+    a record's cli_cold_runs_s with the k-th label of its (workload, seed)."""
+    runs: dict[str, list[float]] = {}
+    for r in records:
+        mine, walls = labels[(r["workload"], r["seed"])], r["cli_cold_runs_s"]
+        if len(mine) != len(walls):
+            raise SystemExit(f"{r['workload']} seed {r['seed']}: {len(mine)} labels for {len(walls)} cold runs")
+        for name, wall in zip(mine, walls):
+            runs.setdefault(name, []).append(wall)
+    return {name: spread(walls) for name, walls in runs.items()}
+
+
+def summarize(records: list[dict], labels: dict) -> dict:
+    """One tree's env records (distinct, in first-seen order) and, per workload, its seeds, metric spreads and
+    per-command cold spreads (``labels`` as cold_labels gives them)."""
     envs: list[dict] = []
     for record in records:
         if record["env"] not in envs:
@@ -83,6 +128,7 @@ def summarize(records: list[dict]) -> dict:
             workloads[workload] = {
                 "seeds": [r["seed"] for r in mine],
                 "metrics": {m: spread([r["metrics"][m]["value"] for r in mine]) for m in METRICS},
+                "cold_by_command": by_command(mine, labels),
             }
     return {"env": envs, "workloads": workloads}
 
@@ -106,13 +152,15 @@ def main(argv=None) -> Path:
         "order": plan(list(trees), args.seeds),
         "trees": {},
     }
+    pairs = [(workload, seed) for seed in args.seeds for workload in WORKLOADS]
     digests = {label: digest(tree) for label, tree in trees.items()}  # a tree that cannot run fails first
+    cold = {label: cold_labels(tree, pairs) for label, tree in trees.items()}
     records: dict[str, list[dict]] = {label: [] for label in trees}
     for workload, seed, label in out["order"]:
         records[label].append(run(trees[label], workload, seed, SPEC["run_seconds"]))
         print(f"{workload} seed {seed}: {label} done", file=sys.stderr, flush=True)
     for label in trees:
-        out["trees"][label] = {**summarize(records[label]), "result_digest": digests[label]}
+        out["trees"][label] = {**summarize(records[label], cold[label]), "result_digest": digests[label]}
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return path
