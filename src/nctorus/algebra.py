@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import ParamMismatch
@@ -329,7 +328,7 @@ def _fold(params: TorusParams, terms: dict) -> dict[tuple[int, int], complex]:
     out = {}
     get, powers = out.get, params._powers  # lam's memo, read here first
     for (m, n, k), c in terms.items():
-        out[(m, n)] = get((m, n), 0j) + (c * (powers.get(k) or params.lam(k)) if k else c)
+        out[key] = get(key := (m, n), 0j) + (c * (powers.get(k) or params.lam(k)) if k else c)  # one key tuple
     return out
 
 
@@ -422,13 +421,11 @@ def distance(a: TorusElement, b: TorusElement) -> float:
 
 
 def _distance(params: TorusParams, x: dict, y: dict) -> float:
-    """distance on two term dicts over params: y folded first, then x; y's coefficients come off x's fold in
-    place, in x's key order, and _worst takes those differences, then y's keys that x lacks."""
+    """distance on term dicts: y folded, then x; _worst of x's folded coefficients less y's, then y's keys x lacks."""
     fy = _fold(params, y)
-    fx, pop = _fold(params, x), fy.pop
-    for key, c in fx.items():
-        fx[key] = c - pop(key, 0j)
-    return _worst(chain(fx.values(), fy.values()))
+    d = [c - fy.pop(key, 0j) for key, c in _fold(params, x).items()]
+    d += fy.values()
+    return _worst(d)
 
 
 def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 3) -> TorusElement:
@@ -437,11 +434,11 @@ def random_element(rng, params: TorusParams, max_terms: int = 4, max_exp: int = 
     ``rng`` is a random.Random, left as randint and uniform leave it;
     coefficients have |Re|,|Im| <= 1 and lambda exponents |k| <= 2.
     """
-    return TorusElement._wrap(params, _random_terms(rng, max_terms, max_exp))
+    return TorusElement._wrap(params, _term_drawer(rng, max_terms, max_exp)())
 
 
-def _random_terms(rng, max_terms: int, max_exp: int) -> dict:
-    """random_element's term dict: each key drawn as randrange draws, each part as uniform does."""
+def _term_drawer(rng, max_terms: int, max_exp: int):
+    """A function whose each call draws random_element's next term dict: keys as randrange, parts as uniform."""
     if max_terms < 1 or max_exp < 0:
         raise ValueError(f"random_element needs max_terms >= 1 and max_exp >= 0, got {max_terms}, {max_exp}")
     getrandbits, random, width = rng.getrandbits, rng.random, 2 * max_exp + 1
@@ -453,8 +450,11 @@ def _random_terms(rng, max_terms: int, max_exp: int) -> dict:
             r = getrandbits(k)
         return r
 
-    terms = {}
-    for _ in range(1 + below(max_terms, k_terms)):
-        key = (below(width, k) - max_exp, below(width, k) - max_exp, below(5, 3) - 2)
-        terms[key] = complex(-1 + 2 * random(), -1 + 2 * random())  # uniform(-1, 1): a + (b - a) * random()
-    return {key: c for key, c in terms.items() if c}  # a key drawn twice keeps its first place, as in the constructor
+    def draw() -> dict:
+        terms = {}
+        for _ in range(1 + below(max_terms, k_terms)):
+            key = (below(width, k) - max_exp, below(width, k) - max_exp, below(5, 3) - 2)
+            terms[key] = complex(-1 + 2 * random(), -1 + 2 * random())  # uniform(-1, 1): a + (b - a) * random()
+        return {key: c for key, c in terms.items() if c}  # a repeated key keeps its first place, as in the constructor
+
+    return draw

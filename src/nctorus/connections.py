@@ -17,10 +17,10 @@ times the one ``curvature_form`` reports.  Transport requires constant
 coefficients (each Theta entry a complex multiple of 1), where the
 path-ordered exponential collapses to a dense matrix exponential, ``expm``.
 
-Every transport comes from one ``_transports`` call, one ``expm`` call on the
-stack of its paths.  The transport-axiom check runs on term dicts from each
-draw to its residual and imports ``random`` and its report's module when first
-called, so nothing else here loads ``dataclasses``.
+Every transport matrix comes from one ``_transports`` call, one ``expm`` call on the stack of its paths,
+as complex rows, and every apply is the one kernel ``_apply`` on a matrix.  The transport-axiom check
+runs on matrices and term dicts from each draw to its residual, with no operator or element object, and
+imports ``random`` and its report's module when first called, so nothing else here loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import nctorus as _lib  # reports is read at call time, so only the axiom check 
 
 from .algebra import (
     TWO_PI, TorusElement, TorusParams, Weight, _check_params, _distance, _merge, _negligible, _product,
-    _random_terms, _scale, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
+    _scale, _term_drawer, _twist, _worst, apply_derivation, integral, mono, one, r15, real, zero,
 )
 from .errors import NonConstantConnection, ParamMismatch, RankMismatch
 from .forms import _check_finite, _element_entries, curvature_form
@@ -229,7 +229,7 @@ class TransportOperator:
         raise AttributeError("TransportOperator is immutable")
 
     def apply(self, xs) -> list[TorusElement]:
-        """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict by ``_apply``.
+        """Entry i is sum_j M[i][j] phi_tau(x_j), accumulated in one dict by the kernel ``_apply``.
 
         The summation order is a contract, so that every coefficient keeps its
         bits: each x_j's terms are twisted once; the products t * M[i][0] of the
@@ -246,27 +246,8 @@ class TransportOperator:
         params = xs[0].params
         for x in xs[1:]:
             _check_params(params, x.params)
-        return [TorusElement._wrap(params, terms) for terms in self._apply([x.terms for x in xs])]
-
-    def _apply(self, xs: list[dict]) -> list[dict]:
-        """apply on the term dicts of a vector of rank entries, unchecked: the term dicts of M . phi_tau(x)."""
-        first, *rest = [_twist(self.weight, self.tau, x).items() for x in xs]
-        out = []
-        for c0, *row in self.matrix:
-            terms = {key: p for key, t in first if (p := t * c0)}
-            get = terms.get
-            # the merge is algebra._merge inlined: a product dict per column made rank-4 apply a quarter slower
-            for items, c in zip(rest, row):
-                for key, t in items:
-                    p = t * c
-                    if p:
-                        s = get(key, 0j) + p
-                        if s:
-                            terms[key] = s
-                        else:
-                            del terms[key]
-            out.append(terms)
-        return out
+        out = _apply(self.matrix, self.weight, self.tau, [x.terms for x in xs])
+        return [TorusElement._wrap(params, terms) for terms in out]
 
     def to_dict(self) -> dict:
         """Matrix entries as [re, im] pairs; rank 1 adds the scalar as "value".  Floats pass r15."""
@@ -278,6 +259,28 @@ class TransportOperator:
         if self.rank == 1:
             out["value"] = list(out["matrix"][0][0])
         return out
+
+
+def _apply(matrix, weight: Weight, tau: float, xs: list[dict]) -> list[dict]:
+    """apply on term dicts, unchecked: the term dicts of M . phi_tau(x) for the complex rows M of ``matrix``."""
+    first, *rest = [_twist(weight, tau, x).items() for x in xs]
+    out = []
+    for row in matrix:
+        c0 = row[0]
+        terms = {key: p for key, t in first if (p := t * c0)}
+        get = terms.get
+        # the merge is algebra._merge inlined: a product dict per column made rank-4 apply a quarter slower
+        for items, c in zip(rest, row[1:]):
+            for key, t in items:
+                p = t * c
+                if p:
+                    s = get(key, 0j) + p
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
+        out.append(terms)
+    return out
 
 
 def expm(a):
@@ -312,8 +315,8 @@ def expm(a):
     raise OverflowError("transport overflows: exp(2 pi tau Theta_X) has an entry that is not a finite double")
 
 
-def _transports(conn: Connection, paths) -> list[TransportOperator]:
-    """The transport along each (weight, tau) of ``paths``, from one expm call; none without a path.
+def _transports(conn: Connection, paths) -> list[tuple[tuple[complex, ...], ...]]:
+    """The transport matrix M of each (weight, tau) of ``paths``, as complex rows, from one expm call; none without one.
 
     Theta_u, Theta_v are read once; each exponent 2 pi tau (alpha Theta_u + beta Theta_v) keeps the
     bits of its own fold, in Python complex arithmetic at rank 1 and on one numpy stack above.
@@ -323,54 +326,51 @@ def _transports(conn: Connection, paths) -> list[TransportOperator]:
     theta_u, theta_v = conn._coefficients()
     if conn.rank == 1:
         ((cu,),), ((cv,),) = theta_u, theta_v
-        mats = expm([((TWO_PI * tau * (alpha * cu + beta * cv),),) for (alpha, beta), tau in paths])
-    else:
-        import numpy as np
+        return expm([((TWO_PI * tau * (alpha * cu + beta * cv),),) for (alpha, beta), tau in paths])
+    import numpy as np
 
-        # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
-        c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
-        tu, tv = np.array(theta_u, dtype=complex), np.array(theta_v, dtype=complex)
-        with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
-            mats = expm(c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv))
-    return [TransportOperator(m, tuple(w), t) for m, (w, t) in zip(mats, paths)]
+    # alpha, beta and 2 pi tau of each path, as (k, 1, 1) slices that broadcast over Theta
+    c = np.array([(a, b, TWO_PI * t) for (a, b), t in paths], dtype=float).reshape(-1, 3, 1, 1)
+    tu, tv = np.array(theta_u, dtype=complex), np.array(theta_v, dtype=complex)
+    with np.errstate(all="ignore"):  # one block for fold and exponential: an overflow shows in M, which expm checks
+        return expm(c[:, 2] * (c[:, 0] * tu + c[:, 1] * tv))
 
 
 def transport(conn: Connection, weight: Weight, tau: float) -> TransportOperator:
-    """Module parallel transport at time tau along the weight flow: the one path of ``_transports``.
+    """Module parallel transport at time tau along the weight flow: the operator of ``_transports``' one matrix.
 
     M = exp(2 pi tau (alpha Theta_u + beta Theta_v)).  Raises NonConstantConnection
     when Theta has non-scalar entries, OverflowError when M is not finite.
     """
-    return _transports(conn, [(weight, tau)])[0]
+    return TransportOperator(_transports(conn, [(weight, tau)])[0], tuple(weight), tau)
 
 
 def check_transport_axioms(conn: Connection, weight: Weight, samples: int = 100, seed: int = 0) -> TransportAxiomReport:
     """Exercise the transport axioms on random vectors, elements and times.
 
-    Every sample is drawn first: its vector s (rank elements), then a, tau and sigma.  All
-    3 samples + 1 transports then come from one _transports call, at times [0, tau_1,
-    tau_1 + sigma_1, sigma_1, ...].  A residual that is NaN is the maximum.  samples must be an int >= 0.
+    Every sample is drawn first, by one draw helper: its vector s (rank elements), then a, tau and sigma.  All
+    3 samples + 1 matrices then come from one _transports call, at times [0, tau_1, tau_1 + sigma_1, sigma_1,
+    ...], and go to the kernel _apply.  A residual that is NaN is the maximum.  samples must be an int >= 0.
     """
     import random  # on first call, as expm imports scipy
 
     if (samples := integral(samples, "samples")) < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    rng, params, draws = random.Random(seed), conn.params, []
+    rng, n, draws = random.Random(seed), conn.rank, []
+    draw, uniform = _term_drawer(rng, 3, 3), rng.random  # uniform(-1.5, 1.5) is -1.5 + 3.0 * random()
     for _ in range(samples):
-        s = [_random_terms(rng, 3, 3) for _ in range(conn.rank)]
-        draws.append((s, _random_terms(rng, 3, 3), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
-    times = [0.0, *(t for _, _, tau, sigma in draws for t in (tau, tau + sigma, sigma))]
-    phi_0, *ops = _transports(conn, [(weight, t) for t in times]) if draws else [None]  # no sample, no transport
-
-    def residual(xs: list[dict], ys: list[dict]) -> float:  # the worst distance of paired entries, on term dicts
-        return _worst(_distance(params, x, y) for x, y in zip(xs, ys))
-
+        s = [draw() for _ in range(n)]
+        a, tau, sigma = draw(), -1.5 + 3.0 * uniform(), -1.5 + 3.0 * uniform()
+        draws.append((s, a, (tau, tau + sigma, sigma)))
+    times = [0.0, *(t for _, _, ts in draws for t in ts)]
+    m_0, *mats = _transports(conn, [(weight, t) for t in times]) if draws else [None]  # no sample, no transport
+    ps = [conn.params] * n  # a residual is the worst _distance of paired entries: one _worst per kind, at the end
     module, identity, group = [], [], []
-    for (s, a, tau, _), phi_tau, phi_both, phi_sigma in zip(draws, ops[::3], ops[1::3], ops[2::3]):
-        lhs = phi_tau._apply([_product(x, a) for x in s])
+    for (s, a, (tau, both, sigma)), m_tau, m_both, m_sigma in zip(draws, mats[::3], mats[1::3], mats[2::3]):
+        lhs = _apply(m_tau, weight, tau, [_product(x, a) for x in s])
         a_tau = _twist(weight, tau, a)
-        rhs = [_product(x, a_tau) for x in phi_tau._apply(s)]
-        module.append(residual(lhs, rhs))
-        identity.append(residual(phi_0._apply(s), s))
-        group.append(residual(phi_both._apply(s), phi_tau._apply(phi_sigma._apply(s))))
+        module += map(_distance, ps, lhs, [_product(x, a_tau) for x in _apply(m_tau, weight, tau, s)])
+        identity += map(_distance, ps, _apply(m_0, weight, 0.0, s), s)
+        composed = _apply(m_tau, weight, tau, _apply(m_sigma, weight, sigma, s))
+        group += map(_distance, ps, _apply(m_both, weight, both, s), composed)
     return _lib.reports.TransportAxiomReport(samples, _worst(module), _worst(identity), _worst(group))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import nctorus as _lib  # connections is read at call time, so classify never loads it
 
-from .algebra import CERTIFY_TOL, TorusElement, TorusParams, _worst, integral, r15, turn
+from .algebra import CERTIFY_TOL, R15_TOP, TorusElement, TorusParams, _worst, integral, r15, turn
 from .errors import NotFlat, ParamMismatch, PathNotAssociated, ZeroWeight
 
 if TYPE_CHECKING:
@@ -174,7 +174,7 @@ class PathIndependenceReport:
         return {
             "deck": [self.deck.a, self.deck.b],
             "weights": [[w[0], w[1]] for w in self.weights],
-            "max_distance": r15(self.max_distance),
+            "max_distance": min(r15(self.max_distance), R15_TOP),  # inf, an overflowing difference, as r15's top
             "certified": self.certified,
         }
 
@@ -190,7 +190,7 @@ def check_path_independence(spec: CoveringSpec, g: DeckElement, conn: Connection
         if not report.is_closed or report.associated != g:
             raise PathNotAssociated(f"weight {report.weight} is not a closed path associated with ({g.a},{g.b})")
         checked.append(report.weight)
-    mats = [op.matrix for op in _lib.connections._transports(conn, [(w, 1.0) for w in checked])]
+    mats = _lib.connections._transports(conn, [(w, 1.0) for w in checked])
     pairs = [(m, n) for i, m in enumerate(mats) for n in mats[i + 1 :]]
     max_distance = _worst(x - y for m, n in pairs for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
     return PathIndependenceReport(g, tuple(checked), max_distance, certified=max_distance < CERTIFY_TOL)

@@ -34,6 +34,7 @@ from nctorus.algebra import (
     TWO_PI,
     TorusElement,
     TorusParams,
+    _term_drawer,
     _twist,
     apply_auto,
     apply_derivation,
@@ -550,6 +551,20 @@ def test_random_element_draws_the_randint_stream(params):
             got = random_element(mine, params, max_terms=max_terms, max_exp=max_exp)
             assert element_bits(got) == element_bits(reference_random_element(theirs, params, max_terms, max_exp))
         assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("max_terms, max_exp", [(1, 0), (3, 3), (4, 3), (6, 1), (9, 5)])
+def test_one_term_drawer_draws_as_repeated_random_elements_do(params, max_terms, max_exp):
+    # the axiom check sets one drawer up for all its draws and reads uniform(-1.5, 1.5) as -1.5 + 3.0 * random()
+    # between them: the same dicts, key order and bits, and the generator left in the same state after each
+    for seed in range(5):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        draw = _term_drawer(mine, max_terms, max_exp)
+        for _ in range(30):
+            got = TorusElement._wrap(params, draw())
+            assert element_bits(got) == element_bits(random_element(theirs, params, max_terms, max_exp))
+            assert mine.getstate() == theirs.getstate()
+            assert struct.pack("<d", -1.5 + 3.0 * mine.random()) == struct.pack("<d", theirs.uniform(-1.5, 1.5))
 
 
 @pytest.mark.parametrize("max_terms, max_exp", [(0, 3), (3, -1)])

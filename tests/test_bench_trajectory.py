@@ -110,6 +110,45 @@ def test_summarize_groups_by_workload_and_keeps_distinct_envs(trajectory):
     }
 
 
+def test_verdict_counts_won_pairs_and_reads_the_parents_spread_and_the_bound(trajectory):
+    def records(workload, values):
+        """One record per seed 1, 2, ...: the named metrics' values, every other metric 1.0."""
+        out = []
+        for seed, row in enumerate(zip(*values.values()), start=1):
+            metrics = {m: {"value": 1.0, "unit": "u"} for m in trajectory.METRICS}
+            metrics.update({m: {"value": v, "unit": "u"} for m, v in zip(values, row)})
+            out.append({"workload": workload, "seed": seed, "metrics": metrics})
+        return out
+
+    assert trajectory.RULES["op_p50_ms"] == (False, 0.15) and trajectory.RULES["ops_per_s"] == (True, 0.15)
+    assert trajectory.RULES["setup_s"] == (False, 0.25)
+    parent = records("symbolic", {"op_p50_ms": [10, 11, 12, 13, 14], "ops_per_s": [100] * 5, "setup_s": [1.0] * 5})
+    parent += records("deep-deck", {"ops_per_s": [100] * 5})  # the change never ran it: no verdict
+    change = records("symbolic", {"op_p50_ms": [9, 10, 12, 9, 9], "ops_per_s": [80, 84, 100, 110, 120],
+                                  "setup_s": [1.3] * 5})
+    out = trajectory.verdict(parent, change)
+    assert list(out) == ["symbolic"] and list(out["symbolic"]) == trajectory.METRICS
+    # lower is better: 4 of 5 won, the tie at seed 3 counting for neither; median 12 -> 9 against IQR 11..13
+    assert out["symbolic"]["op_p50_ms"] == {
+        "pairs": 5, "won": 4, "shift": -3, "parent_iqr": 2, "beyond_parent_iqr": True, "within_bound": True,
+    }
+    # higher is better: 2 won, 1 tie; the median 100 is no shift beyond an IQR of 0 and within 15%
+    assert out["symbolic"]["ops_per_s"] == {
+        "pairs": 5, "won": 2, "shift": 0, "parent_iqr": 0, "beyond_parent_iqr": False, "within_bound": True,
+    }
+    # 1.0 -> 1.3 s is beyond the 25% bound
+    assert out["symbolic"]["setup_s"]["within_bound"] is False and out["symbolic"]["setup_s"]["won"] == 0
+    assert out["symbolic"]["cli_cold_s"] == {
+        "pairs": 5, "won": 0, "shift": 0, "parent_iqr": 0, "beyond_parent_iqr": False, "within_bound": True,
+    }
+    # a median just past the bound of a higher-is-better metric fails it; only seeds run by both are pairs
+    low = records("symbolic", {"ops_per_s": [80, 84, 84, 90, 100, 500]})
+    out = trajectory.verdict(parent, low)["symbolic"]["ops_per_s"]
+    assert (out["pairs"], out["won"], out["within_bound"]) == (5, 0, True)  # median of 6 runs is 87
+    out = trajectory.verdict(parent, low[:5])["symbolic"]["ops_per_s"]
+    assert (out["shift"], out["within_bound"]) == (-16, False)
+
+
 def test_main_runs_each_trees_own_runner_and_writes_the_file(trajectory, tmp_path, monkeypatch):
     for name, line in (("base", "digest of base"), ("new", "digest of new")):
         tree = tmp_path / name
@@ -129,6 +168,9 @@ def test_main_runs_each_trees_own_runner_and_writes_the_file(trajectory, tmp_pat
     seconds = trajectory.SPEC["run_seconds"]
     assert logged == [f"{w} {seed} {names[label]} {seconds} 0" for w, seed, label in order]
     assert (out["workloads"], out["seeds"], out["seconds"]) == (trajectory.WORKLOADS, [3, 4], seconds)
+    # the first tree is the parent: the other gets a verdict on every workload and metric, two pairs each
+    assert list(out["verdict"]) == ["b"] and list(out["verdict"]["b"]) == trajectory.WORKLOADS
+    assert {v["pairs"] for w in out["verdict"]["b"].values() for v in w.values()} == {2}
     for label, tree in names.items():
         mine = out["trees"][label]
         assert mine["result_digest"] == [f"digest of {tree}"]

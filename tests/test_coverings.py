@@ -24,7 +24,7 @@ from conftest import (
     scalar_connection,
 )
 from nctorus import connections
-from nctorus.algebra import EQ_TOL, TorusElement, TorusParams, apply_auto, lam, mono, one, random_element, u, v
+from nctorus.algebra import EQ_TOL, R15_TOP, TorusElement, TorusParams, apply_auto, lam, mono, one, random_element, u, v
 from nctorus.connections import Connection
 from nctorus.coverings import (
     CoveringSpec,
@@ -550,6 +550,7 @@ def test_path_independence_whose_difference_overflows_is_infinite(spec, params):
     assert cmath.isfinite(m) and cmath.isfinite(n) and abs(m.real + n.real) < 1e295 and m.real > 6e307
     report = check_path_independence(spec, spec.deck(1, 0), conn, [(1, 0), (1, 2)])
     assert (report.max_distance, report.certified) == (math.inf, False)
+    assert report.to_dict()["max_distance"] == R15_TOP  # strict JSON holds no inf
 
 
 def test_path_independence_rejects_wrong_deck_element(spec, params):

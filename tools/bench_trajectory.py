@@ -28,6 +28,13 @@ per tree, the distinct ``env`` records of its runs, the lines of its own
 metric named in ``BENCHMARK.json`` every run's value with their median and
 quartiles, and the same per cold-run label (``cold_by_command``), so a
 change in ``cli_cold_s`` can be read per command.
+
+The first tree given is the parent.  Under ``verdict`` every later tree gets,
+per workload and end-to-end metric, the rule a claimed gain must meet and a
+regression must not break: the pairs of runs at one seed that it won (ties
+count for neither), whether its median moved by more than the parent's
+interquartile range, and whether its median is within the metric's
+``BENCHMARK.json`` bound of the parent's.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 METRICS = [m["name"] for m in SPEC["end_to_end"]]
+#: Per end-to-end metric, (True if higher is better, the fraction by which its median may worsen).
+RULES = {m["name"]: (m["better"] == "higher", m["bound"]) for m in SPEC["end_to_end"]}
 
 #: Run inside a tree, with the (workload, seed) pairs as JSON in argv[1]: per pair, [command, connection rank
 #: or null] of each scenario of that tree's cold_sample, in the order its cold runs are timed.
@@ -133,6 +142,36 @@ def summarize(records: list[dict], labels: dict) -> dict:
     return {"env": envs, "workloads": workloads}
 
 
+def verdict(parent: list[dict], change: list[dict]) -> dict:
+    """Per workload and metric, the change's records against the parent's: pairs (runs at one seed) and the
+    pairs the change won, ties counting for neither; its median's shift from the parent's, the parent's
+    interquartile range and whether the shift exceeds it; and whether its median is within the bound."""
+    out = {}
+    for workload in WORKLOADS:
+        base = [r for r in parent if r["workload"] == workload]
+        mine = [r for r in change if r["workload"] == workload]
+        if not base or not mine:
+            continue
+        out[workload] = {}
+        for m in METRICS:
+            higher, bound = RULES[m]
+            at_seed = {r["seed"]: r["metrics"][m]["value"] for r in base}
+            pairs = [(at_seed[r["seed"]], r["metrics"][m]["value"]) for r in mine if r["seed"] in at_seed]
+            ours = spread([r["metrics"][m]["value"] for r in mine])
+            theirs = spread([r["metrics"][m]["value"] for r in base])
+            shift, iqr = ours["median"] - theirs["median"], theirs["q3"] - theirs["q1"]
+            limit = theirs["median"] * (1 - bound if higher else 1 + bound)
+            out[workload][m] = {
+                "pairs": len(pairs),
+                "won": sum(b < c if higher else c < b for b, c in pairs),
+                "shift": shift,
+                "parent_iqr": iqr,
+                "beyond_parent_iqr": abs(shift) > iqr,
+                "within_bound": ours["median"] >= limit if higher else ours["median"] <= limit,
+            }
+    return out
+
+
 def main(argv=None) -> Path:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", metavar="LABEL=PATH", help="a labelled checkout to run")
@@ -161,6 +200,8 @@ def main(argv=None) -> Path:
         print(f"{workload} seed {seed}: {label} done", file=sys.stderr, flush=True)
     for label in trees:
         out["trees"][label] = {**summarize(records[label], cold[label]), "result_digest": digests[label]}
+    parent, *changes = trees
+    out["verdict"] = {label: verdict(records[parent], records[label]) for label in changes}
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return path
